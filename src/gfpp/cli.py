@@ -32,6 +32,10 @@ UPPER_HALF_Y_RANGE = range(1, 5)
 CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
                "k_prime_binary", "girth_class", "p_power")
 
+# Part of every cache key: bump it whenever a change alters what a command
+# reports for the same params, so that stale entries are never served.
+CACHE_SCHEMA = 1
+
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, e) with p prime and q = p^e; raises NotPrimeError
@@ -81,16 +85,7 @@ class RunReport:
     timing: dict = dataclass_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "modulus_by_q": self.modulus_by_q,
-            "rows": self.rows,
-            "verdicts": self.verdicts,
-            "overall": self.overall,
-            "version": self.version,
-            "timing": self.timing,
-        }
+        return dict(vars(self))
 
     def body(self) -> dict:
         """The deterministic part of the report (everything but timing)."""
@@ -100,16 +95,12 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(command=d["command"], params=d["params"],
-                   modulus_by_q=d["modulus_by_q"], rows=d["rows"],
-                   verdicts=d["verdicts"], overall=d["overall"],
-                   version=d.get("version", __version__),
-                   timing=d.get("timing", {}))
+        return cls(**d)
 
 
 # -- row/verdict helpers --------------------------------------------------
 
-def _record_row(rec: permpoly.SweepRecord) -> dict:
+def _record_row(rec: permpoly.SweepRecord, girth_ge_8: bool | None = None) -> dict:
     return {
         "kind": "sweep",
         "q": rec.q,
@@ -121,7 +112,7 @@ def _record_row(rec: permpoly.SweepRecord) -> dict:
         "k_prime": rec.k_prime,
         "k_prime_binary": rec.k_prime_binary,
         "criterion": rec.criterion,
-        "girth_ge_8": rec.girth_ge_8,
+        "girth_ge_8": girth_ge_8,
     }
 
 
@@ -178,6 +169,12 @@ def _identity_grid(fld: Field) -> tuple[list[dict], dict]:
 
 
 def _upper_half_grid(p: int) -> tuple[list[dict], dict]:
+    """The upper-half sum grid for p; a p that is not an odd prime gives one
+    error row and a failing verdict instead."""
+    if not is_prime(p) or p == 2:
+        return ([{"kind": "error", "p": p,
+                  "error": "NotPrimeError: p = %d is not an odd prime" % p}],
+                {"section": "upper_half", "p": p, "passed": False})
     rows = []
     mismatches = 0
     for x in UPPER_HALF_X_RANGE:
@@ -192,49 +189,36 @@ def _upper_half_grid(p: int) -> tuple[list[dict], dict]:
     return rows, verdict
 
 
-# -- worker tasks (top-level so they pickle for the process pool) ----------
+# -- per-field jobs ----------------------------------------------------------
+#
+# A job takes one field and the parsed arguments and returns (rows, verdicts).
+# Jobs are top-level functions so that they pickle for the process pool.
 
-def _sweep_task(task):
-    q, with_criterion, with_girth, field_cap, girth_cap = task
-    try:
-        p, e = factor_prime_power(q)
-        fld = Field(p, e, cap=field_cap)
-        records = permpoly.sweep(fld, with_criterion=with_criterion,
-                                 with_girth=with_girth, girth_cap=girth_cap)
-    except (GfppError, ValueError) as exc:
-        return {"q": q, "error": "%s: %s" % (type(exc).__name__, exc)}
+def _sweep_job(fld: Field, args) -> tuple[list, list]:
+    records = permpoly.sweep(fld, with_criterion=args.with_criterion)
+    passing = None
+    if args.with_girth:
+        passing = graphs.girth_scan(fld, cap=args.girth_cap, records=records).passing
+    rows = [_record_row(r, None if passing is None else r.k in passing)
+            for r in records]
+    verdict = permpoly.conjecture_verdict(fld, args.which, records=records)
+    return rows, [_verdict_dict(verdict)]
+
+
+def _identity_job(fld: Field, args) -> tuple[list, list]:
+    if fld.e < 3:
+        return [], [{"section": "identities", "q": fld.q,
+                     "skipped": "ParamDomain: e = %d < 3" % fld.e, "passed": True}]
+    rows, verdict = _identity_grid(fld)
+    return rows, [verdict]
+
+
+def _verify_job(fld: Field, args) -> tuple[list, list]:
+    q = fld.q
+    records = permpoly.sweep(fld)
+    rows = [_record_row(r) for r in records]
     verdicts = [_verdict_dict(permpoly.conjecture_verdict(fld, w, records=records))
                 for w in ("A", "B", "two")]
-    return {"q": q, "modulus": list(fld.modulus),
-            "rows": [_record_row(r) for r in records], "verdicts": verdicts}
-
-
-def _identity_task(task):
-    q, field_cap = task
-    try:
-        p, e = factor_prime_power(q)
-        fld = Field(p, e, cap=field_cap)
-    except (GfppError, ValueError) as exc:
-        return {"q": q, "error": "%s: %s" % (type(exc).__name__, exc)}
-    if fld.e < 3:
-        return {"q": q, "skipped": "ParamDomain: e = %d < 3" % fld.e,
-                "modulus": list(fld.modulus)}
-    rows, verdict = _identity_grid(fld)
-    return {"q": q, "modulus": list(fld.modulus), "rows": rows,
-            "verdicts": [verdict]}
-
-
-def _verify_task(task):
-    q, field_cap, girth_cap = task
-    p, e = factor_prime_power(q)
-    fld = Field(p, e, cap=field_cap)
-    rows: list = []
-    verdicts: list = []
-
-    records = permpoly.sweep(fld)
-    rows.extend(_record_row(r) for r in records)
-    for w in ("A", "B", "two"):
-        verdicts.append(_verdict_dict(permpoly.conjecture_verdict(fld, w, records=records)))
 
     mismatch_ks = []
     for r in records:
@@ -249,34 +233,103 @@ def _verify_task(task):
     verdicts.append({"section": "criterion", "q": q, "checked": q - 1,
                      "mismatch_ks": mismatch_ks, "passed": not mismatch_ks})
 
-    if e >= 3:
+    if fld.e >= 3:
         id_rows, id_verdict = _identity_grid(fld)
         rows.extend(id_rows)
         verdicts.append(id_verdict)
 
-    if q <= girth_cap:
-        scan = graphs.girth_scan(fld, cap=girth_cap, records=records)
-        passing = set(scan.passing)
-        by_k = {r.k: r for r in records}
-        rows.extend({"kind": "girth", "q": q, "k": k,
-                     "girth_ge_8": k in passing, "a_pp": by_k[k].a_pp,
-                     "b_pp": by_k[k].b_pp, "p_power": by_k[k].k_is_p_power}
-                    for k in range(1, q))
+    if q <= args.girth_cap:
+        scan = graphs.girth_scan(fld, cap=args.girth_cap, records=records)
+        rows.extend({"kind": "girth", "q": q, "k": r.k,
+                     "girth_ge_8": r.k in scan.passing, "a_pp": r.a_pp,
+                     "b_pp": r.b_pp, "p_power": r.k_is_p_power}
+                    for r in records)
         verdicts.append({"section": "girth", "q": q, "witnesses": scan.passing,
                          "expected": scan.expected,
                          "implication_ok": scan.implication_ok,
                          "passed": scan.passed})
-    return {"q": q, "modulus": list(fld.modulus), "rows": rows,
-            "verdicts": verdicts}
+    return rows, verdicts
 
 
-def _run_tasks(fn, specs, jobs):
-    """Fan tasks out to a process pool; results come back in input order so
-    the merged report is deterministic regardless of completion order."""
-    if jobs <= 1 or len(specs) <= 1:
-        return [fn(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-        return list(pool.map(fn, specs))
+def _girth_exps(args) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(f_exps, g_exps) of the graph the girth command asks for."""
+    if args.k is not None:
+        return (1, 1), (args.k, 2 * args.k)
+    a, b, c, d = args.exps
+    return (a, b), (c, d)
+
+
+def _girth_job(fld: Field, args) -> tuple[list, list]:
+    q, k = fld.q, args.k
+    if k is not None and not 1 <= k <= q - 1:
+        raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
+    f_exps, g_exps = _girth_exps(args)
+    value = graphs.girth(graphs.MonomialGraph(fld, f_exps, g_exps),
+                         cap=args.girth_cap)
+    ge8 = value >= 8
+    row = {"kind": "girth", "q": q, "k": k,
+           "f_exps": list(f_exps), "g_exps": list(g_exps),
+           "girth": None if value == math.inf else int(value),
+           "girth_ge_8": ge8}
+    if k is None:
+        return [row], [{"section": "girth", "q": q, "girth": row["girth"],
+                        "passed": True}]
+    rec = permpoly.sweep_record(fld, k)
+    row.update({"a_pp": rec.a_pp, "b_pp": rec.b_pp, "p_power": rec.k_is_p_power})
+    implication_ok = (not ge8) or (rec.a_pp and rec.b_pp)
+    return [row], [{"section": "girth", "q": q, "k": k, "girth": row["girth"],
+                    "implication_ok": implication_ok, "passed": implication_ok}]
+
+
+def _field_job(fld: Field, args) -> tuple[list, list]:
+    return ([{"kind": "field", "q": fld.q, "p": fld.p, "e": fld.e,
+              "modulus": list(fld.modulus), "modulus_str": poly_str(fld.modulus)}],
+            [{"section": "field", "q": fld.q, "passed": True}])
+
+
+def _run_job(spec):
+    """Build GF(q) and run one job on it.
+
+    Returns (modulus, rows, verdicts).  The modulus is recorded as soon as
+    the field exists, so it is kept even when the job fails.  Any
+    GfppError or ValueError, from the field or from the job, becomes one
+    error row and one failing verdict in `section`.
+    """
+    job, section, q, args = spec
+    modulus = None
+    try:
+        p, e = factor_prime_power(q)
+        fld = Field(p, e, cap=args.field_cap)
+        modulus = list(fld.modulus)
+        rows, verdicts = job(fld, args)
+    except (GfppError, ValueError) as exc:
+        err = "%s: %s" % (type(exc).__name__, exc)
+        rows = [{"kind": "error", "q": q, "error": err}]
+        verdicts = [{"section": section, "q": q, "error": err, "passed": False}]
+    return modulus, rows, verdicts
+
+
+def _run_jobs(job, section, qs, args) -> tuple[dict, list, list]:
+    """Run `job` on the field of every q in qs, fanned out to a process pool.
+
+    Results merge in input order, so the report is deterministic regardless
+    of completion order.  Returns (modulus_by_q, rows, verdicts).
+    """
+    specs = [(job, section, q, args) for q in qs]
+    if args.jobs <= 1 or len(specs) <= 1:
+        results = [_run_job(s) for s in specs]
+    else:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
+            results = list(pool.map(_run_job, specs))
+    modulus_by_q: dict = {}
+    rows: list = []
+    verdicts: list = []
+    for q, (modulus, job_rows, job_verdicts) in zip(qs, results):
+        if modulus is not None:
+            modulus_by_q[str(q)] = modulus
+        rows.extend(job_rows)
+        verdicts.extend(job_verdicts)
+    return modulus_by_q, rows, verdicts
 
 
 # -- output ---------------------------------------------------------------
@@ -330,38 +383,52 @@ def _emit(report: RunReport, args) -> None:
 
 # -- result cache ----------------------------------------------------------
 
-def _with_cache(args, command, params, modulus_by_q, compute):
-    """Append-only JSON cache keyed by (version, command, params, moduli)."""
+def _with_cache(args, command, params, compute):
+    """JSON result cache keyed by (CACHE_SCHEMA, version, command, params).
+
+    An entry is written to a temp file in the cache directory and renamed
+    into place, so it is never seen half-written.  An entry that cannot be
+    read or parsed anyway is treated as a miss: recomputed and rewritten.
+    """
     if not args.cache:
         return compute()
-    key = {"version": __version__, "command": command, "params": params,
-           "modulus_by_q": modulus_by_q}
+    key = {"schema": CACHE_SCHEMA, "version": __version__, "command": command,
+           "params": params}
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     path = Path(args.cache) / ("%s.json" % digest)
-    if path.exists():
+    try:
         report = RunReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError):
+        pass  # a missing or damaged entry is a miss
+    else:
         report.timing = {"cached": True}
         return report
     report = compute()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report.body(), indent=2) + "\n", encoding="utf-8")
+    tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+    tmp.write_text(json.dumps(report.body(), indent=2) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
     return report
 
 
-def _moduli_for(qs, field_cap) -> dict:
-    out = {}
-    for q in qs:
-        try:
-            p, e = factor_prime_power(q)
-            out[str(q)] = list(Field(p, e, cap=field_cap).modulus)
-        except (GfppError, ValueError):
-            pass
-    return out
+def _overall(verdicts) -> str:
+    return "pass" if all(v.get("passed") for v in verdicts) else "fail"
 
 
-def _overall(verdicts, had_error: bool) -> str:
-    ok = not had_error and all(v.get("passed") for v in verdicts)
-    return "pass" if ok else "fail"
+def _run_command(args, command, params, job, qs, ps=()) -> RunReport:
+    """The report of `command`: `job` on the field of every q, then the
+    upper-half grid of every p; served from the cache when one is given."""
+
+    def compute() -> RunReport:
+        modulus_by_q, rows, verdicts = _run_jobs(job, command, qs, args)
+        for p in ps:
+            uh_rows, uh_verdict = _upper_half_grid(p)
+            rows.extend(uh_rows)
+            verdicts.append(uh_verdict)
+        return RunReport(command, params, modulus_by_q, rows, verdicts,
+                         _overall(verdicts))
+
+    return _with_cache(args, command, params, compute)
 
 
 # -- commands ---------------------------------------------------------------
@@ -371,183 +438,39 @@ def cmd_sweep(args) -> RunReport:
     params = {"q": qs, "which": args.which, "with_criterion": args.with_criterion,
               "with_girth": args.with_girth, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap}
-    modulus_by_q = _moduli_for(qs, args.field_cap)
-
-    def compute() -> RunReport:
-        specs = [(q, args.with_criterion, args.with_girth, args.field_cap,
-                  args.girth_cap) for q in qs]
-        rows: list = []
-        verdicts: list = []
-        had_error = False
-        for res in _run_tasks(_sweep_task, specs, args.jobs):
-            if "error" in res:
-                had_error = True
-                rows.append({"kind": "error", "q": res["q"], "error": res["error"]})
-                verdicts.append({"section": "sweep", "q": res["q"],
-                                 "error": res["error"], "passed": False})
-                continue
-            rows.extend(res["rows"])
-            verdicts.extend(v for v in res["verdicts"] if v["which"] == args.which)
-        return RunReport("sweep", params, modulus_by_q, rows, verdicts,
-                         _overall(verdicts, had_error))
-
-    return _with_cache(args, "sweep", params, modulus_by_q, compute)
+    return _run_command(args, "sweep", params, _sweep_job, qs)
 
 
 def cmd_identities(args) -> RunReport:
     qs = sorted(set(args.q or []))
     ps = sorted(set(args.p or []))
     params = {"q": qs, "p": ps, "field_cap": args.field_cap}
-    modulus_by_q = _moduli_for(qs, args.field_cap)
-
-    def compute() -> RunReport:
-        rows: list = []
-        verdicts: list = []
-        had_error = False
-        specs = [(q, args.field_cap) for q in qs]
-        for res in _run_tasks(_identity_task, specs, args.jobs):
-            if "error" in res:
-                had_error = True
-                rows.append({"kind": "error", "q": res["q"], "error": res["error"]})
-                verdicts.append({"section": "identities", "q": res["q"],
-                                 "error": res["error"], "passed": False})
-            elif "skipped" in res:
-                verdicts.append({"section": "identities", "q": res["q"],
-                                 "skipped": res["skipped"], "passed": True})
-            else:
-                rows.extend(res["rows"])
-                verdicts.extend(res["verdicts"])
-        for p in ps:
-            if not is_prime(p) or p == 2:
-                had_error = True
-                rows.append({"kind": "error", "p": p,
-                             "error": "NotPrimeError: p = %d is not an odd prime" % p})
-                verdicts.append({"section": "upper_half", "p": p, "passed": False})
-                continue
-            uh_rows, uh_verdict = _upper_half_grid(p)
-            rows.extend(uh_rows)
-            verdicts.append(uh_verdict)
-        return RunReport("identities", params, modulus_by_q, rows, verdicts,
-                         _overall(verdicts, had_error))
-
-    return _with_cache(args, "identities", params, modulus_by_q, compute)
+    return _run_command(args, "identities", params, _identity_job, qs, ps)
 
 
 def cmd_girth(args) -> RunReport:
-    q = args.q
-    if args.k is not None:
-        f_exps, g_exps = (1, 1), (args.k, 2 * args.k)
-    else:
-        a, b, c, d = args.exps
-        f_exps, g_exps = (a, b), (c, d)
-    params = {"q": q, "k": args.k, "f_exps": list(f_exps), "g_exps": list(g_exps),
-              "field_cap": args.field_cap, "girth_cap": args.girth_cap}
-
-    def compute() -> RunReport:
-        try:
-            p, e = factor_prime_power(q)
-            fld = Field(p, e, cap=args.field_cap)
-        except (GfppError, ValueError) as exc:
-            err = "%s: %s" % (type(exc).__name__, exc)
-            return RunReport("girth", params, {},
-                             [{"kind": "error", "q": q, "error": err}],
-                             [{"section": "girth", "q": q, "error": err,
-                               "passed": False}], "fail")
-        modulus_by_q = {str(q): list(fld.modulus)}
-        if args.k is not None and not 1 <= args.k <= q - 1:
-            err = "ValueError: k must be in 1..%d, got %d" % (q - 1, args.k)
-            return RunReport("girth", params, modulus_by_q,
-                             [{"kind": "error", "q": q, "error": err}],
-                             [{"section": "girth", "q": q, "error": err,
-                               "passed": False}], "fail")
-        graph = graphs.MonomialGraph(fld, f_exps, g_exps)
-        try:
-            value = graphs.girth(graph, cap=args.girth_cap)
-        except GfppError as exc:
-            err = "%s: %s" % (type(exc).__name__, exc)
-            return RunReport("girth", params, modulus_by_q,
-                             [{"kind": "error", "q": q, "error": err}],
-                             [{"section": "girth", "q": q, "error": err,
-                               "passed": False}], "fail")
-        ge8 = value >= 8
-        row = {"kind": "girth", "q": q, "k": args.k,
-               "f_exps": list(f_exps), "g_exps": list(g_exps),
-               "girth": None if value == math.inf else int(value),
-               "girth_ge_8": ge8}
-        if args.k is not None:
-            rec = permpoly.sweep_record(fld, args.k)
-            row.update({"a_pp": rec.a_pp, "b_pp": rec.b_pp,
-                        "p_power": rec.k_is_p_power})
-            implication_ok = (not ge8) or (rec.a_pp and rec.b_pp)
-            verdict = {"section": "girth", "q": q, "k": args.k,
-                       "girth": row["girth"], "implication_ok": implication_ok,
-                       "passed": implication_ok}
-        else:
-            verdict = {"section": "girth", "q": q, "girth": row["girth"],
-                       "passed": True}
-        return RunReport("girth", params, modulus_by_q, [row], [verdict],
-                         _overall([verdict], False))
-
-    modulus_by_q = _moduli_for([q], args.field_cap)
-    return _with_cache(args, "girth", params, modulus_by_q, compute)
+    f_exps, g_exps = _girth_exps(args)
+    params = {"q": args.q, "k": args.k, "f_exps": list(f_exps),
+              "g_exps": list(g_exps), "field_cap": args.field_cap,
+              "girth_cap": args.girth_cap}
+    return _run_command(args, "girth", params, _girth_job, [args.q])
 
 
 def cmd_verify_all(args) -> RunReport:
-    qs = []
-    for q in odd_prime_powers(args.q_max):
-        try:
-            p, e = factor_prime_power(q)
-            Field(p, e, cap=args.field_cap)
-        except GfppError:
-            continue
-        qs.append(q)
+    qs = [q for q in odd_prime_powers(args.q_max) if q <= args.field_cap]
     params = {"q_max": args.q_max, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap,
               "upper_half_primes": list(UPPER_HALF_PRIMES)}
-    modulus_by_q = _moduli_for(qs, args.field_cap)
-
-    def compute() -> RunReport:
-        specs = [(q, args.field_cap, args.girth_cap) for q in qs]
-        rows: list = []
-        verdicts: list = []
-        for res in _run_tasks(_verify_task, specs, args.jobs):
-            rows.extend(res["rows"])
-            verdicts.extend(res["verdicts"])
-        for p in UPPER_HALF_PRIMES:
-            uh_rows, uh_verdict = _upper_half_grid(p)
-            rows.extend(uh_rows)
-            verdicts.append(uh_verdict)
-        return RunReport("verify-all", params, modulus_by_q, rows, verdicts,
-                         _overall(verdicts, False))
-
-    return _with_cache(args, "verify-all", params, modulus_by_q, compute)
+    return _run_command(args, "verify-all", params, _verify_job, qs,
+                        UPPER_HALF_PRIMES)
 
 
 def cmd_field_info(args) -> RunReport:
     qs = sorted(set(args.q))
     params = {"q": qs, "field_cap": args.field_cap}
-    rows: list = []
-    verdicts: list = []
-    modulus_by_q = {}
-    had_error = False
-    for q in qs:
-        try:
-            p, e = factor_prime_power(q)
-            fld = Field(p, e, cap=args.field_cap)
-        except (GfppError, ValueError) as exc:
-            had_error = True
-            err = "%s: %s" % (type(exc).__name__, exc)
-            rows.append({"kind": "error", "q": q, "error": err})
-            verdicts.append({"section": "field", "q": q, "error": err,
-                             "passed": False})
-            continue
-        modulus_by_q[str(q)] = list(fld.modulus)
-        rows.append({"kind": "field", "q": q, "p": fld.p, "e": fld.e,
-                     "modulus": list(fld.modulus),
-                     "modulus_str": poly_str(fld.modulus)})
-        verdicts.append({"section": "field", "q": q, "passed": True})
+    modulus_by_q, rows, verdicts = _run_jobs(_field_job, "field", qs, args)
     return RunReport("field-info", params, modulus_by_q, rows, verdicts,
-                     _overall(verdicts, had_error))
+                     _overall(verdicts))
 
 
 # -- argument parsing --------------------------------------------------------
@@ -624,13 +547,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_int(parser, name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        parser.error("%s must be an integer, got %r" % (name, text))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.field_cap is None:
-        args.field_cap = int(os.environ.get("GFPP_FIELD_CAP", DEFAULT_FIELD_CAP))
+        args.field_cap = _env_int(parser, "GFPP_FIELD_CAP", DEFAULT_FIELD_CAP)
     if args.girth_cap is None:
-        args.girth_cap = int(os.environ.get("GFPP_GIRTH_CAP", graphs.DEFAULT_GIRTH_CAP))
+        args.girth_cap = _env_int(parser, "GFPP_GIRTH_CAP", graphs.DEFAULT_GIRTH_CAP)
     if args.jobs is None:
         args.jobs = os.cpu_count() or 1
     if args.command == "girth" and args.exps is not None and len(args.exps) != 4:

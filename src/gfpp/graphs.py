@@ -205,13 +205,12 @@ def girth_scan(field, *, cap: int | None = None, records=None) -> GirthScan:
     """
     if records is None:
         records = permpoly.sweep(field)
-    by_k = {r.k: r for r in records}
     passing = []
     for k in range(1, field.q):
         graph = MonomialGraph(field, (1, 1), (k, 2 * k))
         if girth_at_least(graph, 8, cap=cap):
             passing.append(k)
     expected = permpoly.p_powers(field)
-    implication_ok = all(by_k[k].a_pp and by_k[k].b_pp for k in passing)
+    implication_ok = all(r.a_pp and r.b_pp for r in records if r.k in passing)
     return GirthScan(field.q, passing, expected, implication_ok,
                      passing == expected and implication_ok)

@@ -8,7 +8,7 @@ For an exponent 1 <= k <= q-1 the two maps of interest are
 with the convention x^0 = 1 (so b_{q-1}(0) = 0).  A sweep evaluates both
 maps over the whole field for every k and records which exponents give
 permutations, together with gcd, inverse-exponent digit data, and the
-optional criterion and girth flags.
+optional criterion flag.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import weakref
 from dataclasses import dataclass
 from math import gcd
 
-from . import digits
+from . import criterion, digits
 from .errors import LengthMismatchError
 from .field import TABLE_CAP
 
@@ -122,30 +122,17 @@ class SweepRecord:
     k_prime: int | None = None
     k_prime_binary: bool | None = None
     criterion: bool | None = None
-    girth_ge_8: bool | None = None
 
 
-def sweep_record(field, k: int, *, with_criterion: bool = False,
-                 with_girth: bool = False, girth_cap: int | None = None) -> SweepRecord:
-    """Direct PP flags for one exponent, plus optional criterion/girth flags.
+def sweep_record(field, k: int, *, with_criterion: bool = False) -> SweepRecord:
+    """Direct PP flags for one exponent, plus the optional criterion flag.
 
-    The criterion flag costs O(q^2) binomial work per exponent and the girth
-    flag a BFS over 2q^3 vertices, so both are opt-in.
+    The criterion flag costs O(q^2) binomial work per exponent, so it is
+    opt-in.
     """
     q = field.q
     gcd_ok = gcd(k, q - 1) == 1
     kp = digits.mod_inverse(k, q - 1) if gcd_ok else None
-    crit = None
-    if with_criterion:
-        from . import criterion as _criterion
-
-        crit = _criterion.pp_criterion(field, k)
-    g8 = None
-    if with_girth:
-        from . import graphs as _graphs
-
-        graph = _graphs.MonomialGraph(field, (1, 1), (k, 2 * k))
-        g8 = _graphs.girth_at_least(graph, 8, cap=girth_cap)
     return SweepRecord(
         q=q,
         k=k,
@@ -155,8 +142,7 @@ def sweep_record(field, k: int, *, with_criterion: bool = False,
         k_is_p_power=digits.is_p_power(k, field),
         k_prime=kp,
         k_prime_binary=None if kp is None else digits.digits_binary(kp, field.p, field.e),
-        criterion=crit,
-        girth_ge_8=g8,
+        criterion=criterion.pp_criterion(field, k) if with_criterion else None,
     )
 
 

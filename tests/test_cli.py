@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from gfpp import criterion
 from gfpp.cli import CSV_COLUMNS, factor_prime_power, main, odd_prime_powers
-from gfpp.errors import NotPrimeError
+from gfpp.errors import GfppError, NotPrimeError
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -67,6 +68,24 @@ def test_sweep_with_criterion_rows(tmp_path):
     assert code == 0
     for row in report["rows"]:
         assert row["criterion"] == row["a_pp"]
+
+
+def test_sweep_with_girth_flag(tmp_path):
+    code, report = run(tmp_path, "sweep", "--q", "3", "--with-girth")
+    assert code == 0
+    assert [r["girth_ge_8"] for r in report["rows"]] == [True, False]
+    # without the flag the girth column stays empty
+    code, report = run(tmp_path, "sweep", "--q", "3", name="plain.json")
+    assert code == 0
+    assert [r["girth_ge_8"] for r in report["rows"]] == [None, None]
+
+
+def test_sweep_girth_cap_error_keeps_modulus(tmp_path):
+    code, report = run(tmp_path, "sweep", "--q", "19", "--with-girth")
+    assert code == 1
+    (row,) = report["rows"]
+    assert row["kind"] == "error" and "CapExceeded" in row["error"]
+    assert report["modulus_by_q"] == {"19": [0, 1]}
 
 
 def test_sweep_csv(tmp_path):
@@ -140,6 +159,15 @@ def test_girth_command_cap(tmp_path):
     assert "CapExceeded" in report["rows"][0]["error"]
 
 
+def test_girth_command_bad_k_keeps_modulus(tmp_path):
+    code, report = run(tmp_path, "girth", "--q", "5", "--k", "9")
+    assert code == 1
+    (row,) = report["rows"]
+    assert row == {"kind": "error", "q": 5,
+                   "error": "ValueError: k must be in 1..4, got 9"}
+    assert report["modulus_by_q"] == {"5": [0, 1]}
+
+
 def test_field_info(tmp_path):
     code, report = run(tmp_path, "field-info", "--q", "27,9")
     assert code == 0
@@ -155,6 +183,23 @@ def test_verify_all_small(tmp_path):
     assert report["overall"] == "pass"
     sections = {v["section"] for v in report["verdicts"]}
     assert sections == {"sweep", "criterion", "girth", "upper_half"}
+    assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
+
+
+def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
+    def broken(fld, k):
+        raise GfppError("criterion broke at q = %d" % fld.q)
+
+    monkeypatch.setattr(criterion, "pp_criterion", broken)
+    code, report = run(tmp_path, "verify-all", "--q-max", "9")
+    assert code == 1
+    assert report["overall"] == "fail"
+    errors = [r for r in report["rows"] if r["kind"] == "error"]
+    assert [r["q"] for r in errors] == [3, 5, 7, 9]
+    assert errors[0]["error"] == "GfppError: criterion broke at q = 3"
+    failing = [v for v in report["verdicts"] if not v["passed"]]
+    assert [(v["section"], v["q"]) for v in failing] == [
+        ("verify-all", q) for q in (3, 5, 7, 9)]
     assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
 
 
@@ -181,6 +226,24 @@ def test_cache_round_trip(tmp_path):
     fresh.pop("timing")
     cached.pop("timing")
     assert fresh == cached
+
+
+def test_damaged_cache_entry_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["sweep", "--q", "9", "--jobs", "1", "--cache", str(cache)]
+    assert main(argv + ["--json", str(tmp_path / "fresh.json")]) == 0
+    (entry,) = cache.glob("*.json")
+    good = entry.read_text()
+    entry.write_text(good[: len(good) // 2])
+    assert main(argv + ["--json", str(tmp_path / "again.json")]) == 0
+    fresh = json.loads((tmp_path / "fresh.json").read_text())
+    again = json.loads((tmp_path / "again.json").read_text())
+    assert "cached" not in again["timing"]
+    fresh.pop("timing")
+    again.pop("timing")
+    assert fresh == again
+    assert entry.read_text() == good
+    assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
 def test_jobs_parallel_matches_serial(tmp_path):
@@ -220,3 +283,12 @@ def test_env_var_overrides_field_cap(tmp_path, monkeypatch):
     code, report = run(tmp_path, "sweep", "--q", "9")
     assert code == 1
     assert "CapExceeded" in report["rows"][0]["error"]
+
+
+@pytest.mark.parametrize("var", ["GFPP_FIELD_CAP", "GFPP_GIRTH_CAP"])
+def test_env_var_cap_must_be_an_integer(tmp_path, monkeypatch, capsys, var):
+    monkeypatch.setenv(var, "ten")
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "sweep", "--q", "3")
+    assert exc.value.code == 2
+    assert var in capsys.readouterr().err

@@ -82,7 +82,7 @@ def test_sweep_record_q9_k3(f9):
     assert r.a_pp and r.b_pp and r.k_is_p_power and r.gcd_ok
     assert r.k_prime == 3  # 3*3 = 9 = 8 + 1
     assert r.k_prime_binary is True
-    assert r.criterion is None and r.girth_ge_8 is None
+    assert r.criterion is None
 
 
 def test_sweep_record_q9_k2(f9):
@@ -140,9 +140,3 @@ def test_conjecture_verdicts():
 def test_conjecture_verdict_rejects_unknown_which(f9):
     with pytest.raises(ValueError):
         conjecture_verdict(f9, "both")
-
-
-def test_sweep_with_girth_flag():
-    f3 = Field(3, 1)
-    recs = sweep(f3, with_girth=True)
-    assert [r.girth_ge_8 for r in recs] == [True, False]
