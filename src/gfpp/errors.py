@@ -14,7 +14,7 @@ class EvenPrimeError(GfppError):
 
 
 class CapExceededError(GfppError):
-    """A size guard (field cap, table cap, girth cap) was exceeded."""
+    """A size guard (field cap, girth cap) was exceeded."""
 
 
 class NotCoprimeError(GfppError):

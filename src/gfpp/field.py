@@ -3,8 +3,12 @@
 An element is identified by its index in the canonical enumeration: the
 element with coefficient vector (c0, ..., c_{e-1}) over Z_p (low degree
 first) has index sum(c_i * p^i).  Index 0 is the zero element and index 1
-is the one element, so plain ints double as element handles and dense
-tables can be indexed directly.
+is the one element, so plain ints double as element handles.
+
+Besides the direct polynomial arithmetic, a field can build discrete-log
+and Zech-log tables for a fixed primitive element (Lidl-Niederreiter,
+Finite Fields, ch. 2), which turn products and powers into sums of
+exponents mod q-1 and sums into one table lookup.
 
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e (coefficients compared low-degree-first), which
@@ -18,12 +22,6 @@ import itertools
 from .errors import CapExceededError, EvenPrimeError, NotPrimeError
 
 DEFAULT_FIELD_CAP = 10**6
-
-# Dense q x q helper tables (powers, differences) are only built for fields
-# small enough that exhaustive per-exponent sweeps are realistic.
-TABLE_CAP = 4096
-
-_COEFF_CACHE_CAP = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -110,30 +108,21 @@ class Field:
         self.modulus = smallest_irreducible(p, e)
         self._pbase = tuple(p**i for i in range(e))
         self._xpow = self._reduction_rows()
-        self._coeff_cache = None
-        if e > 1 and q <= _COEFF_CACHE_CAP:
-            self._coeff_cache = [self._decode(a) for a in range(q)]
-        self._pow_rows = None
-        self._sub_rows = None
+        self._logs = None
 
     def __repr__(self) -> str:
         return "Field(p=%d, e=%d, modulus=%s)" % (self.p, self.e, poly_str(self.modulus))
 
     # -- representation ------------------------------------------------
 
-    def _decode(self, a: int) -> tuple[int, ...]:
+    def coeffs(self, a: int) -> tuple[int, ...]:
+        """Coefficient vector of element a, low degree first, length e."""
         p = self.p
         out = []
         for _ in range(self.e):
             a, c = divmod(a, p)
             out.append(c)
         return tuple(out)
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of element a, low degree first, length e."""
-        if self._coeff_cache is not None:
-            return self._coeff_cache[a]
-        return self._decode(a)
 
     def element(self, coeffs) -> int:
         """Element index for a coefficient vector (entries reduced mod p)."""
@@ -245,40 +234,27 @@ class Field:
             rows.append(cur)
         return tuple(rows)
 
-    # -- dense helper tables ----------------------------------------------
+    # -- log tables ---------------------------------------------------------
 
-    def power_table(self) -> list[list[int]]:
-        """rows[x][n] = x**n for 0 <= n <= q-1 (row 0 is [1, 0, ..., 0]).
+    def log_tables(self) -> tuple[list[int], list, list]:
+        """(exp, log, zech) for g, the first primitive element in canonical order.
 
-        Built once and cached; only available for q <= TABLE_CAP.
+        With m = q-1 and h = m/2 (so g^h = -1), for 0 <= n < m:
+        exp[n] = g^n, log[g^n] = n and zech[n] = log(1 + g^n).  log[0] and
+        zech[h] (where 1 + g^h = 0) are None.  Built on first use and cached.
         """
-        if self._pow_rows is None:
-            if self.q > TABLE_CAP:
-                raise CapExceededError("q = %d exceeds the table cap %d" % (self.q, TABLE_CAP))
-            q = self.q
-            mul = self.mul
-            rows = []
-            for x in range(q):
-                row = [1] * q
-                acc = 1
-                for n in range(1, q):
-                    acc = mul(acc, x)
-                    row[n] = acc
-                rows.append(row)
-            self._pow_rows = rows
-        return self._pow_rows
-
-    def sub_table(self) -> list[list[int]]:
-        """rows[a][b] = a - b.  Built once and cached; q <= TABLE_CAP only."""
-        if self._sub_rows is None:
-            if self.q > TABLE_CAP:
-                raise CapExceededError("q = %d exceeds the table cap %d" % (self.q, TABLE_CAP))
-            q = self.q
-            if self.e == 1:
-                p = self.p
-                self._sub_rows = [[(a - b) % p for b in range(q)] for a in range(q)]
-            else:
-                add = self.add
-                negs = [self.neg(b) for b in range(q)]
-                self._sub_rows = [[add(a, nb) for nb in negs] for a in range(q)]
-        return self._sub_rows
+        if self._logs is None:
+            q, m, p = self.q, self.q - 1, self.p
+            primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+            g = next(g for g in range(2, q)
+                     if all(self.pow(g, m // r) != 1 for r in primes))
+            exp = [1] * m
+            for n in range(1, m):
+                exp[n] = self.mul(exp[n - 1], g)
+            log = [None] * q
+            for n, x in enumerate(exp):
+                log[x] = n
+            # x + 1 adds 1 mod p to the constant coefficient, the lowest digit.
+            zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
+            self._logs = (exp, log, zech)
+        return self._logs

@@ -7,7 +7,8 @@ A point (p1, p2, p3) and a line [l1, l2, l3] are adjacent iff
 where f = X^a Y^b and g = X^c Y^d are monomials.  Every vertex has exactly
 q neighbors (the free first coordinate of the other side determines the
 rest), so adjacency is computed on demand; nothing is materialized beyond
-q x q monomial value tables, keeping BFS state at O(q^3).
+the q x q monomial value tables and the q x q difference table a - b that
+the BFS builds here, keeping BFS state at O(q^3).
 
 Girth search exploits the translation automorphisms that shift
 (p2, p3, l2, l3): they act transitively on each {p1 = c} slice and every
@@ -150,11 +151,13 @@ def _min_cycle_from(q, ftab, gtab, stab, src, best):
 
 def _prepare(graph: MonomialGraph, cap):
     field = graph.field
+    q = field.q
     cap = DEFAULT_GIRTH_CAP if cap is None else cap
-    if field.q > cap:
-        raise CapExceededError("q = %d exceeds the girth cap %d" % (field.q, cap))
+    if q > cap:
+        raise CapExceededError("q = %d exceeds the girth cap %d" % (q, cap))
     ftab, gtab = graph.monomial_tables()
-    return field.q, ftab, gtab, field.sub_table()
+    stab = [[field.sub(a, b) for b in range(q)] for a in range(q)]
+    return q, ftab, gtab, stab
 
 
 def girth(graph: MonomialGraph, *, cap: int | None = None, all_sources: bool = False):

@@ -13,13 +13,11 @@ optional criterion flag.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from math import gcd
 
 from . import criterion, digits
 from .errors import LengthMismatchError
-from .field import TABLE_CAP
 
 
 def eval_a(field, k: int, x: int) -> int:
@@ -36,66 +34,70 @@ def eval_b(field, k: int, x: int) -> int:
     return field.sub(t, field.mul(2, field.pow(x, q - 1)))
 
 
-class _SweepTables:
-    """Per-field precomputations shared by all exponents of a sweep.
-
-    w[x]  = x * (x+1)          so that a_k(x) = w^k - x^(2k) for x != 0
-    w2[x] = (x+1)^2 * x^(q-2)  so that b_k(x) = w2^k - x^(q-1-k) - 2 for x != 0
-    """
-
-    def __init__(self, field):
-        q = field.q
-        self.pow = field.power_table()
-        self.sub = field.sub_table()
-        self.w = [field.mul(x, field.add(x, 1)) for x in range(q)]
-        xp1sq = [field.mul(field.add(x, 1), field.add(x, 1)) for x in range(q)]
-        self.w2 = [field.mul(xp1sq[x], self.pow[x][q - 2]) for x in range(q)]
-
-
-_SWEEP_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _tables(field) -> _SweepTables:
-    tabs = _SWEEP_CACHE.get(field)
-    if tabs is None:
-        tabs = _SweepTables(field)
-        _SWEEP_CACHE[field] = tabs
-    return tabs
-
-
 def a_value_table(field, k: int) -> list[int]:
-    """Values of a_k over the whole field, indexed by element order."""
+    """Values of a_k over the whole field, indexed by element order.
+
+    For x = g^n with x != 0, -1 and x + 1 = g^z, a_k(x) = (x(x+1))^k - x^(2k)
+    is g^u - g^v with u = k(n+z), v = 2kn, and g^u - g^v = g^u (1 + g^(v-u+h))
+    is 0 for u = v and g^(u + zech[v-u+h]) otherwise (exponents mod m = q-1,
+    h = m/2).  a_k(0) = 0 and a_k(-1) = -1.
+    """
+    exp, _, zech = field.log_tables()
     q = field.q
-    if q > TABLE_CAP:
-        return [eval_a(field, k, x) for x in range(q)]
-    tb = _tables(field)
-    pt, st, w = tb.pow, tb.sub, tb.w
-    s2k = digits.star_reduce(2 * k, q)
+    m = q - 1
+    h = m // 2
     out = [0] * q
-    for x in range(1, q):
-        out[x] = st[pt[w[x]][k]][pt[x][s2k]]
+    out[exp[h]] = exp[h]
+    for n, z in enumerate(zech):
+        if n != h:
+            u = k * (n + z) % m
+            d = (2 * k * n - u + h) % m
+            if d != h:
+                out[exp[n]] = exp[(u + zech[d]) % m]
     return out
 
 
 def b_value_table(field, k: int) -> list[int]:
-    """Values of b_k over the whole field, indexed by element order."""
+    """Values of b_k over the whole field, indexed by element order.
+
+    For x = g^n with x != 0, -1 and x + 1 = g^z, x^(q-1) = 1 gives
+    b_k(x) = D x^(-k) - 2 with D = g^(2kz) - 1.  D = 0 gives -2; otherwise
+    D = g^d, and D x^(-k) - 2 = g^(d-kn) - g^(log 2) is a second difference,
+    both taken in the log domain as in a_value_table.
+    b_k(0) = 0 and b_k(-1) = -(-1)^k - 2.
+    """
+    exp, log, zech = field.log_tables()
     q = field.q
-    if q > TABLE_CAP:
-        return [eval_b(field, k, x) for x in range(q)]
-    tb = _tables(field)
-    pt, st, w2 = tb.pow, tb.sub, tb.w2
-    e1 = q - 1 - k
+    m = q - 1
+    h = m // 2
+    l2 = log[2]
+    minus2 = exp[(l2 + h) % m]
     out = [0] * q
-    for x in range(1, q):
-        out[x] = st[st[pt[w2[x]][k]][pt[x][e1]]][2]
+    out[exp[h]] = field.sub(field.neg(exp[k * h % m]), 2)
+    for n, z in enumerate(zech):
+        if n != h:
+            u = 2 * k * z % m
+            if u == 0:
+                out[exp[n]] = minus2
+                continue
+            w = (u + zech[(h - u) % m] - k * n) % m
+            d = (l2 - w + h) % m
+            if d != h:
+                out[exp[n]] = exp[(w + zech[d]) % m]
     return out
 
 
 def is_permutation(field, values) -> bool:
-    """Whether a length-q value table hits every element exactly once."""
+    """Whether a length-q value table hits every element exactly once.
+
+    Raises ValueError if an entry is not an element index 0..q-1.
+    """
     q = field.q
     if len(values) != q:
         raise LengthMismatchError("expected %d values, got %d" % (q, len(values)))
+    lo, hi = min(values), max(values)
+    if lo < 0 or hi >= q:
+        raise ValueError("entry %d is not an element index 0..%d" % (lo if lo < 0 else hi, q - 1))
     seen = bytearray(q)
     for v in values:
         if seen[v]:

@@ -14,7 +14,7 @@ from gfpp import criterion, digits, graphs, permpoly
 from gfpp.cli import factor_prime_power, main
 from gfpp.field import Field
 
-CONJECTURE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 243)
+CONJECTURE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 243, 343, 729)
 CRITERION_QS = (3, 5, 7, 9, 25, 27)
 IDENTITY_QS = (27, 125, 243)
 UPPER_HALF_PS = (3, 5, 7, 11, 13)

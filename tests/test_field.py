@@ -168,6 +168,30 @@ def test_frobenius_is_automorphism_sampled_q243():
             assert frob[fld.mul(a, b)] == fld.mul(frob[a], frob[b])
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5)])
+def test_log_tables(p, e):
+    fld = Field(p, e)
+    q = fld.q
+    m = q - 1
+    exp, log, zech = fld.log_tables()
+    assert sorted(exp) == list(range(1, q))
+
+    def order(x):
+        n, acc = 1, x
+        while acc != 1:
+            n, acc = n + 1, fld.mul(acc, x)
+        return n
+
+    g = next(x for x in range(1, q) if order(x) == m)
+    for n in range(m):
+        assert exp[n] == fld.pow(g, n)
+        assert log[exp[n]] == n
+        if n != m // 2:
+            assert zech[n] == log[fld.add(1, exp[n])]
+    assert fld.add(1, exp[m // 2]) == 0
+    assert log[0] is None and zech[m // 2] is None
+
+
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)

@@ -48,16 +48,20 @@ def test_b_family_vanishes_at_zero(f9):
 
 
 def test_value_tables_match_pointwise_eval(f9):
-    for fld in (f9, Field(5, 2)):
+    # in GF(3) only x = 1 takes the Zech path; x = 0 and x = -1 are handled apart
+    for fld in (Field(3, 1), Field(7, 1), f9, Field(5, 2)):
         for k in range(1, fld.q):
             assert a_value_table(fld, k) == [eval_a(fld, k, x) for x in fld.elements()]
             assert b_value_table(fld, k) == [eval_b(fld, k, x) for x in fld.elements()]
 
 
-def test_value_tables_match_pointwise_eval_q27_sample(f27):
-    for k in (1, 3, 5, 7, 13, 26):
-        assert a_value_table(f27, k) == [eval_a(f27, k, x) for x in f27.elements()]
-        assert b_value_table(f27, k) == [eval_b(f27, k, x) for x in f27.elements()]
+@pytest.mark.parametrize("p,e", [(3, 3), (3, 4), (4099, 1)], ids=["q27", "q81", "q4099"])
+def test_value_tables_match_pointwise_eval_q27_sample(p, e):
+    fld = Field(p, e)
+    m = fld.q - 1
+    for k in sorted({1, 3, 5, 7, 13, m // 2, m - 1, m}):
+        assert a_value_table(fld, k) == [eval_a(fld, k, x) for x in fld.elements()]
+        assert b_value_table(fld, k) == [eval_b(fld, k, x) for x in fld.elements()]
 
 
 def test_a3_is_pp_of_f9(f9):
@@ -69,6 +73,11 @@ def test_is_permutation_basics(f9):
     assert not is_permutation(f9, [0] * 9)
     with pytest.raises(LengthMismatchError):
         is_permutation(f9, [0, 1, 2])
+    f3 = Field(3, 1)
+    with pytest.raises(ValueError, match="entry -1 "):
+        is_permutation(f3, [0, 1, -1])
+    with pytest.raises(ValueError, match="entry 3 "):
+        is_permutation(f3, [0, 1, 3])
 
 
 def test_is_permutation_is_order_insensitive(f9):
