@@ -477,9 +477,12 @@ def cmd_field_info(args) -> RunReport:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers: %r" % text)
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,6 +571,8 @@ def main(argv=None) -> int:
         args.jobs = os.cpu_count() or 1
     if args.command == "girth" and args.exps is not None and len(args.exps) != 4:
         parser.error("--exps needs exactly four integers A,B,C,D")
+    if args.command == "identities" and args.q is None and args.p is None:
+        parser.error("identities needs --q or --p")
     started = time.perf_counter()
     report = args.func(args)
     report.timing.setdefault("seconds", round(time.perf_counter() - started, 3))

@@ -10,10 +10,18 @@ rest), so adjacency is computed on demand; nothing is materialized beyond
 the q x q monomial value tables and the q x q difference table a - b that
 the BFS builds here, keeping BFS state at O(q^3).
 
-Girth search exploits the translation automorphisms that shift
-(p2, p3, l2, l3): they act transitively on each {p1 = c} slice and every
-cycle alternates sides, so BFS sources can be restricted to the q point
-representatives (p1, 0, 0) without missing a shortest cycle.
+Girth search runs BFS from two sources only.  The translations that
+shift (p2, p3, l2, l3) act transitively on each {p1 = c} slice, and for
+nonzero λ, μ the scalings
+
+    (p1, p2, p3) -> (λp1, λ^a μ^b p2, λ^c μ^d p3),
+    [l1, l2, l3] -> [μl1, λ^a μ^b l2, λ^c μ^d l3]
+
+preserve adjacency, since f(λx, μy) = λ^a μ^b f(x, y) and likewise for g.
+Together they leave two point orbits, p1 = 0 and p1 != 0.  Every cycle
+passes through a point, and an automorphism carries a shortest cycle
+through that point to one through its orbit's representative, (0, 0, 0)
+or (1, 0, 0); BFS from a vertex on a shortest cycle finds its length.
 """
 
 from __future__ import annotations
@@ -91,13 +99,14 @@ def neighbors(graph: MonomialGraph, side: str, vertex) -> list[tuple[int, int, i
     return out
 
 
-def _min_cycle_from(q, ftab, gtab, stab, src, best):
+def _min_cycle_from(q, rows, stab, src, best):
     """Shortest cycle detectable by BFS from src, clamped above by `best`.
 
-    Point ids are p1*q^2 + p2*q + p3; line ids add an offset of q^3.  In a
-    bipartite graph non-tree edges join adjacent BFS levels, so a candidate
-    found while scanning depth d has length at least 2d and the search can
-    stop once 2d >= best.
+    Point ids are p1*q^2 + p2*q + p3 and line ids (q + l1)*q^2 + l2*q + l3,
+    so u // q^2 indexes `rows`: (f(p1, .), g(p1, .)) for a point and
+    (f(., l1), g(., l1)) for a line.  In a bipartite graph non-tree edges
+    join adjacent BFS levels, so a candidate found while scanning depth d
+    has length at least 2d and the search can stop once 2d >= best.
     """
     q2 = q * q
     q3 = q2 * q
@@ -115,78 +124,60 @@ def _min_cycle_from(q, ftab, gtab, stab, src, best):
             break
         nd = d + 1
         pu = parent[u]
-        if u < q3:
-            p1, r = divmod(u, q2)
-            p2, p3 = divmod(r, q)
-            frow = ftab[p1]
-            grow = gtab[p1]
-            for l1 in range(q):
-                w = q3 + l1 * q2 + stab[frow[l1]][p2] * q + stab[grow[l1]][p3]
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = nd
-                    parent[w] = u
-                    push(w)
-                elif w != pu:
-                    c = d + dw + 1
-                    if c < best:
-                        best = c
-        else:
-            r = u - q3
-            l1, r = divmod(r, q2)
-            l2, l3 = divmod(r, q)
-            for p1 in range(q):
-                w = p1 * q2 + stab[ftab[p1][l1]][l2] * q + stab[gtab[p1][l1]][l3]
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = nd
-                    parent[w] = u
-                    push(w)
-                elif w != pu:
-                    c = d + dw + 1
-                    if c < best:
-                        best = c
+        row, r = divmod(u, q2)
+        v2, v3 = divmod(r, q)
+        frow, grow = rows[row]
+        base = q3 if row < q else 0
+        for t in range(q):
+            w = base + t * q2 + stab[frow[t]][v2] * q + stab[grow[t]][v3]
+            dw = dist[w]
+            if dw < 0:
+                dist[w] = nd
+                parent[w] = u
+                push(w)
+            elif w != pu:
+                c = d + dw + 1
+                if c < best:
+                    best = c
     return best
 
 
-def _prepare(graph: MonomialGraph, cap):
+def _shortest_cycle(graph: MonomialGraph, cap, best, all_sources=False):
+    """Least of `best` and the cycle lengths BFS detects from the sources.
+
+    The sources are the point-orbit representatives (0, 0, 0) and
+    (1, 0, 0), or every vertex when all_sources is set.
+    """
     field = graph.field
     q = field.q
     cap = DEFAULT_GIRTH_CAP if cap is None else cap
     if q > cap:
         raise CapExceededError("q = %d exceeds the girth cap %d" % (q, cap))
     ftab, gtab = graph.monomial_tables()
+    rows = list(zip(ftab, gtab)) + list(zip(zip(*ftab), zip(*gtab)))
     stab = [[field.sub(a, b) for b in range(q)] for a in range(q)]
-    return q, ftab, gtab, stab
+    sources = range(2 * q**3) if all_sources else (0, q * q)
+    for src in sources:
+        best = _min_cycle_from(q, rows, stab, src, best)
+    return best
 
 
 def girth(graph: MonomialGraph, *, cap: int | None = None, all_sources: bool = False):
     """Length of a shortest cycle (even, >= 4), or math.inf if acyclic.
 
-    By default BFS sources run over the q translation representatives
-    (p1, 0, 0); all_sources=True searches from every vertex instead and
-    exists to cross-validate the representative shortcut.
+    By default BFS runs from the two point-orbit representatives (0, 0, 0)
+    and (1, 0, 0); all_sources=True searches from every point and line
+    instead and exists to cross-validate that shortcut.
     """
-    q, ftab, gtab, stab = _prepare(graph, cap)
-    sources = range(2 * q**3) if all_sources else [p1 * q * q for p1 in range(q)]
-    best = _NO_CYCLE
-    for src in sources:
-        best = _min_cycle_from(q, ftab, gtab, stab, src, best)
-        if best <= 4:
-            break
+    best = _shortest_cycle(graph, cap, _NO_CYCLE, all_sources)
     return math.inf if best == _NO_CYCLE else best
 
 
 def girth_at_least(graph: MonomialGraph, bound: int, *, cap: int | None = None) -> bool:
-    """Early-exit test for girth >= bound: BFS stops at depth bound/2 and
-    returns as soon as any shorter cycle is seen."""
-    q, ftab, gtab, stab = _prepare(graph, cap)
-    best = bound
-    for p1 in range(q):
-        best = _min_cycle_from(q, ftab, gtab, stab, p1 * q * q, best)
-        if best < bound:
-            return False
-    return True
+    """Early-exit test for girth >= bound: BFS from the two point-orbit
+    representatives stops at depth bound/2, or sooner once a shorter
+    cycle is seen."""
+    return _shortest_cycle(graph, cap, bound) >= bound
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,11 @@ def test_verify_all_small(tmp_path):
     sections = {v["section"] for v in report["verdicts"]}
     assert sections == {"sweep", "criterion", "girth", "upper_half"}
     assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
+    # No odd prime power is <= 2, but the upper-half grids still run.
+    code, report = run(tmp_path, "verify-all", "--q-max", "2", name="q2.json")
+    assert code == 0
+    assert report["modulus_by_q"] == {}
+    assert {v["section"] for v in report["verdicts"]} == {"upper_half"}
 
 
 def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
@@ -292,3 +297,14 @@ def test_env_var_cap_must_be_an_integer(tmp_path, monkeypatch, capsys, var):
         run(tmp_path, "sweep", "--q", "3")
     assert exc.value.code == 2
     assert var in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["identities"], ["sweep", "--q", ","],
+                                  ["field-info", "--q", ","],
+                                  ["identities", "--p", " "]])
+def test_nothing_to_check_is_a_usage_error(tmp_path, capsys, argv):
+    """A command that would check nothing must not report a pass."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

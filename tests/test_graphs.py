@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import pytest
 
 from gfpp.errors import CapExceededError
@@ -78,12 +79,36 @@ def test_girth_of_non_pp_exponent_is_small(f3):
     assert value in (4, 6)
 
 
-@pytest.mark.parametrize("q_args", [(3, 1), (5, 1)])
-def test_representative_shortcut_matches_all_sources(q_args):
+# Monomial pairs outside the family G_q(XY, X^kY^2k): the orbit argument
+# behind the two BFS sources holds for every pair (f, g).
+EXPLICIT_EXPS = [((1, 1), (1, 2)), ((2, 1), (1, 3)), ((0, 1), (1, 0)),
+                 ((1, 2), (2, 1)), ((1, 1), (1, 1))]
+
+
+def graph_cases(field, explicit=True):
+    family = [MonomialGraph(field, (1, 1), (k, 2 * k)) for k in range(1, field.q)]
+    extra = [MonomialGraph(field, f, g) for f, g in EXPLICIT_EXPS] if explicit else []
+    return family + extra
+
+
+@pytest.mark.parametrize("q_args", [(3, 1), (5, 1), (7, 1)])
+def test_orbit_sources_match_all_sources(q_args):
     field = Field(*q_args)
-    for k in range(1, field.q):
-        g = MonomialGraph(field, (1, 1), (k, 2 * k))
-        assert girth(g) == girth(g, all_sources=True), k
+    # All-sources BFS at q = 7 takes about 1 s for the family alone.
+    for g in graph_cases(field, explicit=field.q <= 5):
+        assert girth(g) == girth(g, all_sources=True), g
+
+
+@pytest.mark.parametrize("q_args", [(3, 1), (5, 1)])
+def test_girth_matches_networkx_on_explicit_graph(q_args):
+    """The table-driven BFS against networkx on the graph built from
+    the pointwise `neighbors`."""
+    field = Field(*q_args)
+    for g in graph_cases(field):
+        G = nx.Graph()
+        for v in all_vertices(field.q):
+            G.add_edges_from((("P", v), ("L", w)) for w in neighbors(g, "P", v))
+        assert nx.girth(G) == girth(g), g
 
 
 def test_girth_is_even(f3, f5):
@@ -94,7 +119,7 @@ def test_girth_is_even(f3, f5):
 
 
 def test_girth_at_least_consistent_with_exact(f3, f5):
-    for field in (f3, f5):
+    for field in (f3, f5, Field(3, 2)):
         for k in range(1, field.q):
             g = MonomialGraph(field, (1, 1), (k, 2 * k))
             exact = girth(g)
