@@ -7,16 +7,14 @@ modulus and element order, so every reported value is reproducible.
 
 __version__ = "0.1.0"
 
-from .digits import (DigitVector, digit_vector, digits_binary, is_p_power,
-                     lucas_binom, mod_inverse, shift_class, star_reduce,
-                     support)
+from .digits import (DigitVector, digit_vector, digits_binary, lucas_binom,
+                     mod_inverse, shift_class, star_reduce, support)
 from .errors import (CapExceededError, EvenPrimeError, GfppError,
-                     LengthMismatchError, NotCoprimeError, NotPrimeError,
-                     ParamDomainError)
+                     NotCoprimeError, NotPrimeError, ParamDomainError)
 from .field import DEFAULT_FIELD_CAP, Field, poly_str, smallest_irreducible
-from .permpoly import (ConjectureVerdict, SweepRecord, a_value_table,
-                       b_value_table, conjecture_verdict, eval_a, eval_b,
-                       is_permutation, p_powers, sweep, sweep_record)
+from .permpoly import (ConjectureVerdict, SweepRecord, a_values, b_values,
+                       conjecture_verdict, eval_a, eval_b, first_collision,
+                       p_powers, sweep, sweep_record)
 from .graphs import (DEFAULT_GIRTH_CAP, GirthScan, MonomialGraph, girth,
                      girth_at_least, girth_scan, neighbors)
 from .criterion import (criterion_sum, inverse_criterion_sum,
@@ -26,13 +24,13 @@ from .criterion import (criterion_sum, inverse_criterion_sum,
 
 __all__ = [
     "__version__",
-    "CapExceededError", "EvenPrimeError", "GfppError", "LengthMismatchError",
-    "NotCoprimeError", "NotPrimeError", "ParamDomainError",
+    "CapExceededError", "EvenPrimeError", "GfppError", "NotCoprimeError",
+    "NotPrimeError", "ParamDomainError",
     "DEFAULT_FIELD_CAP", "Field", "poly_str", "smallest_irreducible",
-    "DigitVector", "digit_vector", "digits_binary", "is_p_power",
-    "lucas_binom", "mod_inverse", "shift_class", "star_reduce", "support",
-    "ConjectureVerdict", "SweepRecord", "a_value_table", "b_value_table",
-    "conjecture_verdict", "eval_a", "eval_b", "is_permutation", "p_powers",
+    "DigitVector", "digit_vector", "digits_binary", "lucas_binom",
+    "mod_inverse", "shift_class", "star_reduce", "support",
+    "ConjectureVerdict", "SweepRecord", "a_values", "b_values",
+    "conjecture_verdict", "eval_a", "eval_b", "first_collision", "p_powers",
     "sweep", "sweep_record",
     "DEFAULT_GIRTH_CAP", "GirthScan", "MonomialGraph", "girth",
     "girth_at_least", "girth_scan", "neighbors",

@@ -76,16 +76,6 @@ def mod_inverse(k: int, m: int) -> int:
         raise NotCoprimeError("%d is not invertible modulo %d" % (k, m)) from None
 
 
-def is_p_power(k: int, field) -> bool:
-    """Whether k is one of p^0, p^1, ..., p^(e-1)."""
-    v = 1
-    while v < field.q:
-        if v == k:
-            return True
-        v *= field.p
-    return False
-
-
 def digits_binary(k_prime: int, p: int, e: int) -> bool:
     """Whether every base-p digit of k_prime lies in {0, 1}."""
     return all(d <= 1 for d in digit_vector(k_prime, p, e).digits)

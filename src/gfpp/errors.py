@@ -24,6 +24,3 @@ class NotCoprimeError(GfppError):
 class ParamDomainError(GfppError):
     """A parameter bundle violates the domain of an identity verifier."""
 
-
-class LengthMismatchError(GfppError):
-    """A value table does not have one entry per field element."""

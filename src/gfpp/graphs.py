@@ -10,18 +10,19 @@ rest), so adjacency is computed on demand; nothing is materialized beyond
 the q x q monomial value tables and the q x q difference table a - b that
 the BFS builds here, keeping BFS state at O(q^3).
 
-Girth search runs BFS from two sources only.  The translations that
-shift (p2, p3, l2, l3) act transitively on each {p1 = c} slice, and for
-nonzero λ, μ the scalings
+Girth search runs BFS from the single source (1, 0, 0).  A line has
+exactly one neighbor for each value of p1, so two points on a common line
+differ in p1, and every cycle passes through a point with p1 != 0.  The
+translations that shift (p2, p3, l2, l3) act transitively on each
+{p1 = c} slice, and for nonzero λ, μ the scalings
 
     (p1, p2, p3) -> (λp1, λ^a μ^b p2, λ^c μ^d p3),
     [l1, l2, l3] -> [μl1, λ^a μ^b l2, λ^c μ^d l3]
 
 preserve adjacency, since f(λx, μy) = λ^a μ^b f(x, y) and likewise for g.
-Together they leave two point orbits, p1 = 0 and p1 != 0.  Every cycle
-passes through a point, and an automorphism carries a shortest cycle
-through that point to one through its orbit's representative, (0, 0, 0)
-or (1, 0, 0); BFS from a vertex on a shortest cycle finds its length.
+Together they make the points with p1 != 0 one orbit, that of (1, 0, 0),
+so an automorphism carries a shortest cycle to one through (1, 0, 0);
+BFS from a vertex on a shortest cycle finds its length.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def _min_cycle_from(q, rows, stab, src, best):
 def _shortest_cycle(graph: MonomialGraph, cap, best, all_sources=False):
     """Least of `best` and the cycle lengths BFS detects from the sources.
 
-    The sources are the point-orbit representatives (0, 0, 0) and
-    (1, 0, 0), or every vertex when all_sources is set.
+    The source is (1, 0, 0), whose orbit every cycle meets (see the
+    module docstring), or every vertex when all_sources is set.
     """
     field = graph.field
     q = field.q
@@ -156,7 +157,7 @@ def _shortest_cycle(graph: MonomialGraph, cap, best, all_sources=False):
     ftab, gtab = graph.monomial_tables()
     rows = list(zip(ftab, gtab)) + list(zip(zip(*ftab), zip(*gtab)))
     stab = [[field.sub(a, b) for b in range(q)] for a in range(q)]
-    sources = range(2 * q**3) if all_sources else (0, q * q)
+    sources = range(2 * q**3) if all_sources else (q * q,)
     for src in sources:
         best = _min_cycle_from(q, rows, stab, src, best)
     return best
@@ -165,17 +166,17 @@ def _shortest_cycle(graph: MonomialGraph, cap, best, all_sources=False):
 def girth(graph: MonomialGraph, *, cap: int | None = None, all_sources: bool = False):
     """Length of a shortest cycle (even, >= 4), or math.inf if acyclic.
 
-    By default BFS runs from the two point-orbit representatives (0, 0, 0)
-    and (1, 0, 0); all_sources=True searches from every point and line
-    instead and exists to cross-validate that shortcut.
+    By default BFS runs from (1, 0, 0) alone, since every cycle meets its
+    orbit; all_sources=True searches from every point and line instead and
+    exists to cross-validate that shortcut.
     """
     best = _shortest_cycle(graph, cap, _NO_CYCLE, all_sources)
     return math.inf if best == _NO_CYCLE else best
 
 
 def girth_at_least(graph: MonomialGraph, bound: int, *, cap: int | None = None) -> bool:
-    """Early-exit test for girth >= bound: BFS from the two point-orbit
-    representatives stops at depth bound/2, or sooner once a shorter
+    """Early-exit test for girth >= bound: BFS from (1, 0, 0), whose orbit
+    every cycle meets, stops at depth bound/2, or sooner once a shorter
     cycle is seen."""
     return _shortest_cycle(graph, cap, bound) >= bound
 

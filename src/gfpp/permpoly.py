@@ -5,19 +5,22 @@ For an exponent 1 <= k <= q-1 the two maps of interest are
     a_k(x) = x^k * ((x+1)^k - x^k)
     b_k(x) = ((x+1)^(2k) - 1) * x^(q-1-k) - 2 * x^(q-1)
 
-with the convention x^0 = 1 (so b_{q-1}(0) = 0).  A sweep evaluates both
-maps over the whole field for every k and records which exponents give
-permutations, together with gcd, inverse-exponent digit data, and the
-optional criterion flag.
+with the convention x^0 = 1 (so b_{q-1}(0) = 0).  For every k a sweep
+streams the (x, value) pairs of both maps in log order and reads each
+stream only up to its first collision, two inputs with one value: a map
+permutes GF(q) iff it has none.  A non-permutation usually collides
+after about sqrt(q) inputs, so only the permutations cost O(q).  Each
+record adds gcd, inverse-exponent digit data, and the optional criterion
+flag.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
 
 from . import criterion, digits
-from .errors import LengthMismatchError
 
 
 def eval_a(field, k: int, x: int) -> int:
@@ -34,8 +37,9 @@ def eval_b(field, k: int, x: int) -> int:
     return field.sub(t, field.mul(2, field.pow(x, q - 1)))
 
 
-def a_value_table(field, k: int) -> list[int]:
-    """Values of a_k over the whole field, indexed by element order.
+def a_values(field, k: int) -> Iterator[tuple[int, int]]:
+    """Yield (x, a_k(x)) for every element x: x = 0, then x = -1, then
+    x = g^n in log order.
 
     For x = g^n with x != 0, -1 and x + 1 = g^z, a_k(x) = (x(x+1))^k - x^(2k)
     is g^u - g^v with u = k(n+z), v = 2kn, and g^u - g^v = g^u (1 + g^(v-u+h))
@@ -43,67 +47,56 @@ def a_value_table(field, k: int) -> list[int]:
     h = m/2).  a_k(0) = 0 and a_k(-1) = -1.
     """
     exp, _, zech = field.log_tables()
-    q = field.q
-    m = q - 1
+    m = field.q - 1
     h = m // 2
-    out = [0] * q
-    out[exp[h]] = exp[h]
+    yield 0, 0
+    yield exp[h], exp[h]
     for n, z in enumerate(zech):
         if n != h:
             u = k * (n + z) % m
             d = (2 * k * n - u + h) % m
-            if d != h:
-                out[exp[n]] = exp[(u + zech[d]) % m]
-    return out
+            yield exp[n], 0 if d == h else exp[(u + zech[d]) % m]
 
 
-def b_value_table(field, k: int) -> list[int]:
-    """Values of b_k over the whole field, indexed by element order.
+def b_values(field, k: int) -> Iterator[tuple[int, int]]:
+    """Yield (x, b_k(x)) for every element x, in the order of a_values.
 
     For x = g^n with x != 0, -1 and x + 1 = g^z, x^(q-1) = 1 gives
     b_k(x) = D x^(-k) - 2 with D = g^(2kz) - 1.  D = 0 gives -2; otherwise
     D = g^d, and D x^(-k) - 2 = g^(d-kn) - g^(log 2) is a second difference,
-    both taken in the log domain as in a_value_table.
+    both taken in the log domain as in a_values.
     b_k(0) = 0 and b_k(-1) = -(-1)^k - 2.
     """
     exp, log, zech = field.log_tables()
-    q = field.q
-    m = q - 1
+    m = field.q - 1
     h = m // 2
     l2 = log[2]
     minus2 = exp[(l2 + h) % m]
-    out = [0] * q
-    out[exp[h]] = field.sub(field.neg(exp[k * h % m]), 2)
+    yield 0, 0
+    yield exp[h], field.sub(field.neg(exp[k * h % m]), 2)
     for n, z in enumerate(zech):
         if n != h:
             u = 2 * k * z % m
             if u == 0:
-                out[exp[n]] = minus2
+                yield exp[n], minus2
                 continue
             w = (u + zech[(h - u) % m] - k * n) % m
             d = (l2 - w + h) % m
-            if d != h:
-                out[exp[n]] = exp[(w + zech[d]) % m]
-    return out
+            yield exp[n], 0 if d == h else exp[(w + zech[d]) % m]
 
 
-def is_permutation(field, values) -> bool:
-    """Whether a length-q value table hits every element exactly once.
+def first_collision(pairs: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+    """The first (x1, x2) with x1 before x2 and equal values, or None.
 
-    Raises ValueError if an entry is not an element index 0..q-1.
+    `pairs` yields (x, value); a map given by its pairs over the whole
+    field permutes it iff this is None.  Reading stops at the collision.
     """
-    q = field.q
-    if len(values) != q:
-        raise LengthMismatchError("expected %d values, got %d" % (q, len(values)))
-    lo, hi = min(values), max(values)
-    if lo < 0 or hi >= q:
-        raise ValueError("entry %d is not an element index 0..%d" % (lo if lo < 0 else hi, q - 1))
-    seen = bytearray(q)
-    for v in values:
-        if seen[v]:
-            return False
-        seen[v] = 1
-    return True
+    seen = {}
+    for x, v in pairs:
+        if v in seen:
+            return seen[v], x
+        seen[v] = x
+    return None
 
 
 def p_powers(field) -> list[int]:
@@ -139,9 +132,9 @@ def sweep_record(field, k: int, *, with_criterion: bool = False) -> SweepRecord:
         q=q,
         k=k,
         gcd_ok=gcd_ok,
-        a_pp=is_permutation(field, a_value_table(field, k)),
-        b_pp=is_permutation(field, b_value_table(field, k)),
-        k_is_p_power=digits.is_p_power(k, field),
+        a_pp=first_collision(a_values(field, k)) is None,
+        b_pp=first_collision(b_values(field, k)) is None,
+        k_is_p_power=k in p_powers(field),
         k_prime=kp,
         k_prime_binary=None if kp is None else digits.digits_binary(kp, field.p, field.e),
         criterion=criterion.pp_criterion(field, k) if with_criterion else None,

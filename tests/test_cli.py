@@ -1,6 +1,7 @@
 """CLI commands: report shape, exit codes, CSV, cache, determinism, jobs."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -214,6 +215,31 @@ def test_verify_all_deterministic(tmp_path):
     first.pop("timing")
     second.pop("timing")
     assert first == second
+
+
+# SHA-256 of each report without "timing", dumped with sorted keys and no
+# spaces.  A change here is a report-body change: cached reports keyed by
+# the old body would go stale.
+GOLDEN_DIGESTS = {
+    "sweep --q 729,1327 --which two":
+        "e7c0aaaa1481a8b07ee54f6bf9d7d196bbb568c1a3bff4d7c800f758709cdeb1",
+    "verify-all --q-max 27":
+        "249f1d79c101ae3a961fef393ff4fe82219c3c563fe0c908ae28290b4d6be997",
+    "girth --q 9 --k 3":
+        "81abc82839f585414415255a28557a2e29f91fefb3d7bdd7bd5d21a6c4aefb3c",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_DIGESTS)
+def test_report_body_digest_is_golden(tmp_path, command):
+    code, report = run(tmp_path, *command.split())
+    assert code == 0
+    report.pop("timing")
+    body = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    got = hashlib.sha256(body.encode()).hexdigest()
+    assert got == GOLDEN_DIGESTS[command], (
+        "report body of %r changed (sha256 %s): if the change is intended, "
+        "bump cli.CACHE_SCHEMA and update GOLDEN_DIGESTS" % (command, got))
 
 
 def test_cache_round_trip(tmp_path):

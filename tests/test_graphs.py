@@ -80,7 +80,7 @@ def test_girth_of_non_pp_exponent_is_small(f3):
 
 
 # Monomial pairs outside the family G_q(XY, X^kY^2k): the orbit argument
-# behind the two BFS sources holds for every pair (f, g).
+# behind the one BFS source holds for every pair (f, g).
 EXPLICIT_EXPS = [((1, 1), (1, 2)), ((2, 1), (1, 3)), ((0, 1), (1, 0)),
                  ((1, 2), (2, 1)), ((1, 1), (1, 1))]
 

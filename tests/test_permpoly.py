@@ -2,10 +2,9 @@
 
 import pytest
 
-from gfpp.errors import LengthMismatchError
 from gfpp.field import Field
-from gfpp.permpoly import (a_value_table, b_value_table, conjecture_verdict,
-                           eval_a, eval_b, is_permutation, p_powers, sweep,
+from gfpp.permpoly import (a_values, b_values, conjecture_verdict, eval_a,
+                           eval_b, first_collision, p_powers, sweep,
                            sweep_record)
 
 
@@ -21,7 +20,7 @@ def f27():
 
 def test_a_family_k1_is_identity(f9, f27):
     for fld in (f9, f27, Field(5, 1)):
-        assert a_value_table(fld, 1) == list(range(fld.q))
+        assert dict(a_values(fld, 1)) == {x: x for x in fld.elements()}
 
 
 def test_a_family_vanishes_at_zero(f9):
@@ -37,7 +36,7 @@ def test_a_family_k2_not_injective_on_f3():
 
 def test_b_family_k1_is_identity(f9, f27):
     for fld in (f9, f27):
-        assert b_value_table(fld, 1) == list(range(fld.q))
+        assert dict(b_values(fld, 1)) == {x: x for x in fld.elements()}
 
 
 def test_b_family_vanishes_at_zero(f9):
@@ -47,12 +46,19 @@ def test_b_family_vanishes_at_zero(f9):
     assert eval_b(f9, 8, 0) == 0
 
 
+def assert_streams_match_pointwise_eval(fld, k):
+    """Each stream yields every element once, with the pointwise value."""
+    for values, pointwise in ((a_values, eval_a), (b_values, eval_b)):
+        pairs = list(values(fld, k))
+        assert sorted(x for x, _ in pairs) == list(fld.elements())
+        assert dict(pairs) == {x: pointwise(fld, k, x) for x in fld.elements()}
+
+
 def test_value_tables_match_pointwise_eval(f9):
     # in GF(3) only x = 1 takes the Zech path; x = 0 and x = -1 are handled apart
     for fld in (Field(3, 1), Field(7, 1), f9, Field(5, 2)):
         for k in range(1, fld.q):
-            assert a_value_table(fld, k) == [eval_a(fld, k, x) for x in fld.elements()]
-            assert b_value_table(fld, k) == [eval_b(fld, k, x) for x in fld.elements()]
+            assert_streams_match_pointwise_eval(fld, k)
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (3, 4), (4099, 1)], ids=["q27", "q81", "q4099"])
@@ -60,30 +66,52 @@ def test_value_tables_match_pointwise_eval_q27_sample(p, e):
     fld = Field(p, e)
     m = fld.q - 1
     for k in sorted({1, 3, 5, 7, 13, m // 2, m - 1, m}):
-        assert a_value_table(fld, k) == [eval_a(fld, k, x) for x in fld.elements()]
-        assert b_value_table(fld, k) == [eval_b(fld, k, x) for x in fld.elements()]
+        assert_streams_match_pointwise_eval(fld, k)
+
+
+def test_streams_start_at_zero_then_minus_one(f9):
+    minus_one = f9.neg(1)
+    for values in (a_values, b_values):
+        assert [x for x, _ in values(f9, 5)][:2] == [0, minus_one]
 
 
 def test_a3_is_pp_of_f9(f9):
-    assert is_permutation(f9, [eval_a(f9, 3, x) for x in f9.elements()])
+    assert first_collision(a_values(f9, 3)) is None
 
 
-def test_is_permutation_basics(f9):
-    assert is_permutation(f9, list(range(9)))
-    assert not is_permutation(f9, [0] * 9)
-    with pytest.raises(LengthMismatchError):
-        is_permutation(f9, [0, 1, 2])
-    f3 = Field(3, 1)
-    with pytest.raises(ValueError, match="entry -1 "):
-        is_permutation(f3, [0, 1, -1])
-    with pytest.raises(ValueError, match="entry 3 "):
-        is_permutation(f3, [0, 1, 3])
+def test_first_collision_basics():
+    assert first_collision([]) is None
+    assert first_collision([(0, 5), (1, 6), (2, 5)]) == (0, 2)
+    assert first_collision([(0, 5), (1, 6), (2, 7)]) is None
+    # the first repeated value decides, not the first value that repeats
+    assert first_collision([(0, 1), (1, 2), (2, 2), (3, 1)]) == (1, 2)
 
 
-def test_is_permutation_is_order_insensitive(f9):
-    table = a_value_table(f9, 3)
-    shuffled = table[4:] + table[:4]
-    assert is_permutation(f9, table) == is_permutation(f9, shuffled)
+def test_first_collision_stops_reading_at_the_collision():
+    seen = []
+
+    def pairs():
+        for x in range(10):
+            seen.append(x)
+            yield x, x % 3
+
+    assert first_collision(pairs()) == (0, 3)
+    assert seen == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)],
+                         ids=["q3", "q5", "q7", "q9", "q25", "q27", "q81"])
+def test_first_collision_matches_pointwise_oracle(p, e):
+    fld = Field(p, e)
+    for k in range(1, fld.q):
+        for values, pointwise in ((a_values, eval_a), (b_values, eval_b)):
+            pair = first_collision(values(fld, k))
+            distinct = len({pointwise(fld, k, x) for x in fld.elements()}) == fld.q
+            assert (pair is None) == distinct, (fld.q, k, pointwise.__name__)
+            if pair is not None:
+                x1, x2 = pair
+                assert x1 != x2
+                assert pointwise(fld, k, x1) == pointwise(fld, k, x2)
 
 
 def test_sweep_record_q9_k3(f9):
