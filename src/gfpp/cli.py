@@ -1,9 +1,10 @@
-"""Command-line orchestration: sweeps, identity grids, girth scans, reports.
+"""Command-line runner: per-field jobs, the report, the cache and the parser.
 
-Commands emit a single JSON report on the data stream (stdout, or --json
-PATH) and human-readable verdict lines on stderr.  Reports are
-deterministic apart from the top-level "timing" entry; the exit status is
-0 iff every verdict passes.
+A job makes one library call per stage (permpoly, criterion, graphs) and
+concatenates the rows and verdicts they return.  Commands emit a single
+JSON report on the data stream (stdout, or --json PATH) and human-readable
+verdict lines on stderr.  Reports are deterministic apart from the
+top-level "timing" entry; the exit status is 0 iff every verdict passes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -23,11 +23,9 @@ from pathlib import Path
 
 from . import __version__, criterion, graphs, permpoly
 from .errors import GfppError, NotPrimeError
-from .field import DEFAULT_FIELD_CAP, Field, is_prime, poly_str
+from .field import DEFAULT_FIELD_CAP, Field, poly_str
 
 UPPER_HALF_PRIMES = (3, 5, 7, 11, 13)
-UPPER_HALF_X_RANGE = range(0, 5)
-UPPER_HALF_Y_RANGE = range(1, 5)
 
 CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
                "k_prime_binary", "girth_class", "p_power")
@@ -101,92 +99,11 @@ class RunReport:
 # -- row/verdict helpers --------------------------------------------------
 
 def _record_row(rec: permpoly.SweepRecord, girth_ge_8: bool | None = None) -> dict:
-    return {
-        "kind": "sweep",
-        "q": rec.q,
-        "k": rec.k,
-        "gcd_ok": rec.gcd_ok,
-        "a_pp": rec.a_pp,
-        "b_pp": rec.b_pp,
-        "k_is_p_power": rec.k_is_p_power,
-        "k_prime": rec.k_prime,
-        "k_prime_binary": rec.k_prime_binary,
-        "criterion": rec.criterion,
-        "girth_ge_8": girth_ge_8,
-    }
+    return {"kind": "sweep", **vars(rec), "girth_ge_8": girth_ge_8}
 
 
 def _verdict_dict(v: permpoly.ConjectureVerdict) -> dict:
-    return {"section": "sweep", "q": v.q, "which": v.which,
-            "witnesses": v.witnesses, "expected": v.expected, "passed": v.passed}
-
-
-def _identity_grid(fld: Field) -> tuple[list[dict], dict]:
-    """All (l, t, u, v) grid points of the support identity for one field.
-
-    The u = v = 0 corner makes 2s = q-1, which empties the row sum (every
-    C(i, 2s) with i <= q-2 vanishes) while the closed form's single
-    a = b = 0 term is 1, so the displayed congruence cannot extend there.
-    Those rows are flagged wrap=True and judged against their analyzed
-    values (lhs = 0, rhs = 1) instead of against each other; all other
-    points must match exactly.
-    """
-    p, e, q = fld.p, fld.e, fld.q
-    h = (p - 1) // 2
-    classes = sorted(
-        sum(b * p**i for i, b in enumerate(bits))
-        for bits in itertools.product((0, 1), repeat=e)
-        if any(bits) and not all(bits)
-    )
-    rows = []
-    mismatches = 0
-    wrap_points = 0
-    wrap_as_analyzed = True
-    for l in classes:
-        for t in range(1, e):
-            x, y = criterion.xy_params(l, t, p, e)
-            for u in range(h + 1):
-                for v in range(h + 1):
-                    lhs = criterion.support_identity_lhs(fld, l, t, u, v)
-                    rhs = criterion.support_identity_rhs(p, x, y, u, v)
-                    wrap = u == 0 and v == 0
-                    match = lhs == rhs
-                    if wrap:
-                        wrap_points += 1
-                        wrap_as_analyzed &= (lhs, rhs) == (0, 1)
-                    else:
-                        mismatches += not match
-                    rows.append({"kind": "identity", "q": q, "l": l, "t": t,
-                                 "u": u, "v": v,
-                                 "s": (q - 1) // 2 - (u + v * p**t),
-                                 "x": x, "y": y, "lhs": lhs, "rhs": rhs,
-                                 "match": match, "wrap": wrap})
-    verdict = {"section": "identities", "q": q, "points": len(rows),
-               "wrap_points": wrap_points, "wrap_as_analyzed": wrap_as_analyzed,
-               "mismatches": mismatches,
-               "passed": mismatches == 0 and wrap_as_analyzed}
-    return rows, verdict
-
-
-def _upper_half_grid(p: int) -> tuple[list[dict], dict]:
-    """The upper-half sum grid for p; a p that is not an odd prime gives one
-    error row and a failing verdict instead."""
-    if not is_prime(p) or p == 2:
-        return ([{"kind": "error", "p": p,
-                  "error": "NotPrimeError: p = %d is not an odd prime" % p}],
-                {"section": "upper_half", "p": p, "passed": False})
-    rows = []
-    mismatches = 0
-    for x in UPPER_HALF_X_RANGE:
-        for y in UPPER_HALF_Y_RANGE:
-            val = criterion.upper_half_sum(p, x, y)
-            match = val == 1
-            mismatches += not match
-            rows.append({"kind": "upper_half", "p": p, "x": x, "y": y,
-                         "value": val, "match": match})
-    verdict = {"section": "upper_half", "p": p, "points": len(rows),
-               "mismatches": mismatches, "passed": mismatches == 0}
-    return rows, verdict
+    return {"section": "sweep", **vars(v)}
 
 
 # -- per-field jobs ----------------------------------------------------------
@@ -209,7 +126,7 @@ def _identity_job(fld: Field, args) -> tuple[list, list]:
     if fld.e < 3:
         return [], [{"section": "identities", "q": fld.q,
                      "skipped": "ParamDomain: e = %d < 3" % fld.e, "passed": True}]
-    rows, verdict = _identity_grid(fld)
+    rows, verdict = criterion.identity_grid(fld)
     return rows, [verdict]
 
 
@@ -220,21 +137,12 @@ def _verify_job(fld: Field, args) -> tuple[list, list]:
     verdicts = [_verdict_dict(permpoly.conjecture_verdict(fld, w, records=records))
                 for w in ("A", "B", "two")]
 
-    mismatch_ks = []
-    for r in records:
-        direct = r.a_pp
-        c1 = criterion.pp_criterion(fld, r.k)
-        c2 = criterion.inverse_pp_criterion(fld, r.k)
-        if not (direct == c1 == c2):
-            mismatch_ks.append(r.k)
-            rows.append({"kind": "criterion_mismatch", "q": q, "k": r.k,
-                         "direct": direct, "criterion": c1,
-                         "inverse_criterion": c2})
-    verdicts.append({"section": "criterion", "q": q, "checked": q - 1,
-                     "mismatch_ks": mismatch_ks, "passed": not mismatch_ks})
+    cc_rows, cc_verdict = criterion.cross_check(fld, records)
+    rows.extend(cc_rows)
+    verdicts.append(cc_verdict)
 
     if fld.e >= 3:
-        id_rows, id_verdict = _identity_grid(fld)
+        id_rows, id_verdict = criterion.identity_grid(fld)
         rows.extend(id_rows)
         verdicts.append(id_verdict)
 
@@ -316,10 +224,13 @@ def _run_jobs(job, section, qs, args) -> tuple[dict, list, list]:
     of completion order.  Returns (modulus_by_q, rows, verdicts).
     """
     specs = [(job, section, q, args) for q in qs]
-    if args.jobs <= 1 or len(specs) <= 1:
+    # The pool starts every worker up front, so never ask for more than the
+    # machine has cores, whatever --jobs says.
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_run_job(s) for s in specs]
     else:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, specs))
     modulus_by_q: dict = {}
     rows: list = []
@@ -422,7 +333,7 @@ def _run_command(args, command, params, job, qs, ps=()) -> RunReport:
     def compute() -> RunReport:
         modulus_by_q, rows, verdicts = _run_jobs(job, command, qs, args)
         for p in ps:
-            uh_rows, uh_verdict = _upper_half_grid(p)
+            uh_rows, uh_verdict = criterion.upper_half_grid(p)
             rows.extend(uh_rows)
             verdicts.append(uh_verdict)
         return RunReport(command, params, modulus_by_q, rows, verdicts,
@@ -498,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--csv", metavar="PATH",
                         help="write sweep rows to PATH as CSV")
         sp.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes (default: all cores)")
+                        help="worker processes, at most one per core "
+                             "(default: all cores)")
         sp.add_argument("--cache", metavar="DIR", help="result cache directory")
         sp.add_argument("--field-cap", type=int, default=None, metavar="N",
                         help="max field size (env GFPP_FIELD_CAP, default %d)"

@@ -1,4 +1,7 @@
-"""Binomial-sum permutation criteria and numeric identity verifiers.
+"""Binomial-sum permutation criteria, numeric identity verifiers, and the
+checks that judge them: the criterion against the direct PP flags, the
+support-identity grid and the upper-half sum grid.  Each check returns
+(rows, verdict) in the report's dict form.
 
 Every sum here is exact integer arithmetic reduced mod p at the end.
 Starred quantities are exponent classes mod q-1 computed with
@@ -9,10 +12,15 @@ whenever u = v = 0.
 
 from __future__ import annotations
 
+import itertools
 from math import comb, gcd
 
 from .digits import digit_vector, lucas_binom, mod_inverse, shift_class, star_reduce, support
 from .errors import ParamDomainError
+from .field import is_prime
+
+UPPER_HALF_X_RANGE = range(0, 5)
+UPPER_HALF_Y_RANGE = range(1, 5)
 
 
 def criterion_sum(field, k: int, s: int) -> int:
@@ -88,6 +96,24 @@ def inverse_pp_criterion(field, k: int) -> bool:
     return True
 
 
+def cross_check(field, records) -> tuple[list[dict], dict]:
+    """Both criteria against the direct a_pp flag of every sweep record: one
+    row per k where the three disagree, and the field's verdict."""
+    q = field.q
+    rows = []
+    for r in records:
+        c1 = pp_criterion(field, r.k)
+        c2 = inverse_pp_criterion(field, r.k)
+        if not (r.a_pp == c1 == c2):
+            rows.append({"kind": "criterion_mismatch", "q": q, "k": r.k,
+                         "direct": r.a_pp, "criterion": c1,
+                         "inverse_criterion": c2})
+    mismatch_ks = [row["k"] for row in rows]
+    verdict = {"section": "criterion", "q": q, "checked": q - 1,
+               "mismatch_ks": mismatch_ks, "passed": not mismatch_ks}
+    return rows, verdict
+
+
 def xy_params(l: int, t: int, p: int, e: int) -> tuple[int, int]:
     """Support split (x, y) of the class l against its rotation by t:
     y counts positions where both l and p^t*l have a nonzero digit, and
@@ -143,6 +169,46 @@ def support_identity_rhs(p: int, x: int, y: int, u: int, v: int) -> int:
     return total % p
 
 
+def identity_grid(field) -> tuple[list[dict], dict]:
+    """All (l, t, u, v) grid points of the support identity for one field.
+
+    The u = v = 0 corner makes 2s = q-1, which empties the row sum (every
+    C(i, 2s) with i <= q-2 vanishes) while the closed form's single
+    a = b = 0 term is 1, so the displayed congruence cannot extend there.
+    Those rows are flagged wrap=True and judged against their analyzed
+    values (lhs = 0, rhs = 1) instead of against each other; all other
+    points must match exactly.
+    """
+    p, e, q = field.p, field.e, field.q
+    h = (p - 1) // 2
+    classes = sorted(
+        sum(b * p**i for i, b in enumerate(bits))
+        for bits in itertools.product((0, 1), repeat=e)
+        if any(bits) and not all(bits)
+    )
+    rows = []
+    for l in classes:
+        for t in range(1, e):
+            x, y = xy_params(l, t, p, e)
+            for u in range(h + 1):
+                for v in range(h + 1):
+                    lhs = support_identity_lhs(field, l, t, u, v)
+                    rhs = support_identity_rhs(p, x, y, u, v)
+                    rows.append({"kind": "identity", "q": q, "l": l, "t": t,
+                                 "u": u, "v": v,
+                                 "s": (q - 1) // 2 - (u + v * p**t),
+                                 "x": x, "y": y, "lhs": lhs, "rhs": rhs,
+                                 "match": lhs == rhs, "wrap": u == 0 and v == 0})
+    wrap_rows = [r for r in rows if r["wrap"]]
+    wrap_as_analyzed = all((r["lhs"], r["rhs"]) == (0, 1) for r in wrap_rows)
+    mismatches = sum(not r["match"] for r in rows if not r["wrap"])
+    verdict = {"section": "identities", "q": q, "points": len(rows),
+               "wrap_points": len(wrap_rows), "wrap_as_analyzed": wrap_as_analyzed,
+               "mismatches": mismatches,
+               "passed": mismatches == 0 and wrap_as_analyzed}
+    return rows, verdict
+
+
 def upper_half_sum(p: int, x: int, y: int) -> int:
     """sum over (p-1)/2 <= a, b <= p-1 of
     (-1)^(a+b) C(a,(p-1)/2)^x C(b,(p-1)/2)^x C(a+b,p-1)^y C(p-1,a) C(p-1,b)
@@ -159,3 +225,23 @@ def upper_half_sum(p: int, x: int, y: int) -> int:
                 term = -term
             total += term
     return total % p
+
+
+def upper_half_grid(p: int) -> tuple[list[dict], dict]:
+    """The upper-half sum over UPPER_HALF_X_RANGE x UPPER_HALF_Y_RANGE for p;
+    a p that is not an odd prime gives one error row and a failing verdict
+    instead."""
+    if not is_prime(p) or p == 2:
+        return ([{"kind": "error", "p": p,
+                  "error": "NotPrimeError: p = %d is not an odd prime" % p}],
+                {"section": "upper_half", "p": p, "passed": False})
+    rows = []
+    for x in UPPER_HALF_X_RANGE:
+        for y in UPPER_HALF_Y_RANGE:
+            val = upper_half_sum(p, x, y)
+            rows.append({"kind": "upper_half", "p": p, "x": x, "y": y,
+                         "value": val, "match": val == 1})
+    mismatches = sum(not r["match"] for r in rows)
+    verdict = {"section": "upper_half", "p": p, "points": len(rows),
+               "mismatches": mismatches, "passed": mismatches == 0}
+    return rows, verdict

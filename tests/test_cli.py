@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gfpp import criterion
+from gfpp import cli, criterion
 from gfpp.cli import CSV_COLUMNS, factor_prime_power, main, odd_prime_powers
 from gfpp.errors import GfppError, NotPrimeError
 
@@ -132,8 +132,14 @@ def test_identities_upper_half_only(tmp_path):
 
 
 def test_identities_rejects_even_p(tmp_path):
-    code, report = run(tmp_path, "identities", "--p", "2")
+    code, report = run(tmp_path, "identities", "--p", "2,4")
     assert code == 1
+    assert report["rows"] == [
+        {"kind": "error", "p": p,
+         "error": "NotPrimeError: p = %d is not an odd prime" % p}
+        for p in (2, 4)]
+    assert report["verdicts"] == [
+        {"section": "upper_half", "p": p, "passed": False} for p in (2, 4)]
 
 
 def test_girth_command(tmp_path):
@@ -227,6 +233,8 @@ GOLDEN_DIGESTS = {
         "249f1d79c101ae3a961fef393ff4fe82219c3c563fe0c908ae28290b4d6be997",
     "girth --q 9 --k 3":
         "81abc82839f585414415255a28557a2e29f91fefb3d7bdd7bd5d21a6c4aefb3c",
+    "identities --q 27,243 --p 3,13":
+        "0f095fb4985a232762293961968592993b7c9fe00b9fafa6c8841d0e3cd37d58",
 }
 
 
@@ -286,6 +294,35 @@ def test_jobs_parallel_matches_serial(tmp_path):
     serial.pop("timing")
     parallel.pop("timing")
     assert serial == parallel
+
+
+def test_jobs_are_capped_at_the_core_count(tmp_path, monkeypatch):
+    # The pool is faked: no worker process is ever started here.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, serial = run(tmp_path, "sweep", "--q", "3,5,7", name="serial.json")
+    out = tmp_path / "many.json"
+    assert main(["sweep", "--q", "3,5,7", "--jobs", "1000", "--json", str(out)]) == 0
+    assert asked == [2]
+    many = json.loads(out.read_text())
+    serial.pop("timing")
+    many.pop("timing")
+    assert many == serial
 
 
 def test_stdout_carries_pure_json(tmp_path, capsys):

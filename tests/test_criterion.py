@@ -5,14 +5,15 @@ from math import comb
 
 import pytest
 
-from gfpp.criterion import (criterion_sum, inverse_criterion_sum,
-                            inverse_pp_criterion, pp_criterion,
-                            support_identity_lhs, support_identity_rhs,
-                            upper_half_sum, xy_params)
+from gfpp import criterion
+from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
+                            inverse_criterion_sum, inverse_pp_criterion,
+                            pp_criterion, support_identity_lhs,
+                            support_identity_rhs, upper_half_sum, xy_params)
 from gfpp.digits import lucas_binom, mod_inverse, star_reduce
 from gfpp.errors import ParamDomainError
 from gfpp.field import Field
-from gfpp.permpoly import eval_a, p_powers
+from gfpp.permpoly import eval_a, p_powers, sweep
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,22 @@ def test_criterion_equals_direct_oracle(p, e):
         direct = len({eval_a(fld, k, x) for x in fld.elements()}) == fld.q
         assert pp_criterion(fld, k) == direct, k
         assert inverse_pp_criterion(fld, k) == direct, k
+
+
+def test_cross_check_reports_each_disagreeing_k(f9, monkeypatch):
+    records = sweep(f9)
+    assert cross_check(f9, records) == ([], {
+        "section": "criterion", "q": 9, "checked": 8, "mismatch_ks": [],
+        "passed": True})
+    # Patched at the module attribute, where a tracer would wrap it.
+    monkeypatch.setattr(criterion, "inverse_pp_criterion", lambda fld, k: k == 2)
+    rows, verdict = cross_check(f9, records)
+    assert rows == [
+        {"kind": "criterion_mismatch", "q": 9, "k": k, "direct": k in (1, 3),
+         "criterion": k in (1, 3), "inverse_criterion": k == 2}
+        for k in (1, 2, 3)]
+    assert verdict == {"section": "criterion", "q": 9, "checked": 8,
+                       "mismatch_ks": [1, 2, 3], "passed": False}
 
 
 def test_inverse_sums_vanish_for_pp_exponents(f9):
@@ -177,6 +194,24 @@ def test_support_identity_full_grid_q27(f27):
                         assert (lhs, rhs) == (0, 1), (l, t)
                     else:
                         assert lhs == rhs, (l, t, u, v)
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (5, 4)])
+def test_identity_grid_even_e_fails_only_at_the_complementary_corner(p, e):
+    # On even e some l and p^t*l have complementary 0/1 supports (y = 0).
+    # At u = v = (p-1)/2 those points do not match; this pins that every
+    # other point off the wrap corner does, and that wrap reads (0, 1).
+    h = (p - 1) // 2
+    rows, verdict = identity_grid(Field(p, e))
+    wrap_rows = [r for r in rows if r["wrap"]]
+    bad = [r for r in rows if not r["wrap"] and not r["match"]]
+    assert all(r["y"] == 0 and r["u"] == r["v"] == h for r in bad), bad
+    assert all((r["lhs"], r["rhs"]) == (0, 1) for r in wrap_rows)
+    assert verdict["points"] == len(rows)
+    assert verdict["wrap_points"] == len(wrap_rows)
+    assert verdict["wrap_as_analyzed"] is True
+    assert verdict["mismatches"] == len(bad)
+    assert verdict["passed"] is (not bad)
 
 
 def test_support_identity_rhs_trivial_corner():
