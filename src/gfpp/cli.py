@@ -1,10 +1,12 @@
 """Command-line runner: per-field jobs, the report, the cache and the parser.
 
 A job makes one library call per stage (permpoly, criterion, graphs) and
-concatenates the rows and verdicts they return.  Commands emit a single
-JSON report on the data stream (stdout, or --json PATH) and human-readable
-verdict lines on stderr.  Reports are deterministic apart from the
-top-level "timing" entry; the exit status is 0 iff every verdict passes.
+concatenates the rows and verdicts they return, and records the seconds
+of each stage in the report's timing.stages, keyed by q.  Commands emit a
+single JSON report on the data stream (stdout, or --json PATH) and
+human-readable verdict lines on stderr.  Reports are deterministic apart
+from the top-level "timing" entry; the exit status is 0 iff every verdict
+passes.
 """
 
 from __future__ import annotations
@@ -108,43 +110,62 @@ def _verdict_dict(v: permpoly.ConjectureVerdict) -> dict:
 
 # -- per-field jobs ----------------------------------------------------------
 #
-# A job takes one field and the parsed arguments and returns (rows, verdicts).
-# Jobs are top-level functions so that they pickle for the process pool.
+# A job takes one field, the parsed arguments and a dict for its stage
+# seconds, and returns (rows, verdicts).  Jobs are top-level functions so
+# that they pickle for the process pool.
 
-def _sweep_job(fld: Field, args) -> tuple[list, list]:
+def _lap(stages: dict, name: str, start: float) -> float:
+    """Record the seconds since start as stage `name`; return the time now."""
+    now = time.perf_counter()
+    stages[name] = round(now - start, 4)
+    return now
+
+
+def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
+    t = time.perf_counter()
     records = permpoly.sweep(fld, with_criterion=args.with_criterion)
+    t = _lap(stages, "sweep", t)
     passing = None
     if args.with_girth:
         passing = graphs.girth_scan(fld, cap=args.girth_cap, records=records).passing
+        _lap(stages, "girth", t)
     rows = [_record_row(r, None if passing is None else r.k in passing)
             for r in records]
     verdict = permpoly.conjecture_verdict(fld, args.which, records=records)
     return rows, [_verdict_dict(verdict)]
 
 
-def _identity_job(fld: Field, args) -> tuple[list, list]:
+def _identity_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     if fld.e < 3:
         return [], [{"section": "identities", "q": fld.q,
                      "skipped": "ParamDomain: e = %d < 3" % fld.e, "passed": True}]
+    t = time.perf_counter()
     rows, verdict = criterion.identity_grid(fld)
+    _lap(stages, "identities", t)
     return rows, [verdict]
 
 
-def _verify_job(fld: Field, args) -> tuple[list, list]:
+def _verify_job(fld: Field, args, stages: dict) -> tuple[list, list]:
+    """Every stage on one field; each of the four stage keys is recorded,
+    as about 0 when the stage does not apply to q."""
     q = fld.q
+    t = time.perf_counter()
     records = permpoly.sweep(fld)
     rows = [_record_row(r) for r in records]
     verdicts = [_verdict_dict(permpoly.conjecture_verdict(fld, w, records=records))
                 for w in ("A", "B", "two")]
+    t = _lap(stages, "sweep", t)
 
     cc_rows, cc_verdict = criterion.cross_check(fld, records)
     rows.extend(cc_rows)
     verdicts.append(cc_verdict)
+    t = _lap(stages, "criterion", t)
 
     if fld.e >= 3:
         id_rows, id_verdict = criterion.identity_grid(fld)
         rows.extend(id_rows)
         verdicts.append(id_verdict)
+    t = _lap(stages, "identities", t)
 
     if q <= args.girth_cap:
         scan = graphs.girth_scan(fld, cap=args.girth_cap, records=records)
@@ -156,6 +177,7 @@ def _verify_job(fld: Field, args) -> tuple[list, list]:
                          "expected": scan.expected,
                          "implication_ok": scan.implication_ok,
                          "passed": scan.passed})
+    _lap(stages, "girth", t)
     return rows, verdicts
 
 
@@ -167,13 +189,15 @@ def _girth_exps(args) -> tuple[tuple[int, int], tuple[int, int]]:
     return (a, b), (c, d)
 
 
-def _girth_job(fld: Field, args) -> tuple[list, list]:
+def _girth_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     q, k = fld.q, args.k
     if k is not None and not 1 <= k <= q - 1:
         raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
     f_exps, g_exps = _girth_exps(args)
+    t = time.perf_counter()
     value = graphs.girth(graphs.MonomialGraph(fld, f_exps, g_exps),
                          cap=args.girth_cap)
+    _lap(stages, "girth", t)
     ge8 = value >= 8
     row = {"kind": "girth", "q": q, "k": k,
            "f_exps": list(f_exps), "g_exps": list(g_exps),
@@ -189,7 +213,7 @@ def _girth_job(fld: Field, args) -> tuple[list, list]:
                     "implication_ok": implication_ok, "passed": implication_ok}]
 
 
-def _field_job(fld: Field, args) -> tuple[list, list]:
+def _field_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     return ([{"kind": "field", "q": fld.q, "p": fld.p, "e": fld.e,
               "modulus": list(fld.modulus), "modulus_str": poly_str(fld.modulus)}],
             [{"section": "field", "q": fld.q, "passed": True}])
@@ -198,30 +222,33 @@ def _field_job(fld: Field, args) -> tuple[list, list]:
 def _run_job(spec):
     """Build GF(q) and run one job on it.
 
-    Returns (modulus, rows, verdicts).  The modulus is recorded as soon as
-    the field exists, so it is kept even when the job fails.  Any
-    GfppError or ValueError, from the field or from the job, becomes one
-    error row and one failing verdict in `section`.
+    Returns (modulus, rows, verdicts, stages).  The modulus is recorded as
+    soon as the field exists, so it is kept even when the job fails, and so
+    are the stages that finished.  Any GfppError or ValueError, from the
+    field or from the job, becomes one error row and one failing verdict in
+    `section`.
     """
     job, section, q, args = spec
     modulus = None
+    stages: dict = {}
     try:
         p, e = factor_prime_power(q)
         fld = Field(p, e, cap=args.field_cap)
         modulus = list(fld.modulus)
-        rows, verdicts = job(fld, args)
+        rows, verdicts = job(fld, args, stages)
     except (GfppError, ValueError) as exc:
         err = "%s: %s" % (type(exc).__name__, exc)
         rows = [{"kind": "error", "q": q, "error": err}]
         verdicts = [{"section": section, "q": q, "error": err, "passed": False}]
-    return modulus, rows, verdicts
+    return modulus, rows, verdicts, stages
 
 
-def _run_jobs(job, section, qs, args) -> tuple[dict, list, list]:
+def _run_jobs(job, section, qs, args) -> tuple[dict, list, list, dict]:
     """Run `job` on the field of every q in qs, fanned out to a process pool.
 
     Results merge in input order, so the report is deterministic regardless
-    of completion order.  Returns (modulus_by_q, rows, verdicts).
+    of completion order.  Returns (modulus_by_q, rows, verdicts,
+    stages_by_q), the last keyed by str(q) for the timing entry.
     """
     specs = [(job, section, q, args) for q in qs]
     # The pool starts every worker up front, so never ask for more than the
@@ -235,12 +262,14 @@ def _run_jobs(job, section, qs, args) -> tuple[dict, list, list]:
     modulus_by_q: dict = {}
     rows: list = []
     verdicts: list = []
-    for q, (modulus, job_rows, job_verdicts) in zip(qs, results):
+    stages_by_q: dict = {}
+    for q, (modulus, job_rows, job_verdicts, stages) in zip(qs, results):
         if modulus is not None:
             modulus_by_q[str(q)] = modulus
         rows.extend(job_rows)
         verdicts.extend(job_verdicts)
-    return modulus_by_q, rows, verdicts
+        stages_by_q[str(q)] = stages
+    return modulus_by_q, rows, verdicts, stages_by_q
 
 
 # -- output ---------------------------------------------------------------
@@ -331,13 +360,13 @@ def _run_command(args, command, params, job, qs, ps=()) -> RunReport:
     upper-half grid of every p; served from the cache when one is given."""
 
     def compute() -> RunReport:
-        modulus_by_q, rows, verdicts = _run_jobs(job, command, qs, args)
+        modulus_by_q, rows, verdicts, stages = _run_jobs(job, command, qs, args)
         for p in ps:
             uh_rows, uh_verdict = criterion.upper_half_grid(p)
             rows.extend(uh_rows)
             verdicts.append(uh_verdict)
         return RunReport(command, params, modulus_by_q, rows, verdicts,
-                         _overall(verdicts))
+                         _overall(verdicts), timing={"stages": stages})
 
     return _with_cache(args, command, params, compute)
 
@@ -379,7 +408,7 @@ def cmd_verify_all(args) -> RunReport:
 def cmd_field_info(args) -> RunReport:
     qs = sorted(set(args.q))
     params = {"q": qs, "field_cap": args.field_cap}
-    modulus_by_q, rows, verdicts = _run_jobs(_field_job, "field", qs, args)
+    modulus_by_q, rows, verdicts, _ = _run_jobs(_field_job, "field", qs, args)
     return RunReport("field-info", params, modulus_by_q, rows, verdicts,
                      _overall(verdicts))
 

@@ -3,8 +3,12 @@ checks that judge them: the criterion against the direct PP flags, the
 support-identity grid and the upper-half sum grid.  Each check returns
 (rows, verdict) in the report's dict form.
 
-Every sum here is exact integer arithmetic reduced mod p at the end.
-Starred quantities are exponent classes mod q-1 computed with
+The criterion sums reduce every binomial mod p through the field's
+Lucas tables (Field.binom_tables): a digit-sum test decides whether
+C(m, n) vanishes mod p and three lookups give it otherwise, so no big
+integer is formed.  The closed forms (support_identity_rhs,
+upper_half_sum) are small and stay exact integer sums reduced mod p at
+the end.  Starred quantities are exponent classes mod q-1 computed with
 digits.star_reduce, whose positive-multiple-of-(q-1) -> q-1 rule is
 load-bearing: the row class in the support identity is such a multiple
 whenever u = v = 0.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 from math import comb, gcd
 
-from .digits import digit_vector, lucas_binom, mod_inverse, shift_class, star_reduce, support
+from .digits import digit_vector, mod_inverse, shift_class, star_reduce, support
 from .errors import ParamDomainError
 from .field import is_prime
 
@@ -24,23 +28,34 @@ UPPER_HALF_Y_RANGE = range(1, 5)
 
 
 def criterion_sum(field, k: int, s: int) -> int:
-    """sum over 1 <= i <= q-2 of (-1)^i C(s, i) C((ki)*, (2ks)*), mod p.
+    """sum over 1 <= i <= q-2 of (-1)^i C(s, i) C((ki)*, (2ks)*), mod p,
+    for 1 <= s <= q-2.
 
-    C(s, i) is an exact integer binomial reduced mod p; the starred pair
-    goes through the digitwise product.  Terms with i > s vanish through
-    C(s, i) = 0.
+    Terms with i > s vanish through C(s, i) = 0, so the loop stops at s.
+    Each binomial is F[m] G[n] G[m-n] from field.binom_tables() when the
+    digit sums show no borrow in m - n, and 0 otherwise; the factors
+    F[s] and G[(2ks)*] are common to every term and applied once.
     """
     q, p = field.q, field.p
+    F, G, S = field.binom_tables()
+    qm1 = q - 1
     bottom = star_reduce(2 * k * s, q)
+    Ss, Sb = S[s], S[bottom]
     total = 0
-    for i in range(1, q - 1):
-        c1 = comb(s, i) % p
-        if not c1:
+    for i in range(1, min(s, q - 2) + 1):
+        r = s - i
+        if S[i] + S[r] != Ss:
             continue
-        c2 = lucas_binom(star_reduce(k * i, q), bottom, p)
-        if c2:
-            total += -c1 * c2 if i & 1 else c1 * c2
-    return total % p
+        # (ki)*; k = 0 gives q-1 instead of 0, but bottom is then 0 and C(m, 0) = 1
+        m = k * i % qm1 or qm1
+        if m < bottom:
+            continue
+        d = m - bottom
+        if Sb + S[d] != S[m]:
+            continue
+        term = G[i] * G[r] * F[m] * G[d]
+        total += -term if i & 1 else term
+    return total * F[s] * G[bottom] % p
 
 
 def pp_criterion(field, k: int) -> bool:
@@ -53,26 +68,41 @@ def pp_criterion(field, k: int) -> bool:
 
 
 def _row_sum(field, mult: int, top: int, s: int) -> int:
-    # sum over 2 <= i <= q-2 of (-1)^i C(top, (mult*i)*) C(i, 2s), mod p
+    """sum over 2 <= i <= q-2 of (-1)^i C(top, (mult*i)*) C(i, 2s), mod p,
+    for 0 <= top <= q-1 and 0 <= 2s <= q-1.
+
+    Terms with i < 2s vanish through C(i, 2s) = 0, so the loop starts at
+    2s.  The binomials come from field.binom_tables() as in
+    criterion_sum, with F[top] and G[2s] applied once.
+    """
     q, p = field.q, field.p
+    F, G, S = field.binom_tables()
+    qm1 = q - 1
+    wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
     s2 = 2 * s
+    Ss2, St = S[s2], S[top]
     total = 0
-    for i in range(2, q - 1):
-        c2 = comb(i, s2) % p
-        if not c2:
+    for i in range(max(2, s2), qm1):
+        j = i - s2
+        if Ss2 + S[j] != S[i]:
             continue
-        c1 = lucas_binom(top, star_reduce(mult * i, q), p)
-        if c1:
-            total += -c1 * c2 if i & 1 else c1 * c2
-    return total % p
+        m = mult * i % qm1 or wrap
+        if m > top:
+            continue
+        d = top - m
+        if S[m] + S[d] != St:
+            continue
+        term = F[i] * G[j] * G[m] * G[d]
+        total += -term if i & 1 else term
+    return total * F[top] * G[s2] % p
 
 
 def inverse_criterion_sum(field, k_prime: int, s: int, half: bool = False) -> int:
     """The criterion sum rewritten through the inverse exponent k'.
 
     sum over 2 <= i <= q-2 of (-1)^i C((k'*row)*, (k'i)*) C(i, 2s) mod p,
-    where row = s for half=False and row = s + (q-1)/2 for half=True.
-    C(i, 2s) is an ordinary integer binomial reduced mod p.
+    where row = s for half=False and row = s + (q-1)/2 for half=True, and
+    0 <= s <= (q-1)/2.
     """
     q = field.q
     row = s + (q - 1) // 2 if half else s

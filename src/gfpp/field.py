@@ -8,7 +8,9 @@ is the one element, so plain ints double as element handles.
 Besides the direct polynomial arithmetic, a field can build discrete-log
 and Zech-log tables for a fixed primitive element (Lidl-Niederreiter,
 Finite Fields, ch. 2), which turn products and powers into sums of
-exponents mod q-1 and sums into one table lookup.
+exponents mod q-1 and sums into one table lookup, and base-p digit tables
+that turn a binomial coefficient C(m, n) mod p with m, n < q into three
+lookups (Lucas and Kummer).
 
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e (coefficients compared low-degree-first), which
@@ -109,6 +111,7 @@ class Field:
         self._pbase = tuple(p**i for i in range(e))
         self._xpow = self._reduction_rows()
         self._logs = None
+        self._binoms = None
 
     def __repr__(self) -> str:
         return "Field(p=%d, e=%d, modulus=%s)" % (self.p, self.e, poly_str(self.modulus))
@@ -258,3 +261,33 @@ class Field:
             zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
             self._logs = (exp, log, zech)
         return self._logs
+
+    # -- binomial tables ------------------------------------------------------
+
+    def binom_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """(F, G, S) over 0 <= m <= q-1: F[m] is the product of the factorials
+        of the base-p digits of m mod p, G[m] the product of their inverses
+        mod p, and S[m] the digit sum.
+
+        For 0 <= n <= m <= q-1, Lucas' theorem gives C(m, n) = prod C(m_i, n_i)
+        (mod p) over the digits, which is 0 as soon as some n_i > m_i.  By
+        Kummer's theorem the subtraction m - n borrows exactly
+        (S[n] + S[m-n] - S[m]) / (p-1) times, so no digit of n exceeds the
+        matching digit of m iff S[n] + S[m-n] == S[m].  The digits of m - n
+        are then m_i - n_i, and C(m, n) = F[m] * G[n] * G[m-n] (mod p).
+        Built on first use and cached.
+        """
+        if self._binoms is None:
+            p, q = self.p, self.q
+            F = [1] * p
+            for d in range(1, p):
+                F[d] = F[d - 1] * d % p
+            G = [pow(f, -1, p) for f in F]
+            S = list(range(p))
+            for m in range(p, q):
+                hi, d = divmod(m, p)
+                F.append(F[hi] * F[d] % p)
+                G.append(G[hi] * G[d] % p)
+                S.append(S[hi] + d)
+            self._binoms = (F, G, S)
+        return self._binoms

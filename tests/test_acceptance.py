@@ -15,7 +15,7 @@ from gfpp.cli import factor_prime_power, main
 from gfpp.field import Field
 
 CONJECTURE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 243, 343, 729)
-CRITERION_QS = (3, 5, 7, 9, 25, 27)
+CRITERION_QS = (3, 5, 7, 9, 25, 27, 49, 81)
 IDENTITY_QS = (27, 125, 243)
 UPPER_HALF_PS = (3, 5, 7, 11, 13)
 GIRTH_QS = (3, 5, 7, 9, 11, 13)

@@ -250,6 +250,16 @@ def test_report_body_digest_is_golden(tmp_path, command):
         "bump cli.CACHE_SCHEMA and update GOLDEN_DIGESTS" % (command, got))
 
 
+def test_verify_all_times_each_stage_per_q(tmp_path):
+    code, report = run(tmp_path, "verify-all", "--q-max", "27")
+    assert code == 0
+    stages = report["timing"]["stages"]
+    assert set(stages) == set(report["modulus_by_q"])
+    for q, secs in stages.items():
+        assert set(secs) == {"sweep", "criterion", "identities", "girth"}, q
+        assert all(isinstance(v, float) and v >= 0 for v in secs.values()), q
+
+
 def test_cache_round_trip(tmp_path):
     cache = tmp_path / "cache"
     out1 = tmp_path / "fresh.json"
@@ -262,6 +272,7 @@ def test_cache_round_trip(tmp_path):
     fresh = json.loads(out1.read_text())
     cached = json.loads(out2.read_text())
     assert cached["timing"]["cached"] is True
+    assert "stages" in fresh["timing"] and "stages" not in cached["timing"]
     fresh.pop("timing")
     cached.pop("timing")
     assert fresh == cached

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from gfpp import criterion
+from gfpp.cli import factor_prime_power
 from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
                             inverse_criterion_sum, inverse_pp_criterion,
                             pp_criterion, support_identity_lhs,
@@ -14,6 +15,36 @@ from gfpp.digits import lucas_binom, mod_inverse, star_reduce
 from gfpp.errors import ParamDomainError
 from gfpp.field import Field
 from gfpp.permpoly import eval_a, p_powers, sweep
+
+
+# Fields at which the table-driven sums are compared with the exact oracle
+# for every k and s.
+ORACLE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81)
+
+
+def _exact_criterion_sum(fld, k, s):
+    # criterion_sum term by term, with exact integer binomials
+    q, p = fld.q, fld.p
+    bottom = star_reduce(2 * k * s, q)
+    total = 0
+    for i in range(1, q - 1):
+        c1 = comb(s, i) % p
+        if c1:
+            term = c1 * lucas_binom(star_reduce(k * i, q), bottom, p)
+            total += -term if i & 1 else term
+    return total % p
+
+
+def _exact_row_sum(fld, mult, top, s):
+    # criterion._row_sum term by term, with exact integer binomials
+    q, p = fld.q, fld.p
+    total = 0
+    for i in range(2, q - 1):
+        c2 = comb(i, 2 * s) % p
+        if c2:
+            term = c2 * lucas_binom(top, star_reduce(mult * i, q), p)
+            total += -term if i & 1 else term
+    return total % p
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +84,33 @@ def test_terms_above_s_contribute_nothing(f9):
     for k in range(1, 9):
         for s in range(1, 8):
             assert criterion_sum(f9, k, s) == truncated(f9, k, s)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_sums_equal_the_exact_oracle(q):
+    fld = Field(*factor_prime_power(q))
+    h = (q - 1) // 2
+    # k = 0 included: (0*i)* is 0, not q-1
+    for k in range(q):
+        for s in range(1, q - 1):
+            assert criterion_sum(fld, k, s) == _exact_criterion_sum(fld, k, s), (k, s)
+    for kp in range(q):
+        for s in range(1, h + 1):
+            for half in (False, True):
+                top = star_reduce(kp * (s + h if half else s), q)
+                assert (inverse_criterion_sum(fld, kp, s, half)
+                        == _exact_row_sum(fld, kp, top, s)), (kp, s, half)
+
+
+def test_support_identity_lhs_equals_the_exact_oracle_q81():
+    fld = Field(3, 4)
+    q, h = fld.q, (fld.q - 1) // 2
+    rows, _ = identity_grid(fld)
+    for r in rows:
+        top = star_reduce(r["l"] * (r["s"] + h), q)
+        assert r["lhs"] == _exact_row_sum(fld, r["l"], top, r["s"]), r
+    bad = [(r["lhs"], r["rhs"]) for r in rows if not r["wrap"] and not r["match"]]
+    assert bad == [(2, 0)] * 8
 
 
 def test_pp_criterion_examples(f9, f27):

@@ -1,7 +1,10 @@
 """Field construction and arithmetic, exhaustively at small q."""
 
+from math import comb
+
 import pytest
 
+from gfpp.digits import lucas_binom
 from gfpp.errors import CapExceededError, EvenPrimeError, NotPrimeError
 from gfpp.field import Field, is_prime, poly_str, smallest_irreducible
 
@@ -190,6 +193,24 @@ def test_log_tables(p, e):
             assert zech[n] == log[fld.add(1, exp[n])]
     assert fld.add(1, exp[m // 2]) == 0
     assert log[0] is None and zech[m // 2] is None
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_binom_tables(p, e):
+    fld = Field(p, e)
+    q = fld.q
+    assert fld._binoms is None  # built on first use, not at construction
+    F, G, S = fld.binom_tables()
+    assert fld.binom_tables() is fld._binoms
+    assert len(F) == len(G) == len(S) == q
+    for m in range(q):
+        md = fld.coeffs(m)  # the base-p digits of m, low first
+        for n in range(m + 1):
+            nd = fld.coeffs(n)
+            guarded = F[m] * G[n] * G[m - n] % p if S[n] + S[m - n] == S[m] else 0
+            assert guarded == comb(m, n) % p == lucas_binom(m, n, p), (m, n)
+            if any(b > a for a, b in zip(md, nd)):
+                assert guarded == 0, (m, n)
 
 
 def test_is_prime():
