@@ -1,12 +1,17 @@
 """Command-line runner: per-field jobs, the report, the cache and the parser.
 
 A job makes one library call per stage (permpoly, criterion, graphs) and
-concatenates the rows and verdicts they return, and records the seconds
-of each stage in the report's timing.stages, keyed by q.  Commands emit a
-single JSON report on the data stream (stdout, or --json PATH) and
-human-readable verdict lines on stderr.  Reports are deterministic apart
-from the top-level "timing" entry; the exit status is 0 iff every verdict
-passes.
+concatenates the rows and verdicts they return; the runner records the
+seconds of building the field and of each stage in the report's
+timing.stages, keyed by q.  Commands emit a single JSON report on the data
+stream (stdout, or --json PATH) and human-readable verdict lines on
+stderr.  Reports are deterministic apart from the top-level "timing"
+entry; the exit status is 0 iff every verdict passes.
+
+A report body is encoded once: the text the cache stores, or would store,
+is the text emitted, with "timing" spliced in as its last key, so a cache
+hit parses its entry but never encodes it again.  The process pool is
+imported only when more than one worker runs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -84,14 +88,9 @@ class RunReport:
     version: str = __version__
     timing: dict = dataclass_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
     def body(self) -> dict:
         """The deterministic part of the report (everything but timing)."""
-        d = self.to_dict()
-        d.pop("timing")
-        return d
+        return {k: v for k, v in vars(self).items() if k != "timing"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
@@ -222,18 +221,20 @@ def _field_job(fld: Field, args, stages: dict) -> tuple[list, list]:
 def _run_job(spec):
     """Build GF(q) and run one job on it.
 
-    Returns (modulus, rows, verdicts, stages).  The modulus is recorded as
-    soon as the field exists, so it is kept even when the job fails, and so
-    are the stages that finished.  Any GfppError or ValueError, from the
-    field or from the job, becomes one error row and one failing verdict in
-    `section`.
+    Returns (modulus, rows, verdicts, stages); building the field is stage
+    "field".  The modulus is recorded as soon as the field exists, so it is
+    kept even when the job fails, and so are the stages that finished.  Any
+    GfppError or ValueError, from the field or from the job, becomes one
+    error row and one failing verdict in `section`.
     """
     job, section, q, args = spec
     modulus = None
     stages: dict = {}
     try:
         p, e = factor_prime_power(q)
+        t = time.perf_counter()
         fld = Field(p, e, cap=args.field_cap)
+        _lap(stages, "field", t)
         modulus = list(fld.modulus)
         rows, verdicts = job(fld, args, stages)
     except (GfppError, ValueError) as exc:
@@ -257,6 +258,9 @@ def _run_jobs(job, section, qs, args) -> tuple[dict, list, list, dict]:
     if workers <= 1:
         results = [_run_job(s) for s in specs]
     else:
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, specs))
     modulus_by_q: dict = {}
@@ -297,12 +301,18 @@ def _write_csv(rows, path) -> None:
             ])
 
 
-def _emit(report: RunReport, args) -> None:
-    payload = json.dumps(report.to_dict(), indent=2)
+def _emit(report: RunReport, text: str, args) -> None:
+    """Write the report: `text` is its body as _with_cache lays it out,
+    ending in "\n}\n", and timing goes in as the last key.  JSON text holds
+    no raw newline inside a string, so indenting the timing's lines by two
+    spaces nests it exactly as json.dumps(..., indent=2) of the whole
+    report would."""
+    timing = json.dumps(report.timing, indent=2).replace("\n", "\n  ")
+    payload = text[:-3] + ',\n  "timing": ' + timing + "\n}\n"
     if args.json:
-        Path(args.json).write_text(payload + "\n", encoding="utf-8")
+        Path(args.json).write_text(payload, encoding="utf-8")
     else:
-        print(payload)
+        sys.stdout.write(payload)
     if args.csv:
         _write_csv(report.rows, args.csv)
     for v in report.verdicts:
@@ -323,44 +333,57 @@ def _emit(report: RunReport, args) -> None:
 
 # -- result cache ----------------------------------------------------------
 
-def _with_cache(args, command, params, compute):
+def _with_cache(args, command, params, compute) -> tuple[RunReport, str]:
     """JSON result cache keyed by (CACHE_SCHEMA, version, command, params).
 
-    An entry is written to a temp file in the cache directory and renamed
-    into place, so it is never seen half-written.  An entry that cannot be
-    read or parsed anyway is treated as a miss: recomputed and rewritten.
+    Returns the report and the text of its body, json.dumps(body, indent=2)
+    plus a newline: the entry's bytes.  A hit returns the entry's text as
+    read; it is still parsed, which rejects damaged entries and gives the
+    report.  An entry is written to a temp file in the cache directory and
+    renamed into place, so it is never seen half-written.  An entry that
+    cannot be read or parsed anyway, or that does not begin and end as the
+    writer lays entries out, is treated as a miss: recomputed and rewritten.
     """
-    if not args.cache:
-        return compute()
-    key = {"schema": CACHE_SCHEMA, "version": __version__, "command": command,
-           "params": params}
-    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
-    path = Path(args.cache) / ("%s.json" % digest)
-    try:
-        report = RunReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, TypeError):
-        pass  # a missing or damaged entry is a miss
-    else:
-        report.timing = {"cached": True}
-        return report
+    path = None
+    if args.cache:
+        key = {"schema": CACHE_SCHEMA, "version": __version__, "command": command,
+               "params": params}
+        digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+        path = Path(args.cache) / ("%s.json" % digest)
+        try:
+            text = path.read_text(encoding="utf-8")
+            report = RunReport.from_dict(json.loads(text))
+        except (OSError, ValueError, TypeError):
+            pass  # a missing or damaged entry is a miss
+        else:
+            head = '{\n  "command": %s,\n  "params": ' % json.dumps(report.command)
+            if text.startswith(head) and text.endswith("\n}\n"):
+                report.timing = {"cached": True}
+                return report, text
     report = compute()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
-    tmp.write_text(json.dumps(report.body(), indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return report
+    text = json.dumps(report.body(), indent=2) + "\n"
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    return report, text
 
 
 def _overall(verdicts) -> str:
     return "pass" if all(v.get("passed") for v in verdicts) else "fail"
 
 
-def _run_command(args, command, params, job, qs, ps=()) -> RunReport:
-    """The report of `command`: `job` on the field of every q, then the
-    upper-half grid of every p; served from the cache when one is given."""
+def _run_command(args, command, params, job, qs, ps=()) -> tuple[RunReport, str]:
+    """The report of `command` and its body's text (see _with_cache): `job`
+    on the field of every q, then the upper-half grid of every p; served
+    from the cache when one is given."""
+    # A failing job's verdict names the command; field-info's keeps the
+    # section of its other verdicts.
+    section = "field" if command == "field-info" else command
 
     def compute() -> RunReport:
-        modulus_by_q, rows, verdicts, stages = _run_jobs(job, command, qs, args)
+        modulus_by_q, rows, verdicts, stages = _run_jobs(job, section, qs, args)
         for p in ps:
             uh_rows, uh_verdict = criterion.upper_half_grid(p)
             rows.extend(uh_rows)
@@ -373,7 +396,7 @@ def _run_command(args, command, params, job, qs, ps=()) -> RunReport:
 
 # -- commands ---------------------------------------------------------------
 
-def cmd_sweep(args) -> RunReport:
+def cmd_sweep(args) -> tuple[RunReport, str]:
     qs = sorted(set(args.q))
     params = {"q": qs, "which": args.which, "with_criterion": args.with_criterion,
               "with_girth": args.with_girth, "field_cap": args.field_cap,
@@ -381,14 +404,14 @@ def cmd_sweep(args) -> RunReport:
     return _run_command(args, "sweep", params, _sweep_job, qs)
 
 
-def cmd_identities(args) -> RunReport:
+def cmd_identities(args) -> tuple[RunReport, str]:
     qs = sorted(set(args.q or []))
     ps = sorted(set(args.p or []))
     params = {"q": qs, "p": ps, "field_cap": args.field_cap}
     return _run_command(args, "identities", params, _identity_job, qs, ps)
 
 
-def cmd_girth(args) -> RunReport:
+def cmd_girth(args) -> tuple[RunReport, str]:
     f_exps, g_exps = _girth_exps(args)
     params = {"q": args.q, "k": args.k, "f_exps": list(f_exps),
               "g_exps": list(g_exps), "field_cap": args.field_cap,
@@ -396,7 +419,7 @@ def cmd_girth(args) -> RunReport:
     return _run_command(args, "girth", params, _girth_job, [args.q])
 
 
-def cmd_verify_all(args) -> RunReport:
+def cmd_verify_all(args) -> tuple[RunReport, str]:
     qs = [q for q in odd_prime_powers(args.q_max) if q <= args.field_cap]
     params = {"q_max": args.q_max, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap,
@@ -405,12 +428,10 @@ def cmd_verify_all(args) -> RunReport:
                         UPPER_HALF_PRIMES)
 
 
-def cmd_field_info(args) -> RunReport:
+def cmd_field_info(args) -> tuple[RunReport, str]:
     qs = sorted(set(args.q))
     params = {"q": qs, "field_cap": args.field_cap}
-    modulus_by_q, rows, verdicts, _ = _run_jobs(_field_job, "field", qs, args)
-    return RunReport("field-info", params, modulus_by_q, rows, verdicts,
-                     _overall(verdicts))
+    return _run_command(args, "field-info", params, _field_job, qs)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -510,14 +531,16 @@ def main(argv=None) -> int:
         args.girth_cap = _env_int(parser, "GFPP_GIRTH_CAP", graphs.DEFAULT_GIRTH_CAP)
     if args.jobs is None:
         args.jobs = os.cpu_count() or 1
+    elif args.jobs < 1:
+        parser.error("--jobs must be at least 1, got %d" % args.jobs)
     if args.command == "girth" and args.exps is not None and len(args.exps) != 4:
         parser.error("--exps needs exactly four integers A,B,C,D")
     if args.command == "identities" and args.q is None and args.p is None:
         parser.error("identities needs --q or --p")
     started = time.perf_counter()
-    report = args.func(args)
+    report, text = args.func(args)
     report.timing.setdefault("seconds", round(time.perf_counter() - started, 3))
-    _emit(report, args)
+    _emit(report, text, args)
     return 0 if report.overall == "pass" else 1
 
 

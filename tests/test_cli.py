@@ -1,5 +1,6 @@
 """CLI commands: report shape, exit codes, CSV, cache, determinism, jobs."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -256,7 +257,8 @@ def test_verify_all_times_each_stage_per_q(tmp_path):
     stages = report["timing"]["stages"]
     assert set(stages) == set(report["modulus_by_q"])
     for q, secs in stages.items():
-        assert set(secs) == {"sweep", "criterion", "identities", "girth"}, q
+        assert set(secs) == {"field", "sweep", "criterion", "identities",
+                             "girth"}, q
         assert all(isinstance(v, float) and v >= 0 for v in secs.values()), q
 
 
@@ -282,18 +284,38 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
     cache = tmp_path / "cache"
     argv = ["sweep", "--q", "9", "--jobs", "1", "--cache", str(cache)]
     assert main(argv + ["--json", str(tmp_path / "fresh.json")]) == 0
+    fresh = json.loads((tmp_path / "fresh.json").read_text())
+    fresh.pop("timing")
     (entry,) = cache.glob("*.json")
     good = entry.read_text()
-    entry.write_text(good[: len(good) // 2])
-    assert main(argv + ["--json", str(tmp_path / "again.json")]) == 0
-    fresh = json.loads((tmp_path / "fresh.json").read_text())
-    again = json.loads((tmp_path / "again.json").read_text())
-    assert "cached" not in again["timing"]
-    fresh.pop("timing")
-    again.pop("timing")
-    assert fresh == again
-    assert entry.read_text() == good
-    assert [p.name for p in cache.iterdir()] == [entry.name]
+    # Truncated, and parseable but not in the writer's layout.
+    for damaged in (good[: len(good) // 2],
+                    json.dumps(json.loads(good), separators=(",", ":"))):
+        entry.write_text(damaged)
+        assert main(argv + ["--json", str(tmp_path / "again.json")]) == 0
+        again = json.loads((tmp_path / "again.json").read_text())
+        assert "cached" not in again["timing"]
+        again.pop("timing")
+        assert fresh == again
+        assert entry.read_text() == good
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+@pytest.mark.parametrize("argv", [["verify-all", "--q-max", "27"],
+                                  ["sweep", "--q", "9"],
+                                  ["field-info", "--q", "9"]])
+def test_emitted_text_is_the_indented_dump(tmp_path, capsys, argv):
+    """Cold and cached, to --json and to stdout, the report is spliced from
+    the stored body text yet reads exactly as json.dumps(report, indent=2)
+    writes it."""
+    out = tmp_path / "out.json"
+    for dest in (["--json", str(out)], []):
+        cache = tmp_path / ("cache%d" % len(dest))
+        for cached in (None, True):
+            main(argv + ["--jobs", "1", "--cache", str(cache)] + dest)
+            text = out.read_text() if dest else capsys.readouterr().out
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert json.loads(text)["timing"].get("cached") is cached
 
 
 def test_jobs_parallel_matches_serial(tmp_path):
@@ -324,7 +346,7 @@ def test_jobs_are_capped_at_the_core_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     _, serial = run(tmp_path, "sweep", "--q", "3,5,7", name="serial.json")
     out = tmp_path / "many.json"
@@ -382,3 +404,14 @@ def test_nothing_to_check_is_a_usage_error(tmp_path, capsys, argv):
         run(tmp_path, *argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    """--jobs 0 is not quietly run as --jobs 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--q", "3", "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
