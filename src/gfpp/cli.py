@@ -114,14 +114,18 @@ def _verdict_dict(v: permpoly.ConjectureVerdict) -> dict:
 # that they pickle for the process pool.
 
 def _lap(stages: dict, name: str, start: float) -> float:
-    """Record the seconds since start as stage `name`; return the time now."""
+    """Add the seconds since start to stage `name`; return the time now."""
     now = time.perf_counter()
-    stages[name] = round(now - start, 4)
+    stages[name] = round(stages.get(name, 0.0) + now - start, 4)
     return now
 
 
 def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     t = time.perf_counter()
+    fld.log_tables()
+    if args.with_criterion:
+        fld.binom_tables()
+    t = _lap(stages, "field", t)
     records = permpoly.sweep(fld, with_criterion=args.with_criterion)
     t = _lap(stages, "sweep", t)
     passing = None
@@ -146,9 +150,13 @@ def _identity_job(fld: Field, args, stages: dict) -> tuple[list, list]:
 
 def _verify_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     """Every stage on one field; each of the four stage keys is recorded,
-    as about 0 when the stage does not apply to q."""
+    as about 0 when the stage does not apply to q.  The field's tables are
+    built first and timed as part of stage "field"."""
     q = fld.q
     t = time.perf_counter()
+    fld.log_tables()
+    fld.binom_tables()
+    t = _lap(stages, "field", t)
     records = permpoly.sweep(fld)
     rows = [_record_row(r) for r in records]
     verdicts = [_verdict_dict(permpoly.conjecture_verdict(fld, w, records=records))
@@ -222,10 +230,11 @@ def _run_job(spec):
     """Build GF(q) and run one job on it.
 
     Returns (modulus, rows, verdicts, stages); building the field is stage
-    "field".  The modulus is recorded as soon as the field exists, so it is
-    kept even when the job fails, and so are the stages that finished.  Any
-    GfppError or ValueError, from the field or from the job, becomes one
-    error row and one failing verdict in `section`.
+    "field", and so is building the tables a job asks for up front.  The
+    modulus is recorded as soon as the field exists, so it is kept even
+    when the job fails, and so are the stages that finished.  Any GfppError
+    or ValueError, from the field or from the job, becomes one error row
+    and one failing verdict in `section`.
     """
     job, section, q, args = spec
     modulus = None
@@ -420,7 +429,7 @@ def cmd_girth(args) -> tuple[RunReport, str]:
 
 
 def cmd_verify_all(args) -> tuple[RunReport, str]:
-    qs = [q for q in odd_prime_powers(args.q_max) if q <= args.field_cap]
+    qs = odd_prime_powers(min(args.q_max, args.field_cap))
     params = {"q_max": args.q_max, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap,
               "upper_half_primes": list(UPPER_HALF_PRIMES)}

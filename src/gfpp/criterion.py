@@ -6,12 +6,16 @@ support-identity grid and the upper-half sum grid.  Each check returns
 The criterion sums reduce every binomial mod p through the field's
 Lucas tables (Field.binom_tables): a digit-sum test decides whether
 C(m, n) vanishes mod p and three lookups give it otherwise, so no big
-integer is formed.  The closed forms (support_identity_rhs,
-upper_half_sum) are small and stay exact integer sums reduced mod p at
-the end.  Starred quantities are exponent classes mod q-1 computed with
-digits.star_reduce, whose positive-multiple-of-(q-1) -> q-1 rule is
-load-bearing: the row class in the support identity is such a multiple
-whenever u = v = 0.
+integer is formed.  A term of either sum kernel needs its index i in one
+range and m = (mult*i)* in another; when gcd(mult, q-1) = 1, i -> m is a
+bijection of 1..q-2, and the kernel walks whichever range is shorter,
+mapping m back to i through the inverse of mult.  The inverse criterion
+tries its rows cheapest first, from s = (q-1)/2 down to 1.  The closed
+forms (support_identity_rhs, upper_half_sum) are small and stay exact
+integer sums reduced mod p at the end.  Starred quantities are exponent
+classes mod q-1 computed with digits.star_reduce, whose
+positive-multiple-of-(q-1) -> q-1 rule is load-bearing: the row class in
+the support identity is such a multiple whenever u = v = 0.
 """
 
 from __future__ import annotations
@@ -31,30 +35,49 @@ def criterion_sum(field, k: int, s: int) -> int:
     """sum over 1 <= i <= q-2 of (-1)^i C(s, i) C((ki)*, (2ks)*), mod p,
     for 1 <= s <= q-2.
 
-    Terms with i > s vanish through C(s, i) = 0, so the loop stops at s.
-    Each binomial is F[m] G[n] G[m-n] from field.binom_tables() when the
-    digit sums show no borrow in m - n, and 0 otherwise; the factors
-    F[s] and G[(2ks)*] are common to every term and applied once.
+    A term needs i <= s (else C(s, i) = 0) and m = (ki)* >= (2ks)*.  When
+    gcd(k, q-1) = 1, i -> m is a bijection of 1..q-2, so if the m-range
+    (2ks)*..q-2 is the shorter one the loop walks it, with i = k^(-1)*m mod
+    q-1; otherwise it walks 1..s.  Each binomial is F[m] G[n] G[m-n] from
+    field.binom_tables() when the digit sums show no borrow in m - n, and 0
+    otherwise; the factors F[s] and G[(2ks)*] are common to every term and
+    applied once.
     """
     q, p = field.q, field.p
     F, G, S = field.binom_tables()
     qm1 = q - 1
     bottom = star_reduce(2 * k * s, q)
     Ss, Sb = S[s], S[bottom]
+    i_hi = min(s, q - 2)
     total = 0
-    for i in range(1, min(s, q - 2) + 1):
-        r = s - i
-        if S[i] + S[r] != Ss:
-            continue
-        # (ki)*; k = 0 gives q-1 instead of 0, but bottom is then 0 and C(m, 0) = 1
-        m = k * i % qm1 or qm1
-        if m < bottom:
-            continue
-        d = m - bottom
-        if Sb + S[d] != S[m]:
-            continue
-        term = G[i] * G[r] * F[m] * G[d]
-        total += -term if i & 1 else term
+    if qm1 - 1 - bottom < i_hi and gcd(k, qm1) == 1:
+        inv = mod_inverse(k, qm1)
+        for m in range(bottom, qm1):
+            i = inv * m % qm1
+            if i > i_hi:
+                continue
+            r = s - i
+            if S[i] + S[r] != Ss:
+                continue
+            d = m - bottom
+            if Sb + S[d] != S[m]:
+                continue
+            term = G[i] * G[r] * F[m] * G[d]
+            total += -term if i & 1 else term
+    else:
+        for i in range(1, i_hi + 1):
+            r = s - i
+            if S[i] + S[r] != Ss:
+                continue
+            # (ki)*; k = 0 gives q-1 instead of 0, but bottom is then 0 and C(m, 0) = 1
+            m = k * i % qm1 or qm1
+            if m < bottom:
+                continue
+            d = m - bottom
+            if Sb + S[d] != S[m]:
+                continue
+            term = G[i] * G[r] * F[m] * G[d]
+            total += -term if i & 1 else term
     return total * F[s] * G[bottom] % p
 
 
@@ -71,29 +94,50 @@ def _row_sum(field, mult: int, top: int, s: int) -> int:
     """sum over 2 <= i <= q-2 of (-1)^i C(top, (mult*i)*) C(i, 2s), mod p,
     for 0 <= top <= q-1 and 0 <= 2s <= q-1.
 
-    Terms with i < 2s vanish through C(i, 2s) = 0, so the loop starts at
-    2s.  The binomials come from field.binom_tables() as in
-    criterion_sum, with F[top] and G[2s] applied once.
+    A term needs i >= max(2, 2s) (else C(i, 2s) = 0 or i is out of the sum)
+    and m = (mult*i)* <= top.  When gcd(mult, q-1) = 1, i -> m is a
+    bijection of 1..q-2, so if the m-range 1..min(top, q-2) is the shorter
+    one the loop walks it, with i = mult^(-1)*m mod q-1; otherwise it walks
+    max(2, 2s)..q-2.  Row s therefore costs at most about q - 2s.  The
+    binomials come from field.binom_tables() as in criterion_sum, with
+    F[top] and G[2s] applied once.
     """
     q, p = field.q, field.p
     F, G, S = field.binom_tables()
     qm1 = q - 1
-    wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
     s2 = 2 * s
     Ss2, St = S[s2], S[top]
+    i_lo = max(2, s2)
+    m_hi = min(top, q - 2)
     total = 0
-    for i in range(max(2, s2), qm1):
-        j = i - s2
-        if Ss2 + S[j] != S[i]:
-            continue
-        m = mult * i % qm1 or wrap
-        if m > top:
-            continue
-        d = top - m
-        if S[m] + S[d] != St:
-            continue
-        term = F[i] * G[j] * G[m] * G[d]
-        total += -term if i & 1 else term
+    if m_hi < qm1 - i_lo and gcd(mult, qm1) == 1:
+        inv = mod_inverse(mult, qm1)
+        for m in range(1, m_hi + 1):
+            i = inv * m % qm1
+            if i < i_lo:
+                continue
+            j = i - s2
+            if Ss2 + S[j] != S[i]:
+                continue
+            d = top - m
+            if S[m] + S[d] != St:
+                continue
+            term = F[i] * G[j] * G[m] * G[d]
+            total += -term if i & 1 else term
+    else:
+        wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
+        for i in range(i_lo, qm1):
+            j = i - s2
+            if Ss2 + S[j] != S[i]:
+                continue
+            m = mult * i % qm1 or wrap
+            if m > top:
+                continue
+            d = top - m
+            if S[m] + S[d] != St:
+                continue
+            term = F[i] * G[j] * G[m] * G[d]
+            total += -term if i & 1 else term
     return total * F[top] * G[s2] % p
 
 
@@ -111,17 +155,22 @@ def inverse_criterion_sum(field, k_prime: int, s: int, half: bool = False) -> in
 
 def inverse_pp_criterion(field, k: int) -> bool:
     """PP test through k' = k^(-1) mod q-1: gcd ok and both sum families
-    vanish (plain rows for 1 <= s <= (q-1)/2, shifted rows for s < (q-1)/2)."""
+    vanish (plain rows for 1 <= s <= (q-1)/2, shifted rows for s < (q-1)/2).
+
+    Row s costs about q - 2s (see _row_sum), so the rows are tried
+    cheapest first: s runs from (q-1)/2 down to 1, the plain row before
+    the shifted one at each s.  For a k that is not a PP a nonzero row
+    then tends to turn up among the short rows.
+    """
     q = field.q
     if gcd(k, q - 1) != 1:
         return False
     kp = mod_inverse(k, q - 1)
     h = (q - 1) // 2
-    for s in range(1, h + 1):
+    for s in range(h, 0, -1):
         if inverse_criterion_sum(field, kp, s) != 0:
             return False
-    for s in range(1, h):
-        if inverse_criterion_sum(field, kp, s, half=True) != 0:
+        if s < h and inverse_criterion_sum(field, kp, s, half=True) != 0:
             return False
     return True
 

@@ -251,6 +251,23 @@ def test_report_body_digest_is_golden(tmp_path, command):
         "bump cli.CACHE_SCHEMA and update GOLDEN_DIGESTS" % (command, got))
 
 
+def test_verify_all_enumerates_only_up_to_the_field_cap(tmp_path, monkeypatch):
+    # A q-max far above the cap must not be enumerated before the cap
+    # applies: no q above the cap is ever factored.
+    factor = cli.factor_prime_power
+
+    def capped(q):
+        assert q <= 9, q
+        return factor(q)
+
+    monkeypatch.setattr(cli, "factor_prime_power", capped)
+    code, report = run(tmp_path, "verify-all", "--q-max", "30000000",
+                       "--field-cap", "9")
+    assert code == 0
+    assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
+    assert report["params"]["q_max"] == 30000000
+
+
 def test_verify_all_times_each_stage_per_q(tmp_path):
     code, report = run(tmp_path, "verify-all", "--q-max", "27")
     assert code == 0

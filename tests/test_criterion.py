@@ -1,6 +1,10 @@
 """Binomial-sum criteria against the direct PP oracle, and the identity grids."""
 
+import ast
+import inspect
 import itertools
+import sys
+import textwrap
 from math import comb
 
 import pytest
@@ -102,6 +106,52 @@ def test_sums_equal_the_exact_oracle(q):
                         == _exact_row_sum(fld, kp, top, s)), (kp, s, half)
 
 
+def _loop_body_lines(func):
+    # source line number of the first statement of each `for` loop in func
+    lines, start = inspect.getsourcelines(func)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    return {start + node.body[0].lineno - 1 for node in ast.walk(tree)
+            if isinstance(node, ast.For)}
+
+
+def test_oracle_fields_reach_both_loops_of_each_kernel():
+    # Over the calls of test_sums_equal_the_exact_oracle, each kernel runs
+    # its i-range loop for some (k, s) and its m-range loop (i = k^-1 * m)
+    # for others, so that test checks both loops against the exact sums.
+    # A line tracer on the two kernels records each loop body it enters and
+    # then stops tracing lines in that call.
+    bodies = {f.__code__: _loop_body_lines(f)
+              for f in (criterion.criterion_sum, criterion._row_sum)}
+    assert all(len(lines) == 2 for lines in bodies.values())
+    reached = set()
+
+    def line_tracer(frame, event, arg):
+        if event == "line" and frame.f_lineno in bodies[frame.f_code]:
+            reached.add((frame.f_code, frame.f_lineno))
+            frame.f_trace_lines = False
+        return line_tracer
+
+    def call_tracer(frame, event, arg):
+        return line_tracer if frame.f_code in bodies else None
+
+    previous = sys.gettrace()
+    sys.settrace(call_tracer)
+    try:
+        for q in ORACLE_QS:
+            fld = Field(*factor_prime_power(q))
+            h = (q - 1) // 2
+            for k in range(q):
+                for s in range(1, q - 1):
+                    criterion_sum(fld, k, s)
+                for s in range(1, h + 1):
+                    inverse_criterion_sum(fld, k, s)
+                    inverse_criterion_sum(fld, k, s, half=True)
+    finally:
+        sys.settrace(previous)
+    assert reached == {(code, line) for code, lines in bodies.items()
+                       for line in lines}
+
+
 def test_support_identity_lhs_equals_the_exact_oracle_q81():
     fld = Field(3, 4)
     q, h = fld.q, (fld.q - 1) // 2
@@ -119,11 +169,33 @@ def test_pp_criterion_examples(f9, f27):
     assert not pp_criterion(f27, 5)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def _direct_pp_flags(fld):
+    # [a_k permutes GF(q) for k = 1..q-1]: eval_a's x^k ((x+1)^k - x^k) at
+    # every x by field arithmetic, with x^k and (x+1)^k carried from k to
+    # k+1 by one multiplication each instead of two square-and-multiplies
+    xs = list(fld.elements())
+    ys = [fld.add(x, 1) for x in xs]
+    xk, yk = xs, ys
+    flags = []
+    for _ in range(1, fld.q):
+        flags.append(len({fld.mul(a, fld.sub(b, a)) for a, b in zip(xk, yk)})
+                     == fld.q)
+        xk = [fld.mul(a, x) for a, x in zip(xk, xs)]
+        yk = [fld.mul(b, y) for b, y in zip(yk, ys)]
+    return flags
+
+
+def test_direct_pp_flags_equal_eval_a(f9):
+    assert _direct_pp_flags(f9) == [
+        len({eval_a(f9, k, x) for x in f9.elements()}) == 9 for k in range(1, 9)]
+
+
+# (241, 1): k = 1 in a prime field; (3, 5): the five p-powers of q = 243.
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (241, 1),
+                                 (3, 5)])
 def test_criterion_equals_direct_oracle(p, e):
     fld = Field(p, e)
-    for k in range(1, fld.q):
-        direct = len({eval_a(fld, k, x) for x in fld.elements()}) == fld.q
+    for k, direct in enumerate(_direct_pp_flags(fld), 1):
         assert pp_criterion(fld, k) == direct, k
         assert inverse_pp_criterion(fld, k) == direct, k
 
@@ -159,6 +231,23 @@ def test_inverse_sums_detect_non_pp(f27):
     rows = [inverse_criterion_sum(f27, kp, s) for s in range(1, 14)]
     rows += [inverse_criterion_sum(f27, kp, s, half=True) for s in range(1, 13)]
     assert any(r != 0 for r in rows)
+
+
+def test_inverse_criterion_tries_every_row_cheapest_first(f27, monkeypatch):
+    # with every row patched to vanish, all rows are tried: s from (q-1)/2
+    # down to 1, the plain row before the shifted one, no shifted row at
+    # s = (q-1)/2
+    tried = []
+
+    def row(fld, kp, s, half=False):
+        tried.append((kp, s, half))
+        return 0
+
+    monkeypatch.setattr(criterion, "inverse_criterion_sum", row)
+    assert inverse_pp_criterion(f27, 7)
+    kp = mod_inverse(7, 26)
+    assert tried == [(kp, 13, False)] + [(kp, s, half) for s in range(12, 0, -1)
+                                          for half in (False, True)]
 
 
 def test_inverse_criterion_agrees_with_forward_on_q27(f27):
