@@ -1,12 +1,14 @@
 """Command-line runner: per-field jobs, the report, the cache and the parser.
 
-A job makes one library call per stage (permpoly, criterion, graphs) and
-concatenates the rows and verdicts they return; the runner records the
-seconds of building the field and of each stage in the report's
-timing.stages, keyed by q.  Commands emit a single JSON report on the data
-stream (stdout, or --json PATH) and human-readable verdict lines on
-stderr.  Reports are deterministic apart from the top-level "timing"
-entry; the exit status is 0 iff every verdict passes.
+A job makes one library call per stage (permpoly, criterion, graphs);
+every stage returns its report rows and verdicts as dicts, so a job only
+concatenates them, and the report itself is a dict of BODY_KEYS plus
+"timing".  The runner records the seconds of building the field and of
+each stage in the report's timing.stages, keyed by q.  Commands emit a
+single JSON report on the data stream (stdout, or --json PATH) and
+human-readable verdict lines on stderr.  Reports are deterministic apart
+from the top-level "timing" entry; the exit status is 0 iff every verdict
+passes.
 
 A report body is encoded once: the text the cache stores, or would store,
 is the text emitted, with "timing" spliced in as its last key, so a cache
@@ -24,7 +26,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from . import __version__, criterion, graphs, permpoly
@@ -75,36 +76,10 @@ def odd_prime_powers(limit: int) -> list[int]:
     return out
 
 
-@dataclass
-class RunReport:
-    """Serialized outcome of one CLI command; round-trips through JSON."""
-
-    command: str
-    params: dict
-    modulus_by_q: dict
-    rows: list
-    verdicts: list
-    overall: str
-    version: str = __version__
-    timing: dict = dataclass_field(default_factory=dict)
-
-    def body(self) -> dict:
-        """The deterministic part of the report (everything but timing)."""
-        return {k: v for k, v in vars(self).items() if k != "timing"}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(**d)
-
-
-# -- row/verdict helpers --------------------------------------------------
-
-def _record_row(rec: permpoly.SweepRecord, girth_ge_8: bool | None = None) -> dict:
-    return {"kind": "sweep", **vars(rec), "girth_ge_8": girth_ge_8}
-
-
-def _verdict_dict(v: permpoly.ConjectureVerdict) -> dict:
-    return {"section": "sweep", **vars(v)}
+# The deterministic part of a report, keys in the order they are written.
+# A report is a dict of these keys plus "timing", which comes last.
+BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
+             "version")
 
 
 # -- per-field jobs ----------------------------------------------------------
@@ -126,16 +101,14 @@ def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     if args.with_criterion:
         fld.binom_tables()
     t = _lap(stages, "field", t)
-    records = permpoly.sweep(fld, with_criterion=args.with_criterion)
+    rows = permpoly.sweep(fld, with_criterion=args.with_criterion)
     t = _lap(stages, "sweep", t)
-    passing = None
     if args.with_girth:
-        passing = graphs.girth_scan(fld, cap=args.girth_cap, records=records).passing
+        _, girth = graphs.girth_scan(fld, cap=args.girth_cap, records=rows)
         _lap(stages, "girth", t)
-    rows = [_record_row(r, None if passing is None else r.k in passing)
-            for r in records]
-    verdict = permpoly.conjecture_verdict(fld, args.which, records=records)
-    return rows, [_verdict_dict(verdict)]
+        for r in rows:
+            r["girth_ge_8"] = r["k"] in girth["witnesses"]
+    return rows, [permpoly.conjecture_verdict(fld, args.which, records=rows)]
 
 
 def _identity_job(fld: Field, args, stages: dict) -> tuple[list, list]:
@@ -152,14 +125,13 @@ def _verify_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     """Every stage on one field; each of the four stage keys is recorded,
     as about 0 when the stage does not apply to q.  The field's tables are
     built first and timed as part of stage "field"."""
-    q = fld.q
     t = time.perf_counter()
     fld.log_tables()
     fld.binom_tables()
     t = _lap(stages, "field", t)
     records = permpoly.sweep(fld)
-    rows = [_record_row(r) for r in records]
-    verdicts = [_verdict_dict(permpoly.conjecture_verdict(fld, w, records=records))
+    rows = list(records)
+    verdicts = [permpoly.conjecture_verdict(fld, w, records=records)
                 for w in ("A", "B", "two")]
     t = _lap(stages, "sweep", t)
 
@@ -174,16 +146,11 @@ def _verify_job(fld: Field, args, stages: dict) -> tuple[list, list]:
         verdicts.append(id_verdict)
     t = _lap(stages, "identities", t)
 
-    if q <= args.girth_cap:
-        scan = graphs.girth_scan(fld, cap=args.girth_cap, records=records)
-        rows.extend({"kind": "girth", "q": q, "k": r.k,
-                     "girth_ge_8": r.k in scan.passing, "a_pp": r.a_pp,
-                     "b_pp": r.b_pp, "p_power": r.k_is_p_power}
-                    for r in records)
-        verdicts.append({"section": "girth", "q": q, "witnesses": scan.passing,
-                         "expected": scan.expected,
-                         "implication_ok": scan.implication_ok,
-                         "passed": scan.passed})
+    if fld.q <= args.girth_cap:
+        girth_rows, girth_verdict = graphs.girth_scan(fld, cap=args.girth_cap,
+                                                      records=records)
+        rows.extend(girth_rows)
+        verdicts.append(girth_verdict)
     _lap(stages, "girth", t)
     return rows, verdicts
 
@@ -214,8 +181,9 @@ def _girth_job(fld: Field, args, stages: dict) -> tuple[list, list]:
         return [row], [{"section": "girth", "q": q, "girth": row["girth"],
                         "passed": True}]
     rec = permpoly.sweep_record(fld, k)
-    row.update({"a_pp": rec.a_pp, "b_pp": rec.b_pp, "p_power": rec.k_is_p_power})
-    implication_ok = (not ge8) or (rec.a_pp and rec.b_pp)
+    row.update({"a_pp": rec["a_pp"], "b_pp": rec["b_pp"],
+                "p_power": rec["k_is_p_power"]})
+    implication_ok = (not ge8) or (rec["a_pp"] and rec["b_pp"])
     return [row], [{"section": "girth", "q": q, "k": k, "girth": row["girth"],
                     "implication_ok": implication_ok, "passed": implication_ok}]
 
@@ -310,21 +278,21 @@ def _write_csv(rows, path) -> None:
             ])
 
 
-def _emit(report: RunReport, text: str, args) -> None:
+def _emit(report: dict, text: str, args) -> None:
     """Write the report: `text` is its body as _with_cache lays it out,
     ending in "\n}\n", and timing goes in as the last key.  JSON text holds
     no raw newline inside a string, so indenting the timing's lines by two
     spaces nests it exactly as json.dumps(..., indent=2) of the whole
     report would."""
-    timing = json.dumps(report.timing, indent=2).replace("\n", "\n  ")
+    timing = json.dumps(report["timing"], indent=2).replace("\n", "\n  ")
     payload = text[:-3] + ',\n  "timing": ' + timing + "\n}\n"
     if args.json:
         Path(args.json).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
     if args.csv:
-        _write_csv(report.rows, args.csv)
-    for v in report.verdicts:
+        _write_csv(report["rows"], args.csv)
+    for v in report["verdicts"]:
         status = "PASS" if v.get("passed") else "FAIL"
         where = ""
         if "q" in v:
@@ -333,25 +301,27 @@ def _emit(report: RunReport, text: str, args) -> None:
             where = " p=%s" % v["p"]
         extra = " which=%s" % v["which"] if "which" in v else ""
         skipped = " (skipped: %s)" % v["skipped"] if v.get("skipped") else ""
-        print("[%s] %s%s%s%s" % (status, v.get("section", report.command),
+        print("[%s] %s%s%s%s" % (status, v.get("section", report["command"]),
                                  where, extra, skipped), file=sys.stderr)
-    print("[gfpp] %s: %s in %ss" % (report.command, report.overall,
-                                    report.timing.get("seconds", "?")),
+    print("[gfpp] %s: %s in %ss" % (report["command"], report["overall"],
+                                    report["timing"].get("seconds", "?")),
           file=sys.stderr)
 
 
 # -- result cache ----------------------------------------------------------
 
-def _with_cache(args, command, params, compute) -> tuple[RunReport, str]:
+def _with_cache(args, command, params, compute) -> tuple[dict, str]:
     """JSON result cache keyed by (CACHE_SCHEMA, version, command, params).
 
     Returns the report and the text of its body, json.dumps(body, indent=2)
     plus a newline: the entry's bytes.  A hit returns the entry's text as
     read; it is still parsed, which rejects damaged entries and gives the
     report.  An entry is written to a temp file in the cache directory and
-    renamed into place, so it is never seen half-written.  An entry that
-    cannot be read or parsed anyway, or that does not begin and end as the
-    writer lays entries out, is treated as a miss: recomputed and rewritten.
+    renamed into place, so it is never seen half-written; when it cannot be
+    written, the report is still returned and stderr says why.  An entry
+    that cannot be read or parsed, that does not begin and end as the
+    writer lays entries out, or whose keys are not BODY_KEYS in order, is
+    treated as a miss: recomputed and rewritten.
     """
     path = None
     if args.cache:
@@ -359,23 +329,28 @@ def _with_cache(args, command, params, compute) -> tuple[RunReport, str]:
                "params": params}
         digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
         path = Path(args.cache) / ("%s.json" % digest)
+        head = '{\n  "command": %s,\n  "params": ' % json.dumps(command)
         try:
             text = path.read_text(encoding="utf-8")
-            report = RunReport.from_dict(json.loads(text))
-        except (OSError, ValueError, TypeError):
+            report = json.loads(text)
+        except (OSError, ValueError):
             pass  # a missing or damaged entry is a miss
         else:
-            head = '{\n  "command": %s,\n  "params": ' % json.dumps(report.command)
-            if text.startswith(head) and text.endswith("\n}\n"):
-                report.timing = {"cached": True}
+            # Text that begins with "{" parsed to a dict, so it has keys.
+            if (text.startswith(head) and text.endswith("\n}\n")
+                    and tuple(report) == BODY_KEYS):
+                report["timing"] = {"cached": True}
                 return report, text
     report = compute()
-    text = json.dumps(report.body(), indent=2) + "\n"
+    text = json.dumps({k: report[k] for k in BODY_KEYS}, indent=2) + "\n"
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError as exc:
+            print("[gfpp] cache not written: %s" % exc, file=sys.stderr)
     return report, text
 
 
@@ -383,7 +358,7 @@ def _overall(verdicts) -> str:
     return "pass" if all(v.get("passed") for v in verdicts) else "fail"
 
 
-def _run_command(args, command, params, job, qs, ps=()) -> tuple[RunReport, str]:
+def _run_command(args, command, params, job, qs, ps=()) -> tuple[dict, str]:
     """The report of `command` and its body's text (see _with_cache): `job`
     on the field of every q, then the upper-half grid of every p; served
     from the cache when one is given."""
@@ -391,21 +366,23 @@ def _run_command(args, command, params, job, qs, ps=()) -> tuple[RunReport, str]
     # section of its other verdicts.
     section = "field" if command == "field-info" else command
 
-    def compute() -> RunReport:
+    def compute() -> dict:
         modulus_by_q, rows, verdicts, stages = _run_jobs(job, section, qs, args)
         for p in ps:
             uh_rows, uh_verdict = criterion.upper_half_grid(p)
             rows.extend(uh_rows)
             verdicts.append(uh_verdict)
-        return RunReport(command, params, modulus_by_q, rows, verdicts,
-                         _overall(verdicts), timing={"stages": stages})
+        return {"command": command, "params": params,
+                "modulus_by_q": modulus_by_q, "rows": rows, "verdicts": verdicts,
+                "overall": _overall(verdicts), "version": __version__,
+                "timing": {"stages": stages}}
 
     return _with_cache(args, command, params, compute)
 
 
 # -- commands ---------------------------------------------------------------
 
-def cmd_sweep(args) -> tuple[RunReport, str]:
+def cmd_sweep(args) -> tuple[dict, str]:
     qs = sorted(set(args.q))
     params = {"q": qs, "which": args.which, "with_criterion": args.with_criterion,
               "with_girth": args.with_girth, "field_cap": args.field_cap,
@@ -413,14 +390,14 @@ def cmd_sweep(args) -> tuple[RunReport, str]:
     return _run_command(args, "sweep", params, _sweep_job, qs)
 
 
-def cmd_identities(args) -> tuple[RunReport, str]:
+def cmd_identities(args) -> tuple[dict, str]:
     qs = sorted(set(args.q or []))
     ps = sorted(set(args.p or []))
     params = {"q": qs, "p": ps, "field_cap": args.field_cap}
     return _run_command(args, "identities", params, _identity_job, qs, ps)
 
 
-def cmd_girth(args) -> tuple[RunReport, str]:
+def cmd_girth(args) -> tuple[dict, str]:
     f_exps, g_exps = _girth_exps(args)
     params = {"q": args.q, "k": args.k, "f_exps": list(f_exps),
               "g_exps": list(g_exps), "field_cap": args.field_cap,
@@ -428,7 +405,7 @@ def cmd_girth(args) -> tuple[RunReport, str]:
     return _run_command(args, "girth", params, _girth_job, [args.q])
 
 
-def cmd_verify_all(args) -> tuple[RunReport, str]:
+def cmd_verify_all(args) -> tuple[dict, str]:
     qs = odd_prime_powers(min(args.q_max, args.field_cap))
     params = {"q_max": args.q_max, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap,
@@ -437,7 +414,7 @@ def cmd_verify_all(args) -> tuple[RunReport, str]:
                         UPPER_HALF_PRIMES)
 
 
-def cmd_field_info(args) -> tuple[RunReport, str]:
+def cmd_field_info(args) -> tuple[dict, str]:
     qs = sorted(set(args.q))
     params = {"q": qs, "field_cap": args.field_cap}
     return _run_command(args, "field-info", params, _field_job, qs)
@@ -548,9 +525,9 @@ def main(argv=None) -> int:
         parser.error("identities needs --q or --p")
     started = time.perf_counter()
     report, text = args.func(args)
-    report.timing.setdefault("seconds", round(time.perf_counter() - started, 3))
+    report["timing"].setdefault("seconds", round(time.perf_counter() - started, 3))
     _emit(report, text, args)
-    return 0 if report.overall == "pass" else 1
+    return 0 if report["overall"] == "pass" else 1
 
 
 def entry() -> None:

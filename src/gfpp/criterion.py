@@ -176,16 +176,16 @@ def inverse_pp_criterion(field, k: int) -> bool:
 
 
 def cross_check(field, records) -> tuple[list[dict], dict]:
-    """Both criteria against the direct a_pp flag of every sweep record: one
+    """Both criteria against the direct a_pp flag of every sweep row: one
     row per k where the three disagree, and the field's verdict."""
     q = field.q
     rows = []
     for r in records:
-        c1 = pp_criterion(field, r.k)
-        c2 = inverse_pp_criterion(field, r.k)
-        if not (r.a_pp == c1 == c2):
-            rows.append({"kind": "criterion_mismatch", "q": q, "k": r.k,
-                         "direct": r.a_pp, "criterion": c1,
+        c1 = pp_criterion(field, r["k"])
+        c2 = inverse_pp_criterion(field, r["k"])
+        if not (r["a_pp"] == c1 == c2):
+            rows.append({"kind": "criterion_mismatch", "q": q, "k": r["k"],
+                         "direct": r["a_pp"], "criterion": c1,
                          "inverse_criterion": c2})
     mismatch_ks = [row["k"] for row in rows]
     verdict = {"section": "criterion", "q": q, "checked": q - 1,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from . import permpoly
 from .errors import CapExceededError
@@ -181,31 +180,28 @@ def girth_at_least(graph: MonomialGraph, bound: int, *, cap: int | None = None) 
     return _shortest_cycle(graph, cap, bound) >= bound
 
 
-@dataclass(frozen=True)
-class GirthScan:
-    """Outcome of scanning all exponents k for girth >= 8."""
-
-    q: int
-    passing: list[int]
-    expected: list[int]
-    implication_ok: bool
-    passed: bool
-
-
-def girth_scan(field, *, cap: int | None = None, records=None) -> GirthScan:
+def girth_scan(field, *, cap: int | None = None, records=None) -> tuple[list[dict], dict]:
     """For every 1 <= k <= q-1, test girth(G_q(XY, X^k Y^2k)) >= 8.
 
-    Asserts the passing set equals the p-powers, and that every passing k
-    has both polynomial families PP (implication cross-check).
+    Returns one girth row per sweep row of `records` and the field's
+    verdict.  The verdict asserts the passing set (its witnesses) equals
+    the p-powers, and that every passing k has both polynomial families
+    PP (implication cross-check).
     """
+    q = field.q
     if records is None:
         records = permpoly.sweep(field)
     passing = []
-    for k in range(1, field.q):
+    for k in range(1, q):
         graph = MonomialGraph(field, (1, 1), (k, 2 * k))
         if girth_at_least(graph, 8, cap=cap):
             passing.append(k)
     expected = permpoly.p_powers(field)
-    implication_ok = all(r.a_pp and r.b_pp for r in records if r.k in passing)
-    return GirthScan(field.q, passing, expected, implication_ok,
-                     passing == expected and implication_ok)
+    implication_ok = all(r["a_pp"] and r["b_pp"] for r in records if r["k"] in passing)
+    rows = [{"kind": "girth", "q": q, "k": r["k"], "girth_ge_8": r["k"] in passing,
+             "a_pp": r["a_pp"], "b_pp": r["b_pp"], "p_power": r["k_is_p_power"]}
+            for r in records]
+    verdict = {"section": "girth", "q": q, "witnesses": passing,
+               "expected": expected, "implication_ok": implication_ok,
+               "passed": passing == expected and implication_ok}
+    return rows, verdict

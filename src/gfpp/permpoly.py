@@ -10,14 +10,13 @@ streams the (x, value) pairs of both maps in log order and reads each
 stream only up to its first collision, two inputs with one value: a map
 permutes GF(q) iff it has none.  A non-permutation usually collides
 after about sqrt(q) inputs, so only the permutations cost O(q).  Each
-record adds gcd, inverse-exponent digit data, and the optional criterion
-flag.
+sweep row, a report dict, adds gcd, inverse-exponent digit data, and the
+optional criterion flag.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from math import gcd
 
 from . import criterion, digits
@@ -104,61 +103,40 @@ def p_powers(field) -> list[int]:
     return [field.p**i for i in range(field.e)]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Per-(q, k) verdict bundle."""
-
-    q: int
-    k: int
-    gcd_ok: bool
-    a_pp: bool
-    b_pp: bool
-    k_is_p_power: bool
-    k_prime: int | None = None
-    k_prime_binary: bool | None = None
-    criterion: bool | None = None
-
-
-def sweep_record(field, k: int, *, with_criterion: bool = False) -> SweepRecord:
-    """Direct PP flags for one exponent, plus the optional criterion flag.
+def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
+    """The sweep row of one exponent: direct PP flags, gcd and
+    inverse-exponent digit data, and the optional criterion flag.
 
     The criterion flag costs O(q^2) binomial work per exponent, so it is
-    opt-in.
+    opt-in.  girth_ge_8 is None here; a girth scan can fill it in.
     """
     q = field.q
     gcd_ok = gcd(k, q - 1) == 1
     kp = digits.mod_inverse(k, q - 1) if gcd_ok else None
-    return SweepRecord(
-        q=q,
-        k=k,
-        gcd_ok=gcd_ok,
-        a_pp=first_collision(a_values(field, k)) is None,
-        b_pp=first_collision(b_values(field, k)) is None,
-        k_is_p_power=k in p_powers(field),
-        k_prime=kp,
-        k_prime_binary=None if kp is None else digits.digits_binary(kp, field.p, field.e),
-        criterion=criterion.pp_criterion(field, k) if with_criterion else None,
-    )
+    return {
+        "kind": "sweep",
+        "q": q,
+        "k": k,
+        "gcd_ok": gcd_ok,
+        "a_pp": first_collision(a_values(field, k)) is None,
+        "b_pp": first_collision(b_values(field, k)) is None,
+        "k_is_p_power": k in p_powers(field),
+        "k_prime": kp,
+        "k_prime_binary": None if kp is None else digits.digits_binary(kp, field.p, field.e),
+        "criterion": criterion.pp_criterion(field, k) if with_criterion else None,
+        "girth_ge_8": None,
+    }
 
 
-def sweep(field, **kwargs) -> list[SweepRecord]:
-    """Records for every exponent 1 <= k <= q-1, in order."""
+def sweep(field, **kwargs) -> list[dict]:
+    """Rows for every exponent 1 <= k <= q-1, in order."""
     return [sweep_record(field, k, **kwargs) for k in range(1, field.q)]
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
-    """Witness set of PP exponents for one field against the p-powers."""
-
-    q: int
-    which: str
-    witnesses: list[int]
-    expected: list[int]
-    passed: bool
-
-
-def conjecture_verdict(field, which: str, records=None) -> ConjectureVerdict:
-    """Exhaustive per-q check of a PP-exponent conjecture.
+def conjecture_verdict(field, which: str, records=None) -> dict:
+    """Exhaustive per-q check of a PP-exponent conjecture over the sweep
+    rows `records`, as the sweep section's verdict: the witness set of PP
+    exponents against the p-powers.
 
     which = "A" or "B" asserts the witness set equals the p-powers exactly;
     which = "two" asserts every exponent with both maps PP is a p-power.
@@ -168,14 +146,15 @@ def conjecture_verdict(field, which: str, records=None) -> ConjectureVerdict:
     if records is None:
         records = sweep(field)
     if which == "A":
-        witnesses = [r.k for r in records if r.a_pp]
+        witnesses = [r["k"] for r in records if r["a_pp"]]
     elif which == "B":
-        witnesses = [r.k for r in records if r.b_pp]
+        witnesses = [r["k"] for r in records if r["b_pp"]]
     else:
-        witnesses = [r.k for r in records if r.a_pp and r.b_pp]
+        witnesses = [r["k"] for r in records if r["a_pp"] and r["b_pp"]]
     expected = p_powers(field)
     if which == "two":
         passed = set(witnesses) <= set(expected)
     else:
         passed = witnesses == expected
-    return ConjectureVerdict(field.q, which, witnesses, expected, passed)
+    return {"section": "sweep", "q": field.q, "which": which,
+            "witnesses": witnesses, "expected": expected, "passed": passed}

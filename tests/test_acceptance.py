@@ -45,8 +45,8 @@ def test_01_a_family_pp_exponents_are_exactly_p_powers(field_for):
     bad = []
     for q in CONJECTURE_QS:
         v = permpoly.conjecture_verdict(field_for(q), "A")
-        if v.witnesses != v.expected:
-            bad.append((q, v.witnesses, v.expected))
+        if v["witnesses"] != v["expected"]:
+            bad.append((q, v["witnesses"], v["expected"]))
     report(1, "A-family witness sets", not bad, repr(bad))
 
 
@@ -54,8 +54,8 @@ def test_02_b_family_pp_exponents_are_exactly_p_powers(field_for):
     bad = []
     for q in CONJECTURE_QS:
         v = permpoly.conjecture_verdict(field_for(q), "B")
-        if v.witnesses != v.expected:
-            bad.append((q, v.witnesses, v.expected))
+        if v["witnesses"] != v["expected"]:
+            bad.append((q, v["witnesses"], v["expected"]))
     report(2, "B-family witness sets", not bad, repr(bad))
 
 
@@ -135,9 +135,10 @@ def test_07_flagship_graph_has_girth_8(field_for):
 def test_08_girth_scan_matches_p_powers(field_for):
     bad = []
     for q in SCAN_QS:
-        scan = graphs.girth_scan(field_for(q))
-        if not (scan.passing == scan.expected and scan.implication_ok):
-            bad.append((q, scan))
+        _, verdict = graphs.girth_scan(field_for(q))
+        if not (verdict["witnesses"] == verdict["expected"]
+                and verdict["implication_ok"]):
+            bad.append((q, verdict))
     report(8, "girth scan vs p-powers", not bad, repr(bad))
 
 
@@ -145,8 +146,8 @@ def test_09_pp_exponents_have_binary_inverse_digits(field_for):
     bad = []
     for q in FILTER_QS:
         for rec in permpoly.sweep(field_for(q)):
-            if rec.a_pp and rec.k_prime_binary is not True:
-                bad.append((q, rec.k))
+            if rec["a_pp"] and rec["k_prime_binary"] is not True:
+                bad.append((q, rec["k"]))
     report(9, "binary digits of k'", not bad, repr(bad))
 
 

@@ -236,19 +236,63 @@ GOLDEN_DIGESTS = {
         "81abc82839f585414415255a28557a2e29f91fefb3d7bdd7bd5d21a6c4aefb3c",
     "identities --q 27,243 --p 3,13":
         "0f095fb4985a232762293961968592993b7c9fe00b9fafa6c8841d0e3cd37d58",
+    "sweep --q 5,9 --with-criterion --with-girth":
+        "66728b56cd9bec9535662624dbcf40c8b44983bfcf00b41fa46c78fc2c8c7338",
+    "sweep --q 9 --which A --with-girth --girth-cap 5":
+        "1bdb224ad54db93f8d8e38194ff838f55e6bbb135900056a297f55c7f13cb05c",
+    "girth --q 5 --exps 1,1,1,2":
+        "5c90d0918cc8a5c6f7d139e561a260ef45c5208c7f9a5302db82a2fbf665a2a5",
+    "field-info --q 9,27":
+        "03db3b58ab4121212cb49929c5a4bf51a73abbb6d13f0ed6503fa9791afb38d9",
+    "verify-all --q-max 81":
+        "aa610d1118147cf33884cd0363d480c8d4313b443534a0cf7138f8baef52af20",
 }
+
+# SHA-256 of the emitted body text as written, everything before its
+# timing entry, so that the key order of every row and verdict is pinned
+# too; the digests above sort the keys away.
+GOLDEN_TEXT_DIGESTS = {
+    "sweep --q 729,1327 --which two":
+        "446f859d7099000ce1e4aafe9ff94ef41b72da13b4ae634d29b1a6e1bdf2c5ff",
+    "verify-all --q-max 27":
+        "58dea7b19fd3cdf7ab84b09a8e925816d37c95020f89395a338a0bd282c494a9",
+    "girth --q 9 --k 3":
+        "b65301818c07365d366266d3f23541b09731162dbfaac5e026c3412c619da2c1",
+    "identities --q 27,243 --p 3,13":
+        "7cc811a94f3a9daa230279f8a8bf2f4149f0a6e4c7527ce323ed8b35ee2125ed",
+    "sweep --q 5,9 --with-criterion --with-girth":
+        "68d5f6c0ae509f39b71e1e29551e78114b63fd569c3e722f006b5bf7ad8ec62e",
+    "sweep --q 9 --which A --with-girth --girth-cap 5":
+        "2e327802bf2f170064299173bb3341b4b5281c690014d366aa3864704eebea60",
+    "girth --q 5 --exps 1,1,1,2":
+        "209f9975a9632b571ceaac58db430448d0f238606c315d2aef4f36323c4297ea",
+    "field-info --q 9,27":
+        "2df71ab186d523dba3976a96510f33eaebbb42b20692ae8c2ff2f3e3f216453a",
+    "verify-all --q-max 81":
+        "21c8771ffa9e1a07c77d686cfe9367bf368cbaea625d9a02d7155422329fa724",
+}
+
+# Golden commands whose report fails: q = 9 is above the girth cap of 5,
+# and the identity grid of q = 81 fails at its even-e corner.
+GOLDEN_EXIT = {"sweep --q 9 --which A --with-girth --girth-cap 5": 1,
+               "verify-all --q-max 81": 1}
 
 
 @pytest.mark.parametrize("command", GOLDEN_DIGESTS)
 def test_report_body_digest_is_golden(tmp_path, command):
     code, report = run(tmp_path, *command.split())
-    assert code == 0
+    assert code == GOLDEN_EXIT.get(command, 0)
     report.pop("timing")
     body = json.dumps(report, sort_keys=True, separators=(",", ":"))
     got = hashlib.sha256(body.encode()).hexdigest()
-    assert got == GOLDEN_DIGESTS[command], (
-        "report body of %r changed (sha256 %s): if the change is intended, "
-        "bump cli.CACHE_SCHEMA and update GOLDEN_DIGESTS" % (command, got))
+    text = (tmp_path / "out.json").read_text()
+    text = text[:text.index(',\n  "timing"')]
+    got_text = hashlib.sha256(text.encode()).hexdigest()
+    assert (got, got_text) == (GOLDEN_DIGESTS[command],
+                               GOLDEN_TEXT_DIGESTS[command]), (
+        "report body of %r changed (sha256 %s, text %s): if the change is "
+        "intended, bump cli.CACHE_SCHEMA and update both digest tables"
+        % (command, got, got_text))
 
 
 def test_verify_all_enumerates_only_up_to_the_field_cap(tmp_path, monkeypatch):
@@ -305,9 +349,13 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
     fresh.pop("timing")
     (entry,) = cache.glob("*.json")
     good = entry.read_text()
-    # Truncated, and parseable but not in the writer's layout.
+    short = json.loads(good)
+    del short["overall"]
+    # Truncated; parseable but not in the writer's layout; and in the
+    # writer's layout, with its head and tail, but missing a key.
     for damaged in (good[: len(good) // 2],
-                    json.dumps(json.loads(good), separators=(",", ":"))):
+                    json.dumps(json.loads(good), separators=(",", ":")),
+                    json.dumps(short, indent=2) + "\n"):
         entry.write_text(damaged)
         assert main(argv + ["--json", str(tmp_path / "again.json")]) == 0
         again = json.loads((tmp_path / "again.json").read_text())
@@ -316,6 +364,20 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
         assert fresh == again
         assert entry.read_text() == good
         assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def test_unwritable_cache_still_emits_the_report(tmp_path, capsys):
+    # The cache directory's path names a regular file, so no entry can be
+    # written there; the report is emitted all the same.
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    code = main(["field-info", "--q", "9", "--jobs", "1", "--cache", str(cache)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["rows"][0]["modulus"] == [1, 0, 1]
+    (line,) = [l for l in captured.err.splitlines() if "cache" in l]
+    assert line.startswith("[gfpp] cache not written: ")
+    assert cache.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("argv", [["verify-all", "--q-max", "27"],

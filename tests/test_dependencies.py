@@ -1,6 +1,9 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself,
+and `import gfpp` loads only the field arithmetic."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +29,15 @@ def test_runtime_imports_are_stdlib_or_gfpp():
                     foreign.append((path.name, name))
     assert len(list(SRC.glob("*.py"))) > 1
     assert foreign == []
+
+
+def test_import_gfpp_loads_only_the_field():
+    # A fresh interpreter, since this one has long imported every module.
+    code = ("import sys, gfpp; print(' '.join(sorted("
+            "m for m in sys.modules if m.startswith('gfpp'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "gfpp.field" in out
+    assert not {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs",
+                "gfpp.cli"} & set(out)

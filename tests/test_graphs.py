@@ -137,8 +137,8 @@ def test_girth_cap(f3):
 
 @pytest.mark.parametrize("q_args,expected", [((3, 1), [1]), ((5, 1), [1]), ((3, 2), [1, 3])])
 def test_girth_scan(q_args, expected):
-    scan = girth_scan(Field(*q_args))
-    assert scan.passing == expected
-    assert scan.expected == expected
-    assert scan.implication_ok
-    assert scan.passed
+    _, verdict = girth_scan(Field(*q_args))
+    assert verdict["witnesses"] == expected
+    assert verdict["expected"] == expected
+    assert verdict["implication_ok"]
+    assert verdict["passed"]

@@ -116,21 +116,21 @@ def test_first_collision_matches_pointwise_oracle(p, e):
 
 def test_sweep_record_q9_k3(f9):
     r = sweep_record(f9, 3)
-    assert r.a_pp and r.b_pp and r.k_is_p_power and r.gcd_ok
-    assert r.k_prime == 3  # 3*3 = 9 = 8 + 1
-    assert r.k_prime_binary is True
-    assert r.criterion is None
+    assert r["a_pp"] and r["b_pp"] and r["k_is_p_power"] and r["gcd_ok"]
+    assert r["k_prime"] == 3  # 3*3 = 9 = 8 + 1
+    assert r["k_prime_binary"] is True
+    assert r["criterion"] is None
 
 
 def test_sweep_record_q9_k2(f9):
     r = sweep_record(f9, 2)
-    assert not r.gcd_ok
-    assert not r.a_pp
-    assert r.k_prime is None and r.k_prime_binary is None
+    assert not r["gcd_ok"]
+    assert not r["a_pp"]
+    assert r["k_prime"] is None and r["k_prime_binary"] is None
 
 
 def test_sweep_record_q27_k5(f27):
-    assert not sweep_record(f27, 5).a_pp
+    assert not sweep_record(f27, 5)["a_pp"]
 
 
 def test_frobenius_exponents_always_pp():
@@ -138,40 +138,40 @@ def test_frobenius_exponents_always_pp():
         fld = Field(p, e)
         for k in p_powers(fld):
             r = sweep_record(fld, k)
-            assert r.a_pp and r.b_pp, (p, e, k)
+            assert r["a_pp"] and r["b_pp"], (p, e, k)
 
 
 def test_p_power_implies_both_pp(f27):
     for r in sweep(f27):
-        if r.k_is_p_power:
-            assert r.a_pp and r.b_pp
+        if r["k_is_p_power"]:
+            assert r["a_pp"] and r["b_pp"]
 
 
 def test_pp_implies_coprime():
     for q_args in ((3, 1), (5, 1), (3, 2), (3, 3)):
         fld = Field(*q_args)
         for r in sweep(fld):
-            if r.a_pp:
-                assert r.gcd_ok
-            if r.b_pp:
-                assert r.gcd_ok
+            if r["a_pp"]:
+                assert r["gcd_ok"]
+            if r["b_pp"]:
+                assert r["gcd_ok"]
 
 
 def test_pp_implies_binary_inverse_digits(f27):
     for r in sweep(f27):
-        if r.a_pp:
-            assert r.k_prime_binary is True
+        if r["a_pp"]:
+            assert r["k_prime_binary"] is True
 
 
 def test_conjecture_verdicts():
-    assert conjecture_verdict(Field(3, 1), "A").witnesses == [1]
-    assert conjecture_verdict(Field(3, 1), "A").passed
+    assert conjecture_verdict(Field(3, 1), "A")["witnesses"] == [1]
+    assert conjecture_verdict(Field(3, 1), "A")["passed"]
     v = conjecture_verdict(Field(3, 2), "A")
-    assert v.witnesses == [1, 3] and v.passed
+    assert v["witnesses"] == [1, 3] and v["passed"]
     v = conjecture_verdict(Field(3, 3), "two")
-    assert v.witnesses == [1, 3, 9] and v.passed
+    assert v["witnesses"] == [1, 3, 9] and v["passed"]
     v = conjecture_verdict(Field(5, 2), "B")
-    assert v.witnesses == [1, 5] and v.passed
+    assert v["witnesses"] == [1, 5] and v["passed"]
 
 
 def test_conjecture_verdict_rejects_unknown_which(f9):
