@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from . import __version__, criterion, graphs, permpoly
-from .errors import GfppError, NotPrimeError
+from .errors import CapExceededError, GfppError, NotPrimeError
 from .field import DEFAULT_FIELD_CAP, Field, poly_str
 
 UPPER_HALF_PRIMES = (3, 5, 7, 11, 13)
@@ -39,7 +39,7 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -95,20 +95,37 @@ def _lap(stages: dict, name: str, start: float) -> float:
     return now
 
 
+def _failure(section: str, q: int, exc: Exception) -> tuple[dict, dict]:
+    """The error row and the failing verdict that report exc for q."""
+    err = "%s: %s" % (type(exc).__name__, exc)
+    return ({"kind": "error", "q": q, "error": err},
+            {"section": section, "q": q, "error": err, "passed": False})
+
+
 def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
+    """The sweep of one field, and its girth scan under --with-girth; a q
+    above the girth cap keeps its sweep rows and verdict, and adds an
+    error row and a failing girth verdict."""
     t = time.perf_counter()
     fld.log_tables()
     if args.with_criterion:
         fld.binom_tables()
     t = _lap(stages, "field", t)
     rows = permpoly.sweep(fld, with_criterion=args.with_criterion)
+    verdicts = [permpoly.conjecture_verdict(fld, args.which, records=rows)]
     t = _lap(stages, "sweep", t)
     if args.with_girth:
-        _, girth = graphs.girth_scan(fld, cap=args.girth_cap, records=rows)
+        try:
+            _, girth = graphs.girth_scan(fld, cap=args.girth_cap, records=rows)
+        except CapExceededError as exc:
+            row, verdict = _failure("girth", fld.q, exc)
+            rows.append(row)
+            verdicts.append(verdict)
+        else:
+            for r in rows:
+                r["girth_ge_8"] = r["k"] in girth["witnesses"]
         _lap(stages, "girth", t)
-        for r in rows:
-            r["girth_ge_8"] = r["k"] in girth["witnesses"]
-    return rows, [permpoly.conjecture_verdict(fld, args.which, records=rows)]
+    return rows, verdicts
 
 
 def _identity_job(fld: Field, args, stages: dict) -> tuple[list, list]:
@@ -215,9 +232,8 @@ def _run_job(spec):
         modulus = list(fld.modulus)
         rows, verdicts = job(fld, args, stages)
     except (GfppError, ValueError) as exc:
-        err = "%s: %s" % (type(exc).__name__, exc)
-        rows = [{"kind": "error", "q": q, "error": err}]
-        verdicts = [{"section": section, "q": q, "error": err, "passed": False}]
+        row, verdict = _failure(section, q, exc)
+        rows, verdicts = [row], [verdict]
     return modulus, rows, verdicts, stages
 
 
@@ -310,6 +326,31 @@ def _emit(report: dict, text: str, args) -> None:
 
 # -- result cache ----------------------------------------------------------
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _body_text(body: dict) -> str:
+    """json.dumps(body, indent=2) plus a newline.
+
+    An indent makes json.dumps use its pure-Python encoder, so when every
+    row is a non-empty dict of scalars the rows are encoded in one call of
+    the C encoder instead, with the separators of the indented layout
+    between keys and between rows, and spliced into the indented dump of
+    the rest of the body.  JSON text holds no raw newline inside a string,
+    so "},\n      {" can only be the seam between two rows.
+    """
+    rows = body["rows"]
+    if not rows or not all(type(r) is dict and r
+                           and _SCALARS.issuperset(map(type, r.values()))
+                           for r in rows):
+        return json.dumps(body, indent=2) + "\n"
+    flat = json.dumps(rows, separators=(",\n      ", ": "))
+    flat = flat[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    text = json.dumps(dict(body, rows=[]), indent=2)
+    return text.replace('\n  "rows": []',
+                        '\n  "rows": [\n    {\n      %s\n    }\n  ]' % flat, 1) + "\n"
+
+
 def _with_cache(args, command, params, compute) -> tuple[dict, str]:
     """JSON result cache keyed by (CACHE_SCHEMA, version, command, params).
 
@@ -342,7 +383,7 @@ def _with_cache(args, command, params, compute) -> tuple[dict, str]:
                 report["timing"] = {"cached": True}
                 return report, text
     report = compute()
-    text = json.dumps({k: report[k] for k in BODY_KEYS}, indent=2) + "\n"
+    text = _body_text({k: report[k] for k in BODY_KEYS})
     if path is not None:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

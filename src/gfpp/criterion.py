@@ -7,7 +7,9 @@ The criterion sums reduce every binomial mod p through the field's
 Lucas tables (Field.binom_tables): a digit-sum test decides whether
 C(m, n) vanishes mod p and three lookups give it otherwise, so no big
 integer is formed.  A term of either sum kernel needs its index i in one
-range and m = (mult*i)* in another; when gcd(mult, q-1) = 1, i -> m is a
+range and m = (mult*i)* in another.  When mult*i never reaches q-1 over
+the i-range, m = mult*i and the m-range cuts the i-range to an interval,
+which the kernel walks; otherwise, when gcd(mult, q-1) = 1, i -> m is a
 bijection of 1..q-2, and the kernel walks whichever range is shorter,
 mapping m back to i through the inverse of mult.  The inverse criterion
 tries its rows cheapest first, from s = (q-1)/2 down to 1.  The closed
@@ -36,9 +38,11 @@ def criterion_sum(field, k: int, s: int) -> int:
     for 1 <= s <= q-2.
 
     A term needs i <= s (else C(s, i) = 0) and m = (ki)* >= (2ks)*.  When
-    gcd(k, q-1) = 1, i -> m is a bijection of 1..q-2, so if the m-range
-    (2ks)*..q-2 is the shorter one the loop walks it, with i = k^(-1)*m mod
-    q-1; otherwise it walks 1..s.  Each binomial is F[m] G[n] G[m-n] from
+    0 < k*s < q-1, i -> ki does not wrap mod q-1 for i <= s, so m = ki and
+    the loop walks i from ceil((2ks)*/k) to s.  Otherwise, when gcd(k, q-1)
+    = 1, i -> m is a bijection of 1..q-2, so if the m-range (2ks)*..q-2 is
+    the shorter one the loop walks it, with i = k^(-1)*m mod q-1; and
+    otherwise it walks 1..s.  Each binomial is F[m] G[n] G[m-n] from
     field.binom_tables() when the digit sums show no borrow in m - n, and 0
     otherwise; the factors F[s] and G[(2ks)*] are common to every term and
     applied once.
@@ -49,8 +53,10 @@ def criterion_sum(field, k: int, s: int) -> int:
     bottom = star_reduce(2 * k * s, q)
     Ss, Sb = S[s], S[bottom]
     i_hi = min(s, q - 2)
+    no_wrap = 0 < k * i_hi < qm1
+    i_lo = -(-bottom // k) if no_wrap else 1  # m = ki >= bottom iff i >= ceil(bottom/k)
     total = 0
-    if qm1 - 1 - bottom < i_hi and gcd(k, qm1) == 1:
+    if not no_wrap and qm1 - 1 - bottom < i_hi and gcd(k, qm1) == 1:
         inv = mod_inverse(k, qm1)
         for m in range(bottom, qm1):
             i = inv * m % qm1
@@ -65,7 +71,7 @@ def criterion_sum(field, k: int, s: int) -> int:
             term = G[i] * G[r] * F[m] * G[d]
             total += -term if i & 1 else term
     else:
-        for i in range(1, i_hi + 1):
+        for i in range(i_lo, i_hi + 1):
             r = s - i
             if S[i] + S[r] != Ss:
                 continue
@@ -95,12 +101,13 @@ def _row_sum(field, mult: int, top: int, s: int) -> int:
     for 0 <= top <= q-1 and 0 <= 2s <= q-1.
 
     A term needs i >= max(2, 2s) (else C(i, 2s) = 0 or i is out of the sum)
-    and m = (mult*i)* <= top.  When gcd(mult, q-1) = 1, i -> m is a
-    bijection of 1..q-2, so if the m-range 1..min(top, q-2) is the shorter
-    one the loop walks it, with i = mult^(-1)*m mod q-1; otherwise it walks
-    max(2, 2s)..q-2.  Row s therefore costs at most about q - 2s.  The
-    binomials come from field.binom_tables() as in criterion_sum, with
-    F[top] and G[2s] applied once.
+    and m = (mult*i)* <= top.  For mult = 1, m = i and the loop walks
+    max(2, 2s)..min(top, q-2).  Otherwise, when gcd(mult, q-1) = 1, i -> m
+    is a bijection of 1..q-2, so if the m-range 1..min(top, q-2) is the
+    shorter one the loop walks it, with i = mult^(-1)*m mod q-1; and
+    otherwise it walks max(2, 2s)..q-2.  Row s therefore costs at most
+    about q - 2s.  The binomials come from field.binom_tables() as in
+    criterion_sum, with F[top] and G[2s] applied once.
     """
     q, p = field.q, field.p
     F, G, S = field.binom_tables()
@@ -110,7 +117,7 @@ def _row_sum(field, mult: int, top: int, s: int) -> int:
     i_lo = max(2, s2)
     m_hi = min(top, q - 2)
     total = 0
-    if m_hi < qm1 - i_lo and gcd(mult, qm1) == 1:
+    if mult != 1 and m_hi < qm1 - i_lo and gcd(mult, qm1) == 1:
         inv = mod_inverse(mult, qm1)
         for m in range(1, m_hi + 1):
             i = inv * m % qm1
@@ -126,7 +133,8 @@ def _row_sum(field, mult: int, top: int, s: int) -> int:
             total += -term if i & 1 else term
     else:
         wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
-        for i in range(i_lo, qm1):
+        i_hi = m_hi if mult == 1 else q - 2  # mult = 1: m = i <= top
+        for i in range(i_lo, i_hi + 1):
             j = i - s2
             if Ss2 + S[j] != S[i]:
                 continue

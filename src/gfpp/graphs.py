@@ -8,7 +8,10 @@ where f = X^a Y^b and g = X^c Y^d are monomials.  Every vertex has exactly
 q neighbors (the free first coordinate of the other side determines the
 rest), so adjacency is computed on demand; nothing is materialized beyond
 the q x q monomial value tables and the q x q difference table a - b that
-the BFS builds here, keeping BFS state at O(q^3).
+the BFS builds here, and the BFS state of one byte per vertex, 2q^3 bytes
+in all.  Both tables come from the field's discrete-log and Zech-log
+tables (Field.log_tables), one or two lookups per entry, not from
+pointwise field arithmetic.
 
 Girth search runs BFS from the single source (1, 0, 0).  A line has
 exactly one neighbor for each value of p1, so two points on a common line
@@ -52,22 +55,55 @@ class MonomialGraph:
             self.field.q, *self.f_exps, *self.g_exps)
 
     def monomial_tables(self):
-        """(f_values, g_values) as q x q tables indexed [x][y]; cached."""
+        """(f_values, g_values) as q x q tables indexed [x][y]; cached.
+
+        x^a y^b is exp[(a log x + b log y) mod (q-1)] from the field's log
+        tables when x and y are nonzero; on an axis the value is 0 when its
+        exponent is positive and 0^0 = 1.
+        """
         if self._tables is None:
-            field = self.field
-            q = field.q
-            fa, fb = self.f_exps
-            ga, gb = self.g_exps
-            pw = field.pow
-            mul = field.mul
-            xa = [pw(x, fa) for x in range(q)]
-            yb = [pw(y, fb) for y in range(q)]
-            xc = [pw(x, ga) for x in range(q)]
-            yd = [pw(y, gb) for y in range(q)]
-            ftab = [[mul(xa[x], yb[y]) for y in range(q)] for x in range(q)]
-            gtab = [[mul(xc[x], yd[y]) for y in range(q)] for x in range(q)]
-            self._tables = (ftab, gtab)
+            self._tables = tuple(_monomial_table(self.field, a, b)
+                                 for a, b in (self.f_exps, self.g_exps))
         return self._tables
+
+
+def _monomial_table(field, a, b):
+    """The q x q table [x][y] -> x^a y^b, built from the log tables."""
+    exp, log, _ = field.log_tables()
+    m = field.q - 1
+    exp2 = exp + exp  # a*log x and b*log y, each reduced mod m, sum below 2m
+    yb = [b * n % m for n in log[1:]]
+    if a == 0:  # 0^0 = 1: row x = 0 is y^b
+        table = [[1 if b == 0 else 0] + [exp[n] for n in yb]]
+    else:
+        table = [[0] * (m + 1)]
+    for lx in log[1:]:
+        ax = a * lx % m
+        table.append([exp[ax] if b == 0 else 0] + [exp2[ax + n] for n in yb])
+    return table
+
+
+def _difference_table(field):
+    """The q x q table [a][b] -> a - b, built from the log and Zech tables.
+
+    With m = q-1, h = m/2 (so g^h = -1) and a, b nonzero and distinct,
+    a - b = a (1 + g^(log b - log a + h)), whose log is
+    log a + zech[(log b - log a + h) mod m]; 0 - b = g^(log b + h) and
+    a - 0 = a.  zech[h] is None and belongs to a = b, where a - b = 0: it
+    is replaced by 2m, and exp is padded with zeros from index 2m on.
+    """
+    exp, log, zech = field.log_tables()
+    m = field.q - 1
+    h = m // 2
+    expz = exp + exp + [0] * m
+    zz = [2 * m if z is None else z for z in zech]
+    zz2 = zz + zz
+    lbs = log[1:]
+    table = [[0] + [exp[(n + h) % m] for n in lbs]]
+    for a, la in enumerate(lbs, 1):
+        off = (h - la) % m
+        table.append([a] + [expz[la + zz2[n + off]] for n in lbs])
+    return table
 
 
 def neighbors(graph: MonomialGraph, side: str, vertex) -> list[tuple[int, int, int]]:
@@ -104,41 +140,45 @@ def _min_cycle_from(q, rows, stab, src, best):
 
     Point ids are p1*q^2 + p2*q + p3 and line ids (q + l1)*q^2 + l2*q + l3,
     so u // q^2 indexes `rows`: (f(p1, .), g(p1, .)) for a point and
-    (f(., l1), g(., l1)) for a line.  In a bipartite graph non-tree edges
-    join adjacent BFS levels, so a candidate found while scanning depth d
-    has length at least 2d and the search can stop once 2d >= best.
+    (f(., l1), g(., l1)) for a line.
+
+    BFS scans the vertices depth by depth.  An edge from u at depth d to a
+    vertex w found before closes a walk of length d + depth(w) + 1, and
+    the graph is bipartite, so depth(w) is d - 1 or d + 1.  The edge to
+    u's parent closes nothing, and any other edge to depth d - 1 was
+    already counted when w was scanned, since u then had depth
+    depth(w) + 1.  So a scan at depth d finds only walks of length 2d + 2:
+    the first one is the answer, and the scan is needed only while
+    2d + 2 < best.  No parent is kept; `level` holds depth + 1 for each
+    vertex found and 0 for the rest.  Until a cycle closes, each depth
+    holds q - 1 times as many vertices as the one before, so depths stay
+    far below the byte's 255.
     """
     q2 = q * q
     q3 = q2 * q
-    n = 2 * q3
-    dist = [-1] * n
-    parent = [-1] * n
-    dist[src] = 0
+    level = bytearray(2 * q3)
+    level[src] = 1
     queue = deque((src,))
     pop = queue.popleft
     push = queue.append
     while queue:
         u = pop()
-        d = dist[u]
-        if 2 * d >= best:
+        lu = level[u]  # d + 1
+        if 2 * lu >= best:
             break
-        nd = d + 1
-        pu = parent[u]
+        ln = lu + 1
         row, r = divmod(u, q2)
         v2, v3 = divmod(r, q)
         frow, grow = rows[row]
         base = q3 if row < q else 0
         for t in range(q):
             w = base + t * q2 + stab[frow[t]][v2] * q + stab[grow[t]][v3]
-            dw = dist[w]
-            if dw < 0:
-                dist[w] = nd
-                parent[w] = u
+            lw = level[w]
+            if not lw:
+                level[w] = ln
                 push(w)
-            elif w != pu:
-                c = d + dw + 1
-                if c < best:
-                    best = c
+            elif lw == ln:
+                return 2 * lu
     return best
 
 
@@ -155,7 +195,7 @@ def _shortest_cycle(graph: MonomialGraph, cap, best, all_sources=False):
         raise CapExceededError("q = %d exceeds the girth cap %d" % (q, cap))
     ftab, gtab = graph.monomial_tables()
     rows = list(zip(ftab, gtab)) + list(zip(zip(*ftab), zip(*gtab)))
-    stab = [[field.sub(a, b) for b in range(q)] for a in range(q)]
+    stab = _difference_table(field)
     sources = range(2 * q**3) if all_sources else (q * q,)
     for src in sources:
         best = _min_cycle_from(q, rows, stab, src, best)
@@ -175,8 +215,8 @@ def girth(graph: MonomialGraph, *, cap: int | None = None, all_sources: bool = F
 
 def girth_at_least(graph: MonomialGraph, bound: int, *, cap: int | None = None) -> bool:
     """Early-exit test for girth >= bound: BFS from (1, 0, 0), whose orbit
-    every cycle meets, stops at depth bound/2, or sooner once a shorter
-    cycle is seen."""
+    every cycle meets, scans only the depths d with 2d + 2 < bound, and
+    stops at the first cycle it finds."""
     return _shortest_cycle(graph, cap, bound) >= bound
 
 

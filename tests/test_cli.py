@@ -83,10 +83,18 @@ def test_sweep_with_girth_flag(tmp_path):
 
 
 def test_sweep_girth_cap_error_keeps_modulus(tmp_path):
+    # Above the girth cap the q keeps its sweep rows, with no girth flag,
+    # and its sweep verdict; the girth stage adds an error row and fails.
     code, report = run(tmp_path, "sweep", "--q", "19", "--with-girth")
     assert code == 1
-    (row,) = report["rows"]
+    *sweep_rows, row = report["rows"]
+    assert [r["k"] for r in sweep_rows] == list(range(1, 19))
+    assert all(r["kind"] == "sweep" and r["girth_ge_8"] is None for r in sweep_rows)
     assert row["kind"] == "error" and "CapExceeded" in row["error"]
+    sweep_verdict, girth_verdict = report["verdicts"]
+    assert sweep_verdict["section"] == "sweep" and sweep_verdict["passed"]
+    assert girth_verdict == {"section": "girth", "q": 19, "error": row["error"],
+                             "passed": False}
     assert report["modulus_by_q"] == {"19": [0, 1]}
 
 
@@ -239,7 +247,7 @@ GOLDEN_DIGESTS = {
     "sweep --q 5,9 --with-criterion --with-girth":
         "66728b56cd9bec9535662624dbcf40c8b44983bfcf00b41fa46c78fc2c8c7338",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "1bdb224ad54db93f8d8e38194ff838f55e6bbb135900056a297f55c7f13cb05c",
+        "858ce5f1a400f28efa728e69c9db6a1429d680b077df4a04568242b2156ff077",
     "girth --q 5 --exps 1,1,1,2":
         "5c90d0918cc8a5c6f7d139e561a260ef45c5208c7f9a5302db82a2fbf665a2a5",
     "field-info --q 9,27":
@@ -263,7 +271,7 @@ GOLDEN_TEXT_DIGESTS = {
     "sweep --q 5,9 --with-criterion --with-girth":
         "68d5f6c0ae509f39b71e1e29551e78114b63fd569c3e722f006b5bf7ad8ec62e",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "2e327802bf2f170064299173bb3341b4b5281c690014d366aa3864704eebea60",
+        "c37edb612f66a27970657230b2518ad55585b6ce4b085e9b9a0a381c45cc1fbf",
     "girth --q 5 --exps 1,1,1,2":
         "209f9975a9632b571ceaac58db430448d0f238606c315d2aef4f36323c4297ea",
     "field-info --q 9,27":
@@ -395,6 +403,33 @@ def test_emitted_text_is_the_indented_dump(tmp_path, capsys, argv):
             text = out.read_text() if dest else capsys.readouterr().out
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
             assert json.loads(text)["timing"].get("cached") is cached
+
+
+def _body(rows):
+    return {"command": "sweep", "params": {"q": [9], "rows": []},
+            "modulus_by_q": {"9": [1, 0, 1]}, "rows": rows,
+            "verdicts": [{"section": "sweep", "q": 9, "witnesses": [1, 3],
+                          "passed": True}],
+            "overall": "pass", "version": "0"}
+
+
+ERROR_TEXT = 'say "hi" \\ back\nslash},\n      {"q": 1} \u00e9\u2264 },'
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"kind": "sweep", "q": 9, "k": 1, "a_pp": True, "criterion": None}],
+    [{"kind": "error", "q": 9, "error": ERROR_TEXT},
+     {"kind": "error", "q": 11, "error": "},"}, {"kind": "ratio", "x": 0.5}],
+    [{"kind": "sweep", "k": 1, "flag": False}, {"kind": "sweep", "k": None}],
+    [{"kind": "sweep", "k": 1}, {"kind": "field", "modulus": [1, 0, 1]}],
+    [{"kind": "girth", "exps": {"f": [1, 1]}}],
+    [{"kind": "sweep", "k": 1}, {}],
+], ids=["empty", "one-row", "error-strings", "none-and-bool", "list-value",
+        "dict-value", "empty-row"])
+def test_body_text_is_the_indented_dump(rows):
+    body = _body(rows)
+    assert cli._body_text(body) == json.dumps(body, indent=2) + "\n"
 
 
 def test_jobs_parallel_matches_serial(tmp_path):

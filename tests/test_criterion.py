@@ -152,6 +152,50 @@ def test_oracle_fields_reach_both_loops_of_each_kernel():
                        for line in lines}
 
 
+def _loop_passes(func, call):
+    # how many times call() enters the bodies of func's loops
+    body = _loop_body_lines(func)
+    hits = []
+
+    def line_tracer(frame, event, arg):
+        if event == "line" and frame.f_lineno in body:
+            hits.append(frame.f_lineno)
+        return line_tracer
+
+    def call_tracer(frame, event, arg):
+        return line_tracer if frame.f_code is func.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(call_tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return len(hits)
+
+
+@pytest.mark.parametrize("q", [7, 9, 13, 25, 27])
+def test_rows_walk_only_their_nonempty_index_range(q):
+    # criterion_sum with 0 < ks < q-1 has m = ki, so it walks exactly
+    # ceil((2ks)*/k)..s; _row_sum with mult = 1 has m = i, so it walks
+    # exactly max(2, 2s)..min(top, q-2).  An empty range costs nothing.
+    fld = Field(*factor_prime_power(q))
+    h = (q - 1) // 2
+    for k in range(1, q - 2):
+        for s in range(1, (q - 2) // k + 1):
+            bottom = star_reduce(2 * k * s, q)
+            expected = max(0, s - -(-bottom // k) + 1)
+            passes = _loop_passes(criterion_sum, lambda: criterion_sum(fld, k, s))
+            assert passes == expected, (k, s)
+    for s in range(1, h + 1):
+        for half in (False, True):
+            top = star_reduce(s + h if half else s, q)
+            expected = max(0, min(top, q - 2) - max(2, 2 * s) + 1)
+            passes = _loop_passes(criterion._row_sum,
+                                  lambda: inverse_criterion_sum(fld, 1, s, half))
+            assert passes == expected, (s, half)
+
+
 def test_support_identity_lhs_equals_the_exact_oracle_q81():
     fld = Field(3, 4)
     q, h = fld.q, (fld.q - 1) // 2

@@ -1,13 +1,18 @@
 """Monomial graph adjacency and girth, cross-validated against brute force."""
 
+import itertools
 import math
+from collections import deque
 
 import networkx as nx
 import pytest
 
+from gfpp import graphs
+from gfpp.cli import factor_prime_power
 from gfpp.errors import CapExceededError
 from gfpp.field import Field
-from gfpp.graphs import MonomialGraph, girth, girth_at_least, girth_scan, neighbors
+from gfpp.graphs import (MonomialGraph, _difference_table, girth, girth_at_least,
+                         girth_scan, neighbors)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +114,106 @@ def test_girth_matches_networkx_on_explicit_graph(q_args):
         for v in all_vertices(field.q):
             G.add_edges_from((("P", v), ("L", w)) for w in neighbors(g, "P", v))
         assert nx.girth(G) == girth(g), g
+
+
+def pointwise_tables(graph):
+    # MonomialGraph.monomial_tables by Field.pow and Field.mul at every point
+    field = graph.field
+    q = field.q
+    pw, mul = field.pow, field.mul
+    tables = []
+    for a, b in (graph.f_exps, graph.g_exps):
+        xa = [pw(x, a) for x in range(q)]
+        yb = [pw(y, b) for y in range(q)]
+        tables.append([[mul(xa[x], yb[y]) for y in range(q)] for x in range(q)])
+    return tuple(tables)
+
+
+def plain_girth(graph):
+    # Shortest cycle through (1, 0, 0): a full BFS with no early stop, on
+    # adjacency from pointwise field arithmetic.  Point (x, p2, p3) has id
+    # x*q^2 + p2*q + p3 and line [y, l2, l3] id q^3 + y*q^2 + l2*q + l3.
+    field = graph.field
+    q = field.q
+    q2, q3 = q * q, q**3
+    ftab, gtab = pointwise_tables(graph)
+    diff = [[field.sub(a, b) for b in range(q)] for a in range(q)]
+
+    def adjacent(u):
+        line, (v1, r) = u >= q3, divmod(u % q3, q2)
+        v2, v3 = divmod(r, q)
+        for t in range(q):
+            f, g = (ftab[t][v1], gtab[t][v1]) if line else (ftab[v1][t], gtab[v1][t])
+            yield (0 if line else q3) + t * q2 + diff[f][v2] * q + diff[g][v3]
+
+    src = q2  # (1, 0, 0)
+    dist = {src: 0}
+    parent = {src: None}
+    queue = deque((src,))
+    best = math.inf
+    while queue:
+        u = queue.popleft()
+        for w in adjacent(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                queue.append(w)
+            elif w != parent[u]:
+                best = min(best, dist[u] + dist[w] + 1)
+    return best
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_girth_equals_the_plain_bfs(q):
+    """girth and girth_at_least, which stop their BFS early, against a BFS
+    that runs to the end, on every graph of the family and on all 81
+    exponent tuples in 0..2."""
+    field = Field(*factor_prime_power(q))
+    cases = [((1, 1), (k, 2 * k)) for k in range(1, q)]
+    cases += [((a, b), (c, d)) for a, b, c, d in itertools.product(range(3), repeat=4)]
+    for f_exps, g_exps in cases:
+        g = MonomialGraph(field, f_exps, g_exps)
+        exact = plain_girth(g)
+        assert girth(g) == exact, g
+        for bound in (4, 6, 8, 10):
+            assert girth_at_least(g, bound) == (exact >= bound), (g, bound)
+
+
+@pytest.mark.parametrize("q_args", [(3, 1), (5, 1), (3, 2), (11, 1)])
+def test_girth_at_least_8_scans_depths_0_to_2_only(q_args, monkeypatch):
+    # XY, XY^2 has girth 8, so from (1, 0, 0) depth 1 holds q vertices and
+    # depth 2 holds q(q-1).  A depth-3 scan could find only 8-cycles, so
+    # the BFS pops the first depth-3 vertex and stops there.
+    pops = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            pops.append(1)
+            return super().popleft()
+
+    monkeypatch.setattr(graphs, "deque", CountingDeque)
+    field = Field(*q_args)
+    q = field.q
+    assert girth_at_least(xy_xy2(field), 8)
+    assert len(pops) == 1 + q + q * (q - 1) + 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_monomial_tables_equal_pointwise_arithmetic(q):
+    # exponent pairs with zeros on either axis, and the family's (k, 2k)
+    field = Field(*factor_prime_power(q))
+    pairs = list(itertools.product(range(3), repeat=2))
+    pairs += [(k, 2 * k) for k in range(1, q)]
+    for pair in pairs:
+        g = MonomialGraph(field, pair, (1, 1))
+        assert g.monomial_tables() == pointwise_tables(g), pair
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27])
+def test_difference_table_equals_field_sub(q):
+    field = Field(*factor_prime_power(q))
+    assert _difference_table(field) == [[field.sub(a, b) for b in range(q)]
+                                        for a in range(q)]
 
 
 def test_girth_is_even(f3, f5):
