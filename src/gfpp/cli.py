@@ -29,8 +29,12 @@ import time
 from pathlib import Path
 
 from . import __version__, criterion, graphs, permpoly
-from .errors import CapExceededError, GfppError, NotPrimeError
-from .field import DEFAULT_FIELD_CAP, Field, poly_str
+from .errors import GfppError, NotPrimeError
+from .field import DEFAULT_FIELD_CAP, Field, cap_error, poly_str
+
+# The largest q whose girth the girth stage checks by default: a BFS per k
+# costs up to about q^3 steps.
+DEFAULT_GIRTH_CAP = 17
 
 UPPER_HALF_PRIMES = (3, 5, 7, 11, 13)
 
@@ -39,7 +43,7 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -115,13 +119,13 @@ def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     verdicts = [permpoly.conjecture_verdict(fld, args.which, records=rows)]
     t = _lap(stages, "sweep", t)
     if args.with_girth:
-        try:
-            _, girth = graphs.girth_scan(fld, cap=args.girth_cap, records=rows)
-        except CapExceededError as exc:
+        if fld.q > args.girth_cap:
+            exc = cap_error(fld.q, args.girth_cap, "girth")
             row, verdict = _failure("girth", fld.q, exc)
             rows.append(row)
             verdicts.append(verdict)
         else:
+            _, girth = graphs.girth_scan(fld, rows)
             for r in rows:
                 r["girth_ge_8"] = r["k"] in girth["witnesses"]
         _lap(stages, "girth", t)
@@ -164,8 +168,7 @@ def _verify_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     t = _lap(stages, "identities", t)
 
     if fld.q <= args.girth_cap:
-        girth_rows, girth_verdict = graphs.girth_scan(fld, cap=args.girth_cap,
-                                                      records=records)
+        girth_rows, girth_verdict = graphs.girth_scan(fld, records)
         rows.extend(girth_rows)
         verdicts.append(girth_verdict)
     _lap(stages, "girth", t)
@@ -184,10 +187,11 @@ def _girth_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     q, k = fld.q, args.k
     if k is not None and not 1 <= k <= q - 1:
         raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
+    if q > args.girth_cap:
+        raise cap_error(q, args.girth_cap, "girth")
     f_exps, g_exps = _girth_exps(args)
     t = time.perf_counter()
-    value = graphs.girth(graphs.MonomialGraph(fld, f_exps, g_exps),
-                         cap=args.girth_cap)
+    value = graphs.girth(fld, f_exps, g_exps)
     _lap(stages, "girth", t)
     ge8 = value >= 8
     row = {"kind": "girth", "q": q, "k": k,
@@ -225,6 +229,10 @@ def _run_job(spec):
     modulus = None
     stages: dict = {}
     try:
+        # Factoring a large q by trial division takes long: a q above the
+        # field cap is rejected first, as Field would reject it.
+        if q > args.field_cap:
+            raise cap_error(q, args.field_cap, "field")
         p, e = factor_prime_power(q)
         t = time.perf_counter()
         fld = Field(p, e, cap=args.field_cap)
@@ -294,20 +302,28 @@ def _write_csv(rows, path) -> None:
             ])
 
 
-def _emit(report: dict, text: str, args) -> None:
+def _emit(report: dict, text: str, args) -> bool:
     """Write the report: `text` is its body as _with_cache lays it out,
     ending in "\n}\n", and timing goes in as the last key.  JSON text holds
     no raw newline inside a string, so indenting the timing's lines by two
     spaces nests it exactly as json.dumps(..., indent=2) of the whole
-    report would."""
+    report would.  Returns False, after one line on stderr that names the
+    path, when --json or --csv cannot be written."""
     timing = json.dumps(report["timing"], indent=2).replace("\n", "\n  ")
     payload = text[:-3] + ',\n  "timing": ' + timing + "\n}\n"
-    if args.json:
-        Path(args.json).write_text(payload, encoding="utf-8")
-    else:
+    if not args.json:
         sys.stdout.write(payload)
-    if args.csv:
-        _write_csv(report["rows"], args.csv)
+    path = args.json
+    try:
+        if path:
+            Path(path).write_text(payload, encoding="utf-8")
+        path = args.csv
+        if path:
+            _write_csv(report["rows"], path)
+    except OSError as exc:
+        print("[gfpp] cannot write %s: %s" % (path, exc.strerror or exc),
+              file=sys.stderr)
+        return False
     for v in report["verdicts"]:
         status = "PASS" if v.get("passed") else "FAIL"
         where = ""
@@ -322,6 +338,7 @@ def _emit(report: dict, text: str, args) -> None:
     print("[gfpp] %s: %s in %ss" % (report["command"], report["overall"],
                                     report["timing"].get("seconds", "?")),
           file=sys.stderr)
+    return True
 
 
 # -- result cache ----------------------------------------------------------
@@ -494,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                              % DEFAULT_FIELD_CAP)
         sp.add_argument("--girth-cap", type=int, default=None, metavar="N",
                         help="max q for girth BFS (env GFPP_GIRTH_CAP, default %d)"
-                             % graphs.DEFAULT_GIRTH_CAP)
+                             % DEFAULT_GIRTH_CAP)
 
     sp = sub.add_parser("sweep", help="per-(q, k) PP sweep with per-q verdicts")
     sp.add_argument("--q", type=_int_list, required=True, metavar="Q,Q,...")
@@ -555,19 +572,21 @@ def main(argv=None) -> int:
     if args.field_cap is None:
         args.field_cap = _env_int(parser, "GFPP_FIELD_CAP", DEFAULT_FIELD_CAP)
     if args.girth_cap is None:
-        args.girth_cap = _env_int(parser, "GFPP_GIRTH_CAP", graphs.DEFAULT_GIRTH_CAP)
+        args.girth_cap = _env_int(parser, "GFPP_GIRTH_CAP", DEFAULT_GIRTH_CAP)
     if args.jobs is None:
         args.jobs = os.cpu_count() or 1
     elif args.jobs < 1:
         parser.error("--jobs must be at least 1, got %d" % args.jobs)
-    if args.command == "girth" and args.exps is not None and len(args.exps) != 4:
-        parser.error("--exps needs exactly four integers A,B,C,D")
+    if args.command == "girth" and args.exps is not None and (
+            len(args.exps) != 4 or min(args.exps) < 0):
+        parser.error("--exps needs exactly four non-negative integers A,B,C,D")
     if args.command == "identities" and args.q is None and args.p is None:
         parser.error("identities needs --q or --p")
     started = time.perf_counter()
     report, text = args.func(args)
     report["timing"].setdefault("seconds", round(time.perf_counter() - started, 3))
-    _emit(report, text, args)
+    if not _emit(report, text, args):
+        return 2
     return 0 if report["overall"] == "pass" else 1
 
 

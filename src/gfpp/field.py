@@ -72,6 +72,11 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no monic irreducible of degree %d over Z_%d" % (e, p))
 
 
+def cap_error(q: int, cap: int, name: str) -> CapExceededError:
+    """The error for a q above the `name` cap ("field" or "girth")."""
+    return CapExceededError("q = %d exceeds the %s cap %d" % (q, name, cap))
+
+
 def poly_str(coeffs) -> str:
     """Human-readable polynomial, highest degree first, e.g. "X^2 + 1"."""
     terms = []
@@ -103,7 +108,7 @@ class Field:
             raise ValueError("extension degree must be >= 1, got %d" % e)
         q = p**e
         if q > cap:
-            raise CapExceededError("q = %d exceeds the field cap %d" % (q, cap))
+            raise cap_error(q, cap, "field")
         self.p = p
         self.e = e
         self.q = q

@@ -4,14 +4,15 @@ A point (p1, p2, p3) and a line [l1, l2, l3] are adjacent iff
 
     p2 + l2 = f(p1, l1)   and   p3 + l3 = g(p1, l1),
 
-where f = X^a Y^b and g = X^c Y^d are monomials.  Every vertex has exactly
-q neighbors (the free first coordinate of the other side determines the
+where f = X^a Y^b and g = X^c Y^d are monomials, given by their exponent
+pairs f_exps = (a, b) and g_exps = (c, d).  Every vertex has exactly q
+neighbors (the free first coordinate of the other side determines the
 rest), so adjacency is computed on demand; nothing is materialized beyond
 the q x q monomial value tables and the q x q difference table a - b that
 the BFS builds here, and the BFS state of one byte per vertex, 2q^3 bytes
-in all.  Both tables come from the field's discrete-log and Zech-log
-tables (Field.log_tables), one or two lookups per entry, not from
-pointwise field arithmetic.
+in all.  The monomial tables come from the field's discrete-log tables
+(Field.log_tables) and the difference table from the base-p digits of the
+element indices, not from pointwise field arithmetic.
 
 Girth search runs BFS from the single source (1, 0, 0).  A line has
 exactly one neighbor for each value of p1, so two points on a common line
@@ -34,37 +35,6 @@ import math
 from collections import deque
 
 from . import permpoly
-from .errors import CapExceededError
-
-DEFAULT_GIRTH_CAP = 17
-
-_NO_CYCLE = 1 << 30
-
-
-class MonomialGraph:
-    """G_q(X^a Y^b, X^c Y^d) with implicit q-regular adjacency."""
-
-    def __init__(self, field, f_exps, g_exps):
-        self.field = field
-        self.f_exps = (int(f_exps[0]), int(f_exps[1]))
-        self.g_exps = (int(g_exps[0]), int(g_exps[1]))
-        self._tables = None
-
-    def __repr__(self) -> str:
-        return "MonomialGraph(q=%d, f=X^%dY^%d, g=X^%dY^%d)" % (
-            self.field.q, *self.f_exps, *self.g_exps)
-
-    def monomial_tables(self):
-        """(f_values, g_values) as q x q tables indexed [x][y]; cached.
-
-        x^a y^b is exp[(a log x + b log y) mod (q-1)] from the field's log
-        tables when x and y are nonzero; on an axis the value is 0 when its
-        exponent is positive and 0^0 = 1.
-        """
-        if self._tables is None:
-            self._tables = tuple(_monomial_table(self.field, a, b)
-                                 for a, b in (self.f_exps, self.g_exps))
-        return self._tables
 
 
 def _monomial_table(field, a, b):
@@ -84,55 +54,21 @@ def _monomial_table(field, a, b):
 
 
 def _difference_table(field):
-    """The q x q table [a][b] -> a - b, built from the log and Zech tables.
+    """The q x q table [a][b] -> a - b, built from base-p digits.
 
-    With m = q-1, h = m/2 (so g^h = -1) and a, b nonzero and distinct,
-    a - b = a (1 + g^(log b - log a + h)), whose log is
-    log a + zech[(log b - log a + h) mod m]; 0 - b = g^(log b + h) and
-    a - 0 = a.  zech[h] is None and belongs to a = b, where a - b = 0: it
-    is replaced by 2m, and exp is padded with zeros from index 2m on.
+    An element's index is its coefficient vector read as base-p digits,
+    and subtraction works coefficient by coefficient mod p.  So for
+    a = s*n + u and b = t*n + v with n = p^j and u, v < n, the index of
+    a - b is ((s - t) mod p)*n plus the entry [u][v] of the table for the
+    first n elements, and each table comes from the one before.
     """
-    exp, log, zech = field.log_tables()
-    m = field.q - 1
-    h = m // 2
-    expz = exp + exp + [0] * m
-    zz = [2 * m if z is None else z for z in zech]
-    zz2 = zz + zz
-    lbs = log[1:]
-    table = [[0] + [exp[(n + h) % m] for n in lbs]]
-    for a, la in enumerate(lbs, 1):
-        off = (h - la) % m
-        table.append([a] + [expz[la + zz2[n + off]] for n in lbs])
+    p = field.p
+    table, n = [[0]], 1
+    for _ in range(field.e):
+        high = [[(s - t) % p * n for t in range(p)] for s in range(p)]
+        table = [[h + d for h in hs for d in row] for hs in high for row in table]
+        n *= p
     return table
-
-
-def neighbors(graph: MonomialGraph, side: str, vertex) -> list[tuple[int, int, int]]:
-    """The q vertices adjacent to `vertex` on the opposite side.
-
-    side is "P" for points and "L" for lines; the free coordinate of the
-    result runs through the field's canonical element order.
-    """
-    field = graph.field
-    sub = field.sub
-    mul = field.mul
-    pw = field.pow
-    fa, fb = graph.f_exps
-    ga, gb = graph.g_exps
-    v1, v2, v3 = vertex
-    out = []
-    if side == "P":
-        x1f = pw(v1, fa)
-        x1g = pw(v1, ga)
-        for t in range(field.q):
-            out.append((t, sub(mul(x1f, pw(t, fb)), v2), sub(mul(x1g, pw(t, gb)), v3)))
-    elif side == "L":
-        y1f = pw(v1, fb)
-        y1g = pw(v1, gb)
-        for t in range(field.q):
-            out.append((t, sub(mul(pw(t, fa), y1f), v2), sub(mul(pw(t, ga), y1g), v3)))
-    else:
-        raise ValueError("side must be 'P' or 'L', got %r" % (side,))
-    return out
 
 
 def _min_cycle_from(q, rows, stab, src, best):
@@ -182,60 +118,33 @@ def _min_cycle_from(q, rows, stab, src, best):
     return best
 
 
-def _shortest_cycle(graph: MonomialGraph, cap, best, all_sources=False):
-    """Least of `best` and the cycle lengths BFS detects from the sources.
-
-    The source is (1, 0, 0), whose orbit every cycle meets (see the
-    module docstring), or every vertex when all_sources is set.
-    """
-    field = graph.field
-    q = field.q
-    cap = DEFAULT_GIRTH_CAP if cap is None else cap
-    if q > cap:
-        raise CapExceededError("q = %d exceeds the girth cap %d" % (q, cap))
-    ftab, gtab = graph.monomial_tables()
+def girth(field, f_exps, g_exps, *, bound=math.inf):
+    """Length of a shortest cycle of G_q(X^a Y^b, X^c Y^d), or `bound`
+    when no cycle is shorter: BFS from (1, 0, 0), whose orbit every cycle
+    meets, scans only the depths d with 2d + 2 < bound."""
+    ftab, gtab = (_monomial_table(field, *exps) for exps in (f_exps, g_exps))
     rows = list(zip(ftab, gtab)) + list(zip(zip(*ftab), zip(*gtab)))
-    stab = _difference_table(field)
-    sources = range(2 * q**3) if all_sources else (q * q,)
-    for src in sources:
-        best = _min_cycle_from(q, rows, stab, src, best)
-    return best
+    q = field.q
+    return _min_cycle_from(q, rows, _difference_table(field), q * q, bound)
 
 
-def girth(graph: MonomialGraph, *, cap: int | None = None, all_sources: bool = False):
-    """Length of a shortest cycle (even, >= 4), or math.inf if acyclic.
-
-    By default BFS runs from (1, 0, 0) alone, since every cycle meets its
-    orbit; all_sources=True searches from every point and line instead and
-    exists to cross-validate that shortcut.
-    """
-    best = _shortest_cycle(graph, cap, _NO_CYCLE, all_sources)
-    return math.inf if best == _NO_CYCLE else best
+def girth_at_least(field, f_exps, g_exps, bound: int) -> bool:
+    """Whether the girth is at least `bound`; the BFS stops at the first
+    cycle it finds.  girth_scan calls it once per k, and the benchmark's
+    tracer (perfbench/tracer.py) wraps it by this name."""
+    return girth(field, f_exps, g_exps, bound=bound) >= bound
 
 
-def girth_at_least(graph: MonomialGraph, bound: int, *, cap: int | None = None) -> bool:
-    """Early-exit test for girth >= bound: BFS from (1, 0, 0), whose orbit
-    every cycle meets, scans only the depths d with 2d + 2 < bound, and
-    stops at the first cycle it finds."""
-    return _shortest_cycle(graph, cap, bound) >= bound
-
-
-def girth_scan(field, *, cap: int | None = None, records=None) -> tuple[list[dict], dict]:
+def girth_scan(field, records) -> tuple[list[dict], dict]:
     """For every 1 <= k <= q-1, test girth(G_q(XY, X^k Y^2k)) >= 8.
 
-    Returns one girth row per sweep row of `records` and the field's
-    verdict.  The verdict asserts the passing set (its witnesses) equals
-    the p-powers, and that every passing k has both polynomial families
-    PP (implication cross-check).
+    Returns one girth row per sweep row of `records`, the field's
+    permpoly.sweep, and the field's verdict.  The verdict asserts the
+    passing set (its witnesses) equals the p-powers, and that every passing
+    k has both polynomial families PP (implication cross-check).
     """
     q = field.q
-    if records is None:
-        records = permpoly.sweep(field)
-    passing = []
-    for k in range(1, q):
-        graph = MonomialGraph(field, (1, 1), (k, 2 * k))
-        if girth_at_least(graph, 8, cap=cap):
-            passing.append(k)
+    passing = [k for k in range(1, q) if girth_at_least(field, (1, 1), (k, 2 * k), 8)]
     expected = permpoly.p_powers(field)
     implication_ok = all(r["a_pp"] and r["b_pp"] for r in records if r["k"] in passing)
     rows = [{"kind": "girth", "q": q, "k": r["k"], "girth_ge_8": r["k"] in passing,

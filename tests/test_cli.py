@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -173,6 +174,34 @@ def test_girth_command_cap(tmp_path):
     code, report = run(tmp_path, "girth", "--q", "19", "--k", "1")
     assert code == 1
     assert "CapExceeded" in report["rows"][0]["error"]
+
+
+def test_girth_cap(tmp_path):
+    # The default cap is 17; --girth-cap 3 rejects q = 5 and admits q = 3.
+    code, report = run(tmp_path, "girth", "--q", "19", "--k", "1")
+    assert code == 1
+    assert report["rows"] == [{"kind": "error", "q": 19, "error":
+                               "CapExceededError: q = 19 exceeds the girth cap 17"}]
+    code, report = run(tmp_path, "girth", "--q", "5", "--k", "1",
+                       "--girth-cap", "3", name="q5.json")
+    assert code == 1
+    assert report["rows"][0]["error"] == "CapExceededError: q = 5 exceeds the girth cap 3"
+    code, report = run(tmp_path, "girth", "--q", "3", "--k", "1",
+                       "--girth-cap", "3", name="q3.json")
+    assert code == 0
+    assert report["rows"][0]["girth"] == 8
+
+
+@pytest.mark.parametrize("exps", ["-1,1,1,2", "1,1,1,-2"])
+def test_negative_exponent_is_a_usage_error(tmp_path, capsys, exps):
+    # x^-1 is not a monomial exponent: the log tables would read it as the
+    # inverse and 0^-1 as 0.
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "girth", "--q", "5", "--exps=" + exps)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--exps" in captured.err
 
 
 def test_girth_command_bad_k_keeps_modulus(tmp_path):
@@ -491,6 +520,34 @@ def test_env_var_overrides_girth_cap(tmp_path, monkeypatch):
                        "--girth-cap", "5", name="flag.json")
     assert code == 0
     assert report["rows"][0]["girth"] == 8
+
+
+def test_q_above_the_field_cap_is_rejected_before_factoring(tmp_path):
+    # Trial division of this q would take about 10^9 steps.
+    q = 1000000000000000003
+    start = time.perf_counter()
+    code, report = run(tmp_path, "sweep", "--q", str(q))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert report["rows"] == [{"kind": "error", "q": q, "error":
+                               "CapExceededError: q = %d exceeds the field cap 1000000" % q}]
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_unwritable_output_path_is_an_error_line(tmp_path, capsys, flag):
+    # The cache entry is written before the report is emitted, so a rerun
+    # with a good path is a cache hit.
+    bad = str(tmp_path / "missing" / "out")
+    argv = ["sweep", "--q", "9", "--jobs", "1", "--cache", str(tmp_path / "cache")]
+    assert main(argv + [flag, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "[gfpp] cannot write %s: No such file or directory" % bad]
+    if flag == "--json":
+        assert captured.out == ""
+    good = tmp_path / "out.json"
+    assert main(argv + ["--json", str(good)]) == 0
+    assert json.loads(good.read_text())["timing"]["cached"] is True
 
 
 def test_env_var_overrides_field_cap(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 """The package imports nothing outside the standard library and itself,
-and `import gfpp` loads only the field arithmetic."""
+`import gfpp` loads only the field arithmetic, and the benchmark's tracer
+finds the functions it wraps."""
 
 import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import gfpp
@@ -41,3 +43,21 @@ def test_import_gfpp_loads_only_the_field():
     assert "gfpp.field" in out
     assert not {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs",
                 "gfpp.cli"} & set(out)
+
+
+def test_tracer_targets_resolve():
+    # The benchmark's tracer wraps library functions by name, and a name
+    # that no longer resolves is silently recorded as absent.  The tracer
+    # is compiled from its source, so no bytecode is written next to it.
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    names = [(module, attr, name) for module, attr, name, _ in tracer.TARGETS]
+    names += tracer.COUNTED
+    unresolved = {name for module, attr, name in names
+                  if tracer._resolve(module, attr) == (None, None)}
+    # Names of code that is gone; each is still listed in the tracer.
+    assert unresolved == {"field.power_table", "field.sub_table",
+                          "permpoly.a_value_table", "permpoly.b_value_table",
+                          "permpoly.is_permutation", "digits.lucas_binom",
+                          "graphs.monomial_tables"}

@@ -1,5 +1,6 @@
-"""Monomial graph adjacency and girth, cross-validated against brute force."""
+"""Monomial graph girth, cross-validated against brute force."""
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -7,12 +8,12 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from gfpp import graphs
+from gfpp import graphs, permpoly
 from gfpp.cli import factor_prime_power
-from gfpp.errors import CapExceededError
 from gfpp.field import Field
-from gfpp.graphs import (MonomialGraph, _difference_table, girth, girth_at_least,
-                         girth_scan, neighbors)
+from gfpp.graphs import _difference_table, _monomial_table, girth, girth_at_least, girth_scan
+
+XY_XY2 = ((1, 1), (1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -25,62 +26,102 @@ def f5():
     return Field(5, 1)
 
 
-def xy_xy2(field):
-    return MonomialGraph(field, (1, 1), (1, 2))
+def pointwise_tables(field, f_exps, g_exps):
+    # The q x q tables [x][y] -> x^a y^b of f and g, by Field.pow and
+    # Field.mul at every point.
+    q = field.q
+    pw, mul = field.pow, field.mul
+    tables = []
+    for a, b in (f_exps, g_exps):
+        xa = [pw(x, a) for x in range(q)]
+        yb = [pw(y, b) for y in range(q)]
+        tables.append([[mul(xa[x], yb[y]) for y in range(q)] for x in range(q)])
+    return tuple(tables)
+
+
+def adjacency(field, f_exps, g_exps):
+    # u -> the ids of u's q neighbors, from pointwise field arithmetic.
+    # Point (x, p2, p3) has id x*q^2 + p2*q + p3 and line [y, l2, l3] id
+    # q^3 + y*q^2 + l2*q + l3; they are adjacent iff p2 + l2 = f(x, y) and
+    # p3 + l3 = g(x, y).
+    q = field.q
+    q2, q3 = q * q, q**3
+    ftab, gtab = pointwise_tables(field, f_exps, g_exps)
+    diff = [[field.sub(a, b) for b in range(q)] for a in range(q)]
+
+    @functools.cache
+    def neighbors(u):
+        v1, r = divmod(u % q3, q2)
+        v2, v3 = divmod(r, q)
+        if u >= q3:  # a line [v1, v2, v3]: its points (t, f(t, v1) - v2, ...)
+            return [t * q2 + diff[ftab[t][v1]][v2] * q + diff[gtab[t][v1]][v3]
+                    for t in range(q)]
+        return [q3 + t * q2 + diff[ftab[v1][t]][v2] * q + diff[gtab[v1][t]][v3]
+                for t in range(q)]
+
+    return neighbors
+
+
+def plain_girth(field, f_exps, g_exps, sources=None):
+    # Shortest cycle through a vertex of `sources`, by default (1, 0, 0):
+    # from each source a BFS that keeps parents and takes the least walk
+    # any non-tree edge closes.  It stops only at a depth d with
+    # 2d >= best, since every edge it scans from there closes a walk of
+    # length at least 2d.
+    q = field.q
+    neighbors = adjacency(field, f_exps, g_exps)
+    best = math.inf
+    for src in (q * q,) if sources is None else sources:
+        dist = {src: 0}
+        parent = {src: None}
+        queue = deque((src,))
+        while queue:
+            u = queue.popleft()
+            if 2 * dist[u] >= best:
+                break
+            for w in neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
 
 
 def test_neighbors_of_origin(f3):
-    g = xy_xy2(f3)
-    assert neighbors(g, "P", (0, 0, 0)) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-
-
-def test_neighbors_rejects_bad_side(f3):
-    with pytest.raises(ValueError):
-        neighbors(xy_xy2(f3), "Q", (0, 0, 0))
-
-
-def all_vertices(q):
-    return [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+    # (0, 0, 0) lies on the lines [y, 0, 0], since f(0, y) = g(0, y) = 0.
+    assert adjacency(f3, *XY_XY2)(0) == [27 + y * 9 for y in range(3)]
 
 
 @pytest.mark.parametrize("q_args,exps", [((3, 1), (1, 2)), ((3, 1), (2, 4)), ((5, 1), (1, 2))])
 def test_regularity_and_symmetry(q_args, exps):
+    # Every point has q distinct line neighbors and every line q distinct
+    # point neighbors, and adjacency is symmetric.
     field = Field(*q_args)
-    q = field.q
-    g = MonomialGraph(field, (1, 1), exps)
-    edge_count = 0
-    for v in all_vertices(q):
-        nbrs = neighbors(g, "P", v)
-        assert len(nbrs) == q
+    q, q3 = field.q, field.q**3
+    neighbors = adjacency(field, (1, 1), exps)
+    for u in range(2 * q3):
+        nbrs = neighbors(u)
         assert len(set(nbrs)) == q
-        edge_count += q
-        for w in nbrs:
-            assert v in neighbors(g, "L", w)
-    assert edge_count == q**4
-    for w in all_vertices(q):
-        nbrs = neighbors(g, "L", w)
-        assert len(set(nbrs)) == q
+        assert all((w >= q3) != (u >= q3) and u in neighbors(w) for w in nbrs)
 
 
 def test_regularity_q9():
     field = Field(3, 2)
-    g = xy_xy2(field)
-    for v in all_vertices(9):
-        assert len(set(neighbors(g, "P", v))) == 9
-        assert len(set(neighbors(g, "L", v))) == 9
+    neighbors = adjacency(field, *XY_XY2)
+    for u in range(2 * 9**3):
+        assert len(set(neighbors(u))) == 9
 
 
 def test_girth_of_flagship_graph(f3, f5):
-    assert girth(xy_xy2(f3)) == 8
-    assert girth(xy_xy2(f5)) == 8
+    assert girth(f3, *XY_XY2) == 8
+    assert girth(f5, *XY_XY2) == 8
 
 
 def test_girth_of_non_pp_exponent_is_small(f3):
-    g = MonomialGraph(f3, (1, 1), (2, 4))
-    value = girth(g)
-    brute = girth(g, all_sources=True)
-    assert value == brute
-    assert value < 8
+    value = girth(f3, (1, 1), (2, 4))
+    assert value == plain_girth(f3, (1, 1), (2, 4), range(2 * 27))
     assert value in (4, 6)
 
 
@@ -91,76 +132,29 @@ EXPLICIT_EXPS = [((1, 1), (1, 2)), ((2, 1), (1, 3)), ((0, 1), (1, 0)),
 
 
 def graph_cases(field, explicit=True):
-    family = [MonomialGraph(field, (1, 1), (k, 2 * k)) for k in range(1, field.q)]
-    extra = [MonomialGraph(field, f, g) for f, g in EXPLICIT_EXPS] if explicit else []
-    return family + extra
+    family = [((1, 1), (k, 2 * k)) for k in range(1, field.q)]
+    return family + (EXPLICIT_EXPS if explicit else [])
 
 
 @pytest.mark.parametrize("q_args", [(3, 1), (5, 1), (7, 1)])
 def test_orbit_sources_match_all_sources(q_args):
     field = Field(*q_args)
-    # All-sources BFS at q = 7 takes about 1 s for the family alone.
-    for g in graph_cases(field, explicit=field.q <= 5):
-        assert girth(g) == girth(g, all_sources=True), g
+    q = field.q
+    for exps in graph_cases(field, explicit=q <= 5):
+        assert girth(field, *exps) == plain_girth(field, *exps, range(2 * q**3)), exps
 
 
 @pytest.mark.parametrize("q_args", [(3, 1), (5, 1)])
 def test_girth_matches_networkx_on_explicit_graph(q_args):
     """The table-driven BFS against networkx on the graph built from
-    the pointwise `neighbors`."""
+    pointwise arithmetic."""
     field = Field(*q_args)
-    for g in graph_cases(field):
+    for exps in graph_cases(field):
         G = nx.Graph()
-        for v in all_vertices(field.q):
-            G.add_edges_from((("P", v), ("L", w)) for w in neighbors(g, "P", v))
-        assert nx.girth(G) == girth(g), g
-
-
-def pointwise_tables(graph):
-    # MonomialGraph.monomial_tables by Field.pow and Field.mul at every point
-    field = graph.field
-    q = field.q
-    pw, mul = field.pow, field.mul
-    tables = []
-    for a, b in (graph.f_exps, graph.g_exps):
-        xa = [pw(x, a) for x in range(q)]
-        yb = [pw(y, b) for y in range(q)]
-        tables.append([[mul(xa[x], yb[y]) for y in range(q)] for x in range(q)])
-    return tuple(tables)
-
-
-def plain_girth(graph):
-    # Shortest cycle through (1, 0, 0): a full BFS with no early stop, on
-    # adjacency from pointwise field arithmetic.  Point (x, p2, p3) has id
-    # x*q^2 + p2*q + p3 and line [y, l2, l3] id q^3 + y*q^2 + l2*q + l3.
-    field = graph.field
-    q = field.q
-    q2, q3 = q * q, q**3
-    ftab, gtab = pointwise_tables(graph)
-    diff = [[field.sub(a, b) for b in range(q)] for a in range(q)]
-
-    def adjacent(u):
-        line, (v1, r) = u >= q3, divmod(u % q3, q2)
-        v2, v3 = divmod(r, q)
-        for t in range(q):
-            f, g = (ftab[t][v1], gtab[t][v1]) if line else (ftab[v1][t], gtab[v1][t])
-            yield (0 if line else q3) + t * q2 + diff[f][v2] * q + diff[g][v3]
-
-    src = q2  # (1, 0, 0)
-    dist = {src: 0}
-    parent = {src: None}
-    queue = deque((src,))
-    best = math.inf
-    while queue:
-        u = queue.popleft()
-        for w in adjacent(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-            elif w != parent[u]:
-                best = min(best, dist[u] + dist[w] + 1)
-    return best
+        neighbors = adjacency(field, *exps)
+        for u in range(field.q**3):
+            G.add_edges_from((u, w) for w in neighbors(u))
+        assert nx.girth(G) == girth(field, *exps), exps
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
@@ -171,12 +165,11 @@ def test_girth_equals_the_plain_bfs(q):
     field = Field(*factor_prime_power(q))
     cases = [((1, 1), (k, 2 * k)) for k in range(1, q)]
     cases += [((a, b), (c, d)) for a, b, c, d in itertools.product(range(3), repeat=4)]
-    for f_exps, g_exps in cases:
-        g = MonomialGraph(field, f_exps, g_exps)
-        exact = plain_girth(g)
-        assert girth(g) == exact, g
+    for exps in cases:
+        exact = plain_girth(field, *exps)
+        assert girth(field, *exps) == exact, exps
         for bound in (4, 6, 8, 10):
-            assert girth_at_least(g, bound) == (exact >= bound), (g, bound)
+            assert girth_at_least(field, *exps, bound) == (exact >= bound), (exps, bound)
 
 
 @pytest.mark.parametrize("q_args", [(3, 1), (5, 1), (3, 2), (11, 1)])
@@ -194,7 +187,7 @@ def test_girth_at_least_8_scans_depths_0_to_2_only(q_args, monkeypatch):
     monkeypatch.setattr(graphs, "deque", CountingDeque)
     field = Field(*q_args)
     q = field.q
-    assert girth_at_least(xy_xy2(field), 8)
+    assert girth_at_least(field, *XY_XY2, 8)
     assert len(pops) == 1 + q + q * (q - 1) + 1
 
 
@@ -205,8 +198,7 @@ def test_monomial_tables_equal_pointwise_arithmetic(q):
     pairs = list(itertools.product(range(3), repeat=2))
     pairs += [(k, 2 * k) for k in range(1, q)]
     for pair in pairs:
-        g = MonomialGraph(field, pair, (1, 1))
-        assert g.monomial_tables() == pointwise_tables(g), pair
+        assert _monomial_table(field, *pair) == pointwise_tables(field, pair, pair)[0], pair
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27])
@@ -219,30 +211,24 @@ def test_difference_table_equals_field_sub(q):
 def test_girth_is_even(f3, f5):
     for field in (f3, f5):
         for k in range(1, field.q):
-            value = girth(MonomialGraph(field, (1, 1), (k, 2 * k)))
+            value = girth(field, (1, 1), (k, 2 * k))
             assert value == math.inf or value % 2 == 0
 
 
 def test_girth_at_least_consistent_with_exact(f3, f5):
     for field in (f3, f5, Field(3, 2)):
         for k in range(1, field.q):
-            g = MonomialGraph(field, (1, 1), (k, 2 * k))
-            exact = girth(g)
+            exps = ((1, 1), (k, 2 * k))
+            exact = girth(field, *exps)
             for bound in (4, 6, 8):
-                assert girth_at_least(g, bound) == (exact >= bound), (field.q, k, bound)
-
-
-def test_girth_cap(f3):
-    with pytest.raises(CapExceededError):
-        girth(xy_xy2(Field(19, 1)))
-    with pytest.raises(CapExceededError):
-        girth(xy_xy2(Field(5, 1)), cap=3)
-    assert girth(xy_xy2(f3), cap=3) == 8
+                assert girth(field, *exps, bound=bound) == min(exact, bound)
+                assert girth_at_least(field, *exps, bound) == (exact >= bound), (field.q, k, bound)
 
 
 @pytest.mark.parametrize("q_args,expected", [((3, 1), [1]), ((5, 1), [1]), ((3, 2), [1, 3])])
 def test_girth_scan(q_args, expected):
-    _, verdict = girth_scan(Field(*q_args))
+    field = Field(*q_args)
+    _, verdict = girth_scan(field, permpoly.sweep(field))
     assert verdict["witnesses"] == expected
     assert verdict["expected"] == expected
     assert verdict["implication_ok"]
