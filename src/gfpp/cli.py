@@ -13,13 +13,13 @@ passes.
 A report body is encoded once: the text the cache stores, or would store,
 is the text emitted, with "timing" spliced in as its last key, so a cache
 hit parses its entry but never encodes it again.  The process pool is
-imported only when more than one worker runs.
+imported only when more than one worker runs, and the stage modules and
+csv only where a job or --csv uses them, so a cache hit loads none.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -28,7 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, criterion, graphs, permpoly
+from . import __version__
 from .errors import GfppError, NotPrimeError
 from .field import DEFAULT_FIELD_CAP, Field, cap_error, poly_str
 
@@ -110,6 +110,8 @@ def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     """The sweep of one field, and its girth scan under --with-girth; a q
     above the girth cap keeps its sweep rows and verdict, and adds an
     error row and a failing girth verdict."""
+    from . import permpoly
+
     t = time.perf_counter()
     fld.log_tables()
     if args.with_criterion:
@@ -125,6 +127,8 @@ def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
             rows.append(row)
             verdicts.append(verdict)
         else:
+            from . import graphs
+
             _, girth = graphs.girth_scan(fld, rows)
             for r in rows:
                 r["girth_ge_8"] = r["k"] in girth["witnesses"]
@@ -136,6 +140,8 @@ def _identity_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     if fld.e < 3:
         return [], [{"section": "identities", "q": fld.q,
                      "skipped": "ParamDomain: e = %d < 3" % fld.e, "passed": True}]
+    from . import criterion
+
     t = time.perf_counter()
     rows, verdict = criterion.identity_grid(fld)
     _lap(stages, "identities", t)
@@ -146,6 +152,8 @@ def _verify_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     """Every stage on one field; each of the four stage keys is recorded,
     as about 0 when the stage does not apply to q.  The field's tables are
     built first and timed as part of stage "field"."""
+    from . import criterion, graphs, permpoly
+
     t = time.perf_counter()
     fld.log_tables()
     fld.binom_tables()
@@ -184,6 +192,8 @@ def _girth_exps(args) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _girth_job(fld: Field, args, stages: dict) -> tuple[list, list]:
+    from . import graphs, permpoly
+
     q, k = fld.q, args.k
     if k is not None and not 1 <= k <= q - 1:
         raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
@@ -286,6 +296,8 @@ def _bool_cell(v) -> str:
 def _write_csv(rows, path) -> None:
     """Sweep rows as flat CSV with a fixed column order; other row kinds are
     JSON-only."""
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -416,10 +428,12 @@ def _overall(verdicts) -> str:
     return "pass" if all(v.get("passed") for v in verdicts) else "fail"
 
 
-def _run_command(args, command, params, job, qs, ps=()) -> tuple[dict, str]:
+def _run_command(args, command, params, job, qs, ps=(),
+                 p_cap=math.inf) -> tuple[dict, str]:
     """The report of `command` and its body's text (see _with_cache): `job`
     on the field of every q, then the upper-half grid of every p; served
-    from the cache when one is given."""
+    from the cache when one is given.  A p above p_cap gets one error row
+    and a failing verdict instead of its grid."""
     # A failing job's verdict names the command; field-info's keeps the
     # section of its other verdicts.
     section = "field" if command == "field-info" else command
@@ -427,6 +441,16 @@ def _run_command(args, command, params, job, qs, ps=()) -> tuple[dict, str]:
     def compute() -> dict:
         modulus_by_q, rows, verdicts, stages = _run_jobs(job, section, qs, args)
         for p in ps:
+            if p > p_cap:
+                # The grid first tests p for primality by trial division,
+                # which takes long for a huge p.
+                rows.append({"kind": "error", "p": p,
+                             "error": "CapExceededError: p = %d exceeds the "
+                                      "field cap %d" % (p, p_cap)})
+                verdicts.append({"section": "upper_half", "p": p, "passed": False})
+                continue
+            from . import criterion
+
             uh_rows, uh_verdict = criterion.upper_half_grid(p)
             rows.extend(uh_rows)
             verdicts.append(uh_verdict)
@@ -452,7 +476,8 @@ def cmd_identities(args) -> tuple[dict, str]:
     qs = sorted(set(args.q or []))
     ps = sorted(set(args.p or []))
     params = {"q": qs, "p": ps, "field_cap": args.field_cap}
-    return _run_command(args, "identities", params, _identity_job, qs, ps)
+    return _run_command(args, "identities", params, _identity_job, qs, ps,
+                        p_cap=args.field_cap)
 
 
 def cmd_girth(args) -> tuple[dict, str]:

@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 from math import comb, gcd
 
-from .digits import digit_vector, mod_inverse, shift_class, star_reduce, support
+from .digits import (digit_vector, mod_inverse, orbit_representatives,
+                     shift_class, star_reduce, support)
 from .errors import ParamDomainError
 from .field import is_prime
 
@@ -185,12 +186,22 @@ def inverse_pp_criterion(field, k: int) -> bool:
 
 def cross_check(field, records) -> tuple[list[dict], dict]:
     """Both criteria against the direct a_pp flag of every sweep row: one
-    row per k where the three disagree, and the field's verdict."""
+    row per k where the three disagree, and the field's verdict.
+
+    Both criteria are constant on the Frobenius orbits k -> p*k mod q-1:
+    that rotates the base-p digits of every exponent class in a row, so by
+    Lucas' theorem it only permutes the digitwise binomials.  Each runs
+    once per orbit, at its least member, through this module's attributes.
+    """
     q = field.q
+    rep = orbit_representatives(field.p, field.e)
+    flags = {}
     rows = []
     for r in records:
-        c1 = pp_criterion(field, r["k"])
-        c2 = inverse_pp_criterion(field, r["k"])
+        k = rep[r["k"]]
+        if k not in flags:
+            flags[k] = (pp_criterion(field, k), inverse_pp_criterion(field, k))
+        c1, c2 = flags[k]
         if not (r["a_pp"] == c1 == c2):
             rows.append({"kind": "criterion_mismatch", "q": q, "k": r["k"],
                          "direct": r["a_pp"], "criterion": c1,

@@ -51,6 +51,25 @@ def shift_class(l: int, t: int, p: int, e: int) -> DigitVector:
     return digit_vector(l * p**t, p, e)
 
 
+def orbit_representatives(p: int, e: int) -> list[int]:
+    """rep[k] for 0 <= k <= p**e - 1: the smallest member of the orbit of k
+    under the Frobenius map k -> (p*k)*, so rep[q-1] = q-1 and rep[0] = 0.
+
+    The map multiplies the exponent class by p, and p^e = 1 mod q-1, so
+    e-1 steps from any member visit its whole orbit; in a prime field
+    p = 1 mod q-1 and every orbit is a single exponent.
+    """
+    q = p**e
+    rep = list(range(q))
+    for k in range(1, q):
+        if rep[k] == k:  # no smaller member has claimed it: k is the least
+            j = k
+            for _ in range(e - 1):
+                j = star_reduce(p * j, q)
+                rep[j] = k
+    return rep
+
+
 def lucas_binom(m: int, n: int, p: int) -> int:
     """C(m, n) mod p via the digitwise product over base-p digits.
 

@@ -12,6 +12,13 @@ permutes GF(q) iff it has none.  A non-permutation usually collides
 after about sqrt(q) inputs, so only the permutations cost O(q).  Each
 sweep row, a report dict, adds gcd, inverse-exponent digit data, and the
 optional criterion flag.
+
+Two symmetries spare most of that work.  When a map's exponent shares a
+root of unity t != +-1 with q-1, an explicit pair collides (_a_pair,
+_b_pair), so only the exponents with gcd(2k, q-1) <= 2 (for a_k) or
+gcd(k, q-1) <= 2 (for b_k) are scanned.  And a_{pk} = (a_k)^p, b_{pk} =
+(b_k)^p as maps, with x -> x^p a bijection, so a sweep decides each
+Frobenius orbit k -> p*k mod q-1 once, at its least member.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from math import gcd
 
-from . import criterion, digits
+from . import digits
 
 
 def eval_a(field, k: int, x: int) -> int:
@@ -98,18 +105,75 @@ def first_collision(pairs: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
     return None
 
 
+def _a_at(field, k: int, x: int) -> int:
+    """a_k(x) = (x(x+1))^k - x^(2k) for x != 0, -1: both powers from the
+    log tables, their difference by Field.sub."""
+    exp, log, zech = field.log_tables()
+    m = field.q - 1
+    n = log[x]
+    return field.sub(exp[k * (n + zech[n]) % m], exp[2 * k * n % m])
+
+
+def _b_at(field, k: int, x: int) -> int:
+    """b_k(x) = ((x+1)^(2k) - 1) x^(-k) - 2 for x != 0, -1 (x^(q-1) = 1):
+    the powers from the log tables, the differences by Field.sub."""
+    exp, log, zech = field.log_tables()
+    m = field.q - 1
+    n = log[x]
+    lead = field.sub(exp[2 * k * zech[n] % m], 1)
+    return field.sub(0 if lead == 0 else exp[(log[lead] - k * n) % m], 2)
+
+
+def _a_pair(field, k: int) -> tuple[int, int] | None:
+    """A colliding pair of a_k built from a root of unity, or None when
+    d = gcd(2k, q-1) <= 2.
+
+    t = g^((q-1)/d) has t^(2k) = 1 and t != +-1.  x = 1/(t-1) and
+    y = -1-x = -t*x give y(y+1) = x(x+1) and y^(2k) = x^(2k), so
+    a_k(x) = a_k(y); x != y, and neither is 0 or -1.  The pair is taken
+    from the log tables (t - 1 = g^h (1 + g^(log t + h)), with g^h = -1)
+    and returned only after a_k is evaluated at both points, so a None
+    means the scan decides.
+    """
+    m = field.q - 1
+    d = gcd(2 * k, m)
+    if d <= 2:
+        return None
+    exp, _, zech = field.log_tables()
+    h = m // 2
+    nx = -(h + zech[(m // d + h) % m]) % m
+    x, y = exp[nx], exp[(h + zech[nx]) % m]
+    return (x, y) if _a_at(field, k, x) == _a_at(field, k, y) else None
+
+
+def _b_pair(field, k: int) -> tuple[int, int] | None:
+    """A colliding pair of b_k built from a root of unity, or None when
+    d = gcd(k, q-1) <= 2.
+
+    t = g^((q-1)/d) has t^k = 1 and t != +-1.  x = -2/(1+t) and
+    y = -2-x = t*x give y+1 = -(x+1) and y^k = x^k, so b_k(x) = b_k(y);
+    x != y, and neither is 0 or -1.  Taken from the log tables and checked
+    by evaluating b_k at both points, as in _a_pair.
+    """
+    m = field.q - 1
+    d = gcd(k, m)
+    if d <= 2:
+        return None
+    exp, log, zech = field.log_tables()
+    lt = m // d
+    nx = (log[2] + m // 2 - zech[lt]) % m
+    x, y = exp[nx], exp[(lt + nx) % m]
+    return (x, y) if _b_at(field, k, x) == _b_at(field, k, y) else None
+
+
 def p_powers(field) -> list[int]:
     """The exponents p^0, ..., p^(e-1), ascending."""
     return [field.p**i for i in range(field.e)]
 
 
-def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
-    """The sweep row of one exponent: direct PP flags, gcd and
-    inverse-exponent digit data, and the optional criterion flag.
-
-    The criterion flag costs O(q^2) binomial work per exponent, so it is
-    opt-in.  girth_ge_8 is None here; a girth scan can fill it in.
-    """
+def _row(field, k: int, a_pp: bool, b_pp: bool, crit) -> dict:
+    """The sweep row of k with the given flags; gcd and inverse-exponent
+    digit data are computed from k itself."""
     q = field.q
     gcd_ok = gcd(k, q - 1) == 1
     kp = digits.mod_inverse(k, q - 1) if gcd_ok else None
@@ -118,19 +182,50 @@ def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
         "q": q,
         "k": k,
         "gcd_ok": gcd_ok,
-        "a_pp": first_collision(a_values(field, k)) is None,
-        "b_pp": first_collision(b_values(field, k)) is None,
+        "a_pp": a_pp,
+        "b_pp": b_pp,
         "k_is_p_power": k in p_powers(field),
         "k_prime": kp,
         "k_prime_binary": None if kp is None else digits.digits_binary(kp, field.p, field.e),
-        "criterion": criterion.pp_criterion(field, k) if with_criterion else None,
+        "criterion": crit,
         "girth_ge_8": None,
     }
 
 
+def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
+    """The sweep row of one exponent: direct PP flags, gcd and
+    inverse-exponent digit data, and the optional criterion flag.
+
+    A map whose built pair collides is no PP; any other is scanned to its
+    first collision.  The criterion flag costs O(q^2) binomial work per
+    exponent, so it is opt-in.  girth_ge_8 is None here; a girth scan can
+    fill it in.
+    """
+    a_pp = _a_pair(field, k) is None and first_collision(a_values(field, k)) is None
+    b_pp = _b_pair(field, k) is None and first_collision(b_values(field, k)) is None
+    crit = None
+    if with_criterion:
+        from . import criterion  # loaded only when the flag is asked for
+
+        crit = criterion.pp_criterion(field, k)
+    return _row(field, k, a_pp, b_pp, crit)
+
+
 def sweep(field, **kwargs) -> list[dict]:
-    """Rows for every exponent 1 <= k <= q-1, in order."""
-    return [sweep_record(field, k, **kwargs) for k in range(1, field.q)]
+    """Rows for every exponent 1 <= k <= q-1, in order.
+
+    The flags are computed once per Frobenius orbit, by sweep_record at its
+    least member, and copied to the other members' rows.
+    """
+    rep = digits.orbit_representatives(field.p, field.e)
+    rows = []
+    for k in range(1, field.q):
+        if rep[k] == k:
+            rows.append(sweep_record(field, k, **kwargs))
+        else:
+            r = rows[rep[k] - 1]
+            rows.append(_row(field, k, r["a_pp"], r["b_pp"], r["criterion"]))
+    return rows
 
 
 def conjecture_verdict(field, which: str, records=None) -> dict:

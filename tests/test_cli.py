@@ -533,6 +533,27 @@ def test_q_above_the_field_cap_is_rejected_before_factoring(tmp_path):
                                "CapExceededError: q = %d exceeds the field cap 1000000" % q}]
 
 
+def test_p_above_the_field_cap_is_rejected_before_the_primality_test(tmp_path):
+    # Trial division of this p would take about 10^9 steps.
+    p = 1000000000000000003
+    start = time.perf_counter()
+    code, report = run(tmp_path, "identities", "--p", "%d,5" % p)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert [r["p"] for r in report["rows"]] == [5] * 20 + [p]
+    assert report["rows"][-1] == {
+        "kind": "error", "p": p,
+        "error": "CapExceededError: p = %d exceeds the field cap 1000000" % p}
+    assert report["verdicts"][-1] == {"section": "upper_half", "p": p,
+                                      "passed": False}
+    assert report["verdicts"][0]["passed"]
+    # verify-all's own primes are not capped
+    code, report = run(tmp_path, "verify-all", "--q-max", "3",
+                       "--field-cap", "5", name="va.json")
+    assert code == 0
+    assert [v["p"] for v in report["verdicts"] if "p" in v] == [3, 5, 7, 11, 13]
+
+
 @pytest.mark.parametrize("flag", ["--json", "--csv"])
 def test_unwritable_output_path_is_an_error_line(tmp_path, capsys, flag):
     # The cache entry is written before the report is emitted, so a rerun

@@ -249,15 +249,45 @@ def test_cross_check_reports_each_disagreeing_k(f9, monkeypatch):
     assert cross_check(f9, records) == ([], {
         "section": "criterion", "q": 9, "checked": 8, "mismatch_ks": [],
         "passed": True})
-    # Patched at the module attribute, where a tracer would wrap it.
+    # Patched at the module attribute, where a tracer would wrap it.  The
+    # cross-check runs each criterion at the least member of each Frobenius
+    # orbit, so this fake holds on the whole orbit {2, 6} of k = 2.
     monkeypatch.setattr(criterion, "inverse_pp_criterion", lambda fld, k: k == 2)
     rows, verdict = cross_check(f9, records)
     assert rows == [
         {"kind": "criterion_mismatch", "q": 9, "k": k, "direct": k in (1, 3),
-         "criterion": k in (1, 3), "inverse_criterion": k == 2}
-        for k in (1, 2, 3)]
+         "criterion": k in (1, 3), "inverse_criterion": k in (2, 6)}
+        for k in (1, 2, 3, 6)]
     assert verdict == {"section": "criterion", "q": 9, "checked": 8,
-                       "mismatch_ks": [1, 2, 3], "passed": False}
+                       "mismatch_ks": [1, 2, 3, 6], "passed": False}
+
+
+def test_cross_check_runs_each_criterion_once_per_orbit(f9, monkeypatch):
+    calls = []
+    for name in ("pp_criterion", "inverse_pp_criterion"):
+        real = getattr(criterion, name)
+        monkeypatch.setattr(criterion, name, lambda fld, k, name=name, real=real:
+                            calls.append((name, k)) or real(fld, k))
+    assert cross_check(f9, sweep(f9))[1]["passed"]
+    # q = 9: orbits {1, 3}, {2, 6}, {4}, {5, 7}, {8}
+    assert calls == [(name, k) for k in (1, 2, 4, 5, 8)
+                     for name in ("pp_criterion", "inverse_pp_criterion")]
+
+
+@pytest.mark.parametrize("q", (9, 25, 27, 49, 81, 125))
+def test_criteria_are_constant_on_frobenius_orbits(q):
+    # k -> p*k rotates the base-p digits of every exponent class, so each
+    # row of either criterion, and so each verdict, is the same at p*k.
+    fld = Field(*factor_prime_power(q))
+    h = (q - 1) // 2
+    data = {}
+    for k in range(1, q):
+        data[k] = ([criterion_sum(fld, k, s) for s in range(1, q - 1)],
+                   [inverse_criterion_sum(fld, k, s, half)
+                    for s in range(1, h + 1) for half in (False, True)],
+                   pp_criterion(fld, k), inverse_pp_criterion(fld, k))
+    for k in range(1, q):
+        assert data[k] == data[star_reduce(fld.p * k, q)], k
 
 
 def test_inverse_sums_vanish_for_pp_exponents(f9):

@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library and itself,
-`import gfpp` loads only the field arithmetic, and the benchmark's tracer
-finds the functions it wraps."""
+`import gfpp` loads only the field arithmetic, `import gfpp.cli` and a
+cache hit load no stage module, and the benchmark's tracer finds the
+functions it wraps."""
 
 import ast
 import os
@@ -33,16 +34,37 @@ def test_runtime_imports_are_stdlib_or_gfpp():
     assert foreign == []
 
 
-def test_import_gfpp_loads_only_the_field():
-    # A fresh interpreter, since this one has long imported every module.
-    code = ("import sys, gfpp; print(' '.join(sorted("
-            "m for m in sys.modules if m.startswith('gfpp'))))")
+STAGE_MODULES = {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs", "gfpp.digits"}
+
+
+def _loaded_after(code):
+    # The gfpp modules loaded once `code` ran in a fresh interpreter, since
+    # this one has long imported every module.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    code += ("; import sys; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('gfpp'))))")
+    return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.split())
+
+
+def test_import_gfpp_loads_only_the_field():
+    out = _loaded_after("import gfpp")
     assert "gfpp.field" in out
-    assert not {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs",
-                "gfpp.cli"} & set(out)
+    assert not (STAGE_MODULES | {"gfpp.cli"}) & out
+
+
+def test_import_cli_loads_no_stage_module():
+    loaded = _loaded_after("import gfpp.cli")
+    assert "gfpp.cli" in loaded
+    assert not STAGE_MODULES & loaded
+
+
+def test_cache_hit_loads_no_stage_module(tmp_path):
+    run = ("import gfpp.cli; gfpp.cli.main(['verify-all', '--q-max', '9', "
+           "'--jobs', '1', '--cache', %r, '--json', %r])"
+           % (str(tmp_path / "cache"), str(tmp_path / "out.json")))
+    assert STAGE_MODULES <= _loaded_after(run)  # the miss computes
+    assert not STAGE_MODULES & _loaded_after(run)  # the hit does not
 
 
 def test_tracer_targets_resolve():

@@ -1,11 +1,13 @@
-"""Star reduction, digit strings, Lucas binomials, inverse exponents."""
+"""Star reduction, digit strings, Frobenius orbits, Lucas binomials, inverse
+exponents."""
 
 from math import comb
 
 import pytest
 
 from gfpp.digits import (digit_vector, digits_binary, lucas_binom, mod_inverse,
-                         shift_class, star_reduce, support)
+                         orbit_representatives, shift_class, star_reduce,
+                         support)
 from gfpp.errors import NotCoprimeError
 from gfpp.field import Field
 from gfpp.permpoly import p_powers
@@ -67,6 +69,30 @@ def test_shift_class_is_rotation(p, e):
         for t in range(0, e):
             rotated = tuple(digs[(i - t) % e] for i in range(e))
             assert shift_class(l, t, p, e).digits == rotated, (l, t)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (3, 2), (5, 2), (3, 3),
+                                 (7, 2), (3, 4), (5, 3), (3, 6)])
+def test_orbit_representatives_equal_the_closure(p, e):
+    # The orbit of k under k -> p*k mod q-1, closed by brute force, with
+    # q-1 standing for the class of 0 (its orbit is {q-1}).
+    q, m = p**e, p**e - 1
+    rep = orbit_representatives(p, e)
+    assert len(rep) == q and rep[0] == 0
+    for k in range(1, q):
+        orbit, j = set(), k
+        while j not in orbit:
+            orbit.add(j)
+            j = p * j % m or m
+        assert rep[k] == min(orbit), k
+        assert len(orbit) <= e and e % len(orbit) == 0, k
+    if e == 1:
+        assert rep == list(range(q))
+
+
+def test_orbit_representatives_examples():
+    # q = 9: orbits {1, 3}, {2, 6}, {4}, {5, 7}, {8}
+    assert orbit_representatives(3, 2) == [0, 1, 2, 1, 4, 5, 2, 5, 8]
 
 
 def test_lucas_binom_examples():

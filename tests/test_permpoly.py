@@ -1,7 +1,12 @@
 """Direct PP testing of the two families and the per-exponent sweep."""
 
+from math import gcd
+
 import pytest
 
+from gfpp import permpoly
+from gfpp.cli import factor_prime_power, odd_prime_powers
+from gfpp.digits import orbit_representatives, star_reduce
 from gfpp.field import Field
 from gfpp.permpoly import (a_values, b_values, conjecture_verdict, eval_a,
                            eval_b, first_collision, p_powers, sweep,
@@ -177,3 +182,79 @@ def test_conjecture_verdicts():
 def test_conjecture_verdict_rejects_unknown_which(f9):
     with pytest.raises(ValueError):
         conjecture_verdict(f9, "both")
+
+
+# Extension fields at which k and p*k are compared.
+ORBIT_QS = (9, 25, 27, 49, 81, 125)
+
+
+@pytest.mark.parametrize("q", ORBIT_QS)
+def test_frobenius_images_have_the_same_first_collision(q):
+    # a_{pk} = (a_k)^p and b_{pk} = (b_k)^p as maps, and both streams visit
+    # x in one order, so k and p*k collide first at the same pair.
+    fld = Field(*factor_prime_power(q))
+    for values in (a_values, b_values):
+        first = {k: first_collision(values(fld, k)) for k in range(1, q)}
+        for k in range(1, q):
+            assert first[k] == first[star_reduce(fld.p * k, q)], (k, values.__name__)
+
+
+@pytest.mark.parametrize("q", ORBIT_QS)
+def test_sweep_rows_equal_the_per_k_records(q):
+    # The sweep copies each orbit's flags; sweep_record decides every k.
+    fld = Field(*factor_prime_power(q))
+    with_criterion = q <= 81
+    assert sweep(fld, with_criterion=with_criterion) == [
+        sweep_record(fld, k, with_criterion=with_criterion) for k in range(1, q)]
+
+
+def _is_minus_one(fld, x):
+    return fld.add(x, 1) == 0
+
+
+def test_built_pairs_collide_pointwise():
+    # Every odd q <= 125 and every k: a pair exists exactly when the gcd
+    # exceeds 2, and it collides under the pointwise maps.
+    for q in odd_prime_powers(125):
+        fld = Field(*factor_prime_power(q))
+        for k in range(1, q):
+            for pair, pointwise, d in ((permpoly._a_pair, eval_a, gcd(2 * k, q - 1)),
+                                       (permpoly._b_pair, eval_b, gcd(k, q - 1))):
+                xy = pair(fld, k)
+                assert (xy is not None) == (d > 2), (q, k, pointwise.__name__)
+                if xy is not None:
+                    x, y = xy
+                    assert x != y and 0 not in xy, (q, k, xy)
+                    assert not _is_minus_one(fld, x) and not _is_minus_one(fld, y)
+                    assert pointwise(fld, k, x) == pointwise(fld, k, y), (q, k, xy)
+
+
+@pytest.mark.parametrize("qs", [tuple(odd_prime_powers(243)), (729,)],
+                         ids=["q<=243", "q729"])
+def test_sweep_flags_equal_the_full_scan(qs):
+    for q in qs:
+        fld = Field(*factor_prime_power(q))
+        for r in sweep(fld):
+            k = r["k"]
+            assert r["a_pp"] == (first_collision(a_values(fld, k)) is None), (q, k)
+            assert r["b_pp"] == (first_collision(b_values(fld, k)) is None), (q, k)
+
+
+@pytest.mark.parametrize("q", [3, 5, 25, 27, 61, 81, 121, 125])
+def test_sweep_scans_only_orbit_leaders_with_gcd_at_most_2(q, monkeypatch):
+    fld = Field(*factor_prime_power(q))
+    scanned = {"a": [], "b": []}
+
+    def counting(name, values):
+        def stream(field, k):
+            scanned[name].append(k)
+            return values(field, k)
+        return stream
+
+    monkeypatch.setattr(permpoly, "a_values", counting("a", a_values))
+    monkeypatch.setattr(permpoly, "b_values", counting("b", b_values))
+    sweep(fld)
+    rep = orbit_representatives(fld.p, fld.e)
+    leaders = [k for k in range(1, q) if rep[k] == k]
+    assert scanned["a"] == [k for k in leaders if gcd(2 * k, q - 1) <= 2]
+    assert scanned["b"] == [k for k in leaders if gcd(k, q - 1) <= 2]
