@@ -1,28 +1,35 @@
-"""Binomial-sum permutation criteria, numeric identity verifiers, and the
-checks that judge them: the criterion against the direct PP flags, the
-support-identity grid and the upper-half sum grid.  Each check returns
-(rows, verdict) in the report's dict form.
+"""The binomial-sum permutation criterion, numeric identity verifiers,
+and the checks that judge them: the criterion against the direct PP
+flags, the support-identity grid and the upper-half sum grid.  Each check
+returns (rows, verdict) in the report's dict form.
 
-The criterion sums reduce every binomial mod p through the field's
-Lucas tables (Field.binom_tables): a digit-sum test decides whether
-C(m, n) vanishes mod p and three lookups give it otherwise, so no big
-integer is formed.  A term of either sum kernel needs its index i in one
-range and m = (mult*i)* in another.  When mult*i never reaches q-1 over
-the i-range, m = mult*i and the m-range cuts the i-range to an interval,
-which the kernel walks; otherwise, when gcd(mult, q-1) = 1, i -> m is a
-bijection of 1..q-2, and the kernel walks whichever range is shorter,
-mapping m back to i through the inverse of mult.  The inverse criterion
-tries its rows cheapest first, from s = (q-1)/2 down to 1.  The closed
-forms (support_identity_rhs, upper_half_sum) are small and stay exact
-integer sums reduced mod p at the end.  Starred quantities are exponent
-classes mod q-1 computed with digits.star_reduce, whose
-positive-multiple-of-(q-1) -> q-1 rule is load-bearing: the row class in
-the support identity is such a multiple whenever u = v = 0.
+Every binomial-sum row is one kernel, _row_sum:
+    R(mult, top, b) = sum over 2 <= i <= q-2 of (-1)^i C(top, (mult*i)*) C(i, b)
+mod p, with each binomial reduced through the field's Lucas tables.
+Starred quantities are exponent classes mod q-1 (digits.star_reduce),
+whose positive-multiple-of-(q-1) -> q-1 rule is load-bearing: the row
+class in the support identity is such a multiple whenever u = v = 0.
+
+The Hermite-type criterion for a_k (Dmytrenko-Lazebnik-Williford, Finite
+Fields Appl. 13, 2007): a_k permutes GF(q) iff gcd(k, q-1) = 1 and every
+    criterion_sum(k, s) = sum over 1 <= j <= q-2 of (-1)^j C(s, j) C((kj)*, (2ks)*)
+mod p, s in 1..q-2, vanishes.  For such k, with k' = k^(-1) mod q-1,
+    criterion_sum(k, s) = R(k', s, (2ks)*).
+Proof: j -> i = (kj)* is a bijection of 1..q-2 with inverse i -> (k'i)*;
+i = kj mod q-1 has the parity of j, as q-1 is even and k odd; and the
+i = 1 term C(1, (2ks)*) is 0, as (2ks)* is even and at least 2.  Hou's
+proof of Conjecture A (arXiv 1701.05214) writes the rows through k':
+row r in 1..q-2 is R(k', (k'r)*, (2r)*), which is criterion_sum(k, (k'r)*)
+since (2k(k'r)*)* = (2r)*.  As r -> (k'r)* is a bijection of 1..q-2, the
+two forms are the same q-2 rows in another order; pp_criterion evaluates
+each once.  The closed forms (support_identity_rhs, upper_half_sum) stay
+integer sums reduced mod p.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, gcd
 
 from .digits import (digit_vector, mod_inverse, orbit_representatives,
@@ -34,110 +41,45 @@ UPPER_HALF_X_RANGE = range(0, 5)
 UPPER_HALF_Y_RANGE = range(1, 5)
 
 
-def criterion_sum(field, k: int, s: int) -> int:
-    """sum over 1 <= i <= q-2 of (-1)^i C(s, i) C((ki)*, (2ks)*), mod p,
-    for 1 <= s <= q-2.
+def _row_sum(field, mult: int, top: int, bottom: int) -> int:
+    """R(mult, top, bottom) mod p for mult >= 0 and top, bottom in 0..q-1.
 
-    A term needs i <= s (else C(s, i) = 0) and m = (ki)* >= (2ks)*.  When
-    0 < k*s < q-1, i -> ki does not wrap mod q-1 for i <= s, so m = ki and
-    the loop walks i from ceil((2ks)*/k) to s.  Otherwise, when gcd(k, q-1)
-    = 1, i -> m is a bijection of 1..q-2, so if the m-range (2ks)*..q-2 is
-    the shorter one the loop walks it, with i = k^(-1)*m mod q-1; and
-    otherwise it walks 1..s.  Each binomial is F[m] G[n] G[m-n] from
-    field.binom_tables() when the digit sums show no borrow in m - n, and 0
-    otherwise; the factors F[s] and G[(2ks)*] are common to every term and
-    applied once.
+    A term needs i >= i_lo = max(2, bottom) and m = (mult*i)* <= top.  The
+    loop walks i over i_lo..q-2, or, for gcd(mult, q-1) = 1, m over
+    1..min(top, q-2) with i = inv*m mod q-1, inv = mult^(-1).  When
+    inv*min(top, q-2) < q-1 that map does not wrap, so the m-walk starts
+    at ceil(i_lo/inv).  It takes the shorter walk after that cut.  This is
+    the only place that forms a binomial from field.binom_tables(): C(m, n)
+    is F[m] G[n] G[m-n] when the digit sums show no borrow in m - n, and 0
+    otherwise; F[top] and G[bottom] are applied once.
     """
     q, p = field.q, field.p
     F, G, S = field.binom_tables()
     qm1 = q - 1
-    bottom = star_reduce(2 * k * s, q)
-    Ss, Sb = S[s], S[bottom]
-    i_hi = min(s, q - 2)
-    no_wrap = 0 < k * i_hi < qm1
-    i_lo = -(-bottom // k) if no_wrap else 1  # m = ki >= bottom iff i >= ceil(bottom/k)
-    total = 0
-    if not no_wrap and qm1 - 1 - bottom < i_hi and gcd(k, qm1) == 1:
-        inv = mod_inverse(k, qm1)
-        for m in range(bottom, qm1):
-            i = inv * m % qm1
-            if i > i_hi:
-                continue
-            r = s - i
-            if S[i] + S[r] != Ss:
-                continue
-            d = m - bottom
-            if Sb + S[d] != S[m]:
-                continue
-            term = G[i] * G[r] * F[m] * G[d]
-            total += -term if i & 1 else term
-    else:
-        for i in range(i_lo, i_hi + 1):
-            r = s - i
-            if S[i] + S[r] != Ss:
-                continue
-            # (ki)*; k = 0 gives q-1 instead of 0, but bottom is then 0 and C(m, 0) = 1
-            m = k * i % qm1 or qm1
-            if m < bottom:
-                continue
-            d = m - bottom
-            if Sb + S[d] != S[m]:
-                continue
-            term = G[i] * G[r] * F[m] * G[d]
-            total += -term if i & 1 else term
-    return total * F[s] * G[bottom] % p
-
-
-def pp_criterion(field, k: int) -> bool:
-    """a_k is a PP iff gcd(k, q-1) = 1 and criterion_sum vanishes for every
-    s in 1..q-2."""
-    q = field.q
-    if gcd(k, q - 1) != 1:
-        return False
-    return all(criterion_sum(field, k, s) == 0 for s in range(1, q - 1))
-
-
-def _row_sum(field, mult: int, top: int, s: int) -> int:
-    """sum over 2 <= i <= q-2 of (-1)^i C(top, (mult*i)*) C(i, 2s), mod p,
-    for 0 <= top <= q-1 and 0 <= 2s <= q-1.
-
-    A term needs i >= max(2, 2s) (else C(i, 2s) = 0 or i is out of the sum)
-    and m = (mult*i)* <= top.  For mult = 1, m = i and the loop walks
-    max(2, 2s)..min(top, q-2).  Otherwise, when gcd(mult, q-1) = 1, i -> m
-    is a bijection of 1..q-2, so if the m-range 1..min(top, q-2) is the
-    shorter one the loop walks it, with i = mult^(-1)*m mod q-1; and
-    otherwise it walks max(2, 2s)..q-2.  Row s therefore costs at most
-    about q - 2s.  The binomials come from field.binom_tables() as in
-    criterion_sum, with F[top] and G[2s] applied once.
-    """
-    q, p = field.q, field.p
-    F, G, S = field.binom_tables()
-    qm1 = q - 1
-    s2 = 2 * s
-    Ss2, St = S[s2], S[top]
-    i_lo = max(2, s2)
+    Sb, St = S[bottom], S[top]
+    i_lo = max(2, bottom)
     m_hi = min(top, q - 2)
+    inv = mod_inverse(mult, qm1) if gcd(mult, qm1) == 1 else 0
+    m_lo = -(-i_lo // inv) if inv and inv * m_hi < qm1 else 1
     total = 0
-    if mult != 1 and m_hi < qm1 - i_lo and gcd(mult, qm1) == 1:
-        inv = mod_inverse(mult, qm1)
-        for m in range(1, m_hi + 1):
+    if inv and m_hi - m_lo < q - 2 - i_lo:
+        for m in range(m_lo, m_hi + 1):
+            d = top - m
+            if S[m] + S[d] != St:
+                continue
             i = inv * m % qm1
             if i < i_lo:
                 continue
-            j = i - s2
-            if Ss2 + S[j] != S[i]:
-                continue
-            d = top - m
-            if S[m] + S[d] != St:
+            j = i - bottom
+            if Sb + S[j] != S[i]:
                 continue
             term = F[i] * G[j] * G[m] * G[d]
             total += -term if i & 1 else term
     else:
         wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
-        i_hi = m_hi if mult == 1 else q - 2  # mult = 1: m = i <= top
-        for i in range(i_lo, i_hi + 1):
-            j = i - s2
-            if Ss2 + S[j] != S[i]:
+        for i in range(i_lo, q - 1):
+            j = i - bottom
+            if Sb + S[j] != S[i]:
                 continue
             m = mult * i % qm1 or wrap
             if m > top:
@@ -147,51 +89,44 @@ def _row_sum(field, mult: int, top: int, s: int) -> int:
                 continue
             term = F[i] * G[j] * G[m] * G[d]
             total += -term if i & 1 else term
-    return total * F[top] * G[s2] % p
+    return total * F[top] * G[bottom] % p
 
 
-def inverse_criterion_sum(field, k_prime: int, s: int, half: bool = False) -> int:
-    """The criterion sum rewritten through the inverse exponent k'.
-
-    sum over 2 <= i <= q-2 of (-1)^i C((k'*row)*, (k'i)*) C(i, 2s) mod p,
-    where row = s for half=False and row = s + (q-1)/2 for half=True, and
-    0 <= s <= (q-1)/2.
-    """
+def criterion_sum(field, k: int, s: int) -> int:
+    """The criterion row s in 1..q-2 of a coprime k, as the kernel row
+    R(k', s, (2ks)*); any other k raises NotCoprimeError."""
     q = field.q
-    row = s + (q - 1) // 2 if half else s
-    return _row_sum(field, k_prime, star_reduce(k_prime * row, q), s)
+    return _row_sum(field, mod_inverse(k, q - 1), s, star_reduce(2 * k * s, q))
 
 
-def inverse_pp_criterion(field, k: int) -> bool:
-    """PP test through k' = k^(-1) mod q-1: gcd ok and both sum families
-    vanish (plain rows for 1 <= s <= (q-1)/2, shifted rows for s < (q-1)/2).
+def pp_criterion(field, k: int) -> bool:
+    """a_k is a PP iff gcd(k, q-1) = 1 and every criterion row vanishes.
 
-    Row s costs about q - 2s (see _row_sum), so the rows are tried
-    cheapest first: s runs from (q-1)/2 down to 1, the plain row before
-    the shifted one at each s.  For a k that is not a PP a nonzero row
-    then tends to turn up among the short rows.
+    The rows are R(k', (k'r)*, (2r)*) for r in 1..q-2.  A row with bottom
+    b costs at most about q - b, so they are tried cheapest first: bottom
+    2s from q-3 down to 2, r = s before r = s + (q-1)/2.  The row
+    r = (q-1)/2 has bottom q-1 and so no term; it is skipped.
     """
     q = field.q
     if gcd(k, q - 1) != 1:
         return False
     kp = mod_inverse(k, q - 1)
     h = (q - 1) // 2
-    for s in range(h, 0, -1):
-        if inverse_criterion_sum(field, kp, s) != 0:
-            return False
-        if s < h and inverse_criterion_sum(field, kp, s, half=True) != 0:
-            return False
+    for s in range(h - 1, 0, -1):
+        for r in (s, s + h):
+            if _row_sum(field, kp, star_reduce(kp * r, q), 2 * s) != 0:
+                return False
     return True
 
 
 def cross_check(field, records) -> tuple[list[dict], dict]:
-    """Both criteria against the direct a_pp flag of every sweep row: one
-    row per k where the three disagree, and the field's verdict.
+    """The criterion against the direct a_pp flag of every sweep row: one
+    row per k where the two disagree, and the field's verdict.
 
-    Both criteria are constant on the Frobenius orbits k -> p*k mod q-1:
+    The criterion is constant on the Frobenius orbits k -> p*k mod q-1:
     that rotates the base-p digits of every exponent class in a row, so by
-    Lucas' theorem it only permutes the digitwise binomials.  Each runs
-    once per orbit, at its least member, through this module's attributes.
+    Lucas' theorem it only permutes the digitwise binomials.  It runs once
+    per orbit, at its least member, through this module's attribute.
     """
     q = field.q
     rep = orbit_representatives(field.p, field.e)
@@ -200,12 +135,10 @@ def cross_check(field, records) -> tuple[list[dict], dict]:
     for r in records:
         k = rep[r["k"]]
         if k not in flags:
-            flags[k] = (pp_criterion(field, k), inverse_pp_criterion(field, k))
-        c1, c2 = flags[k]
-        if not (r["a_pp"] == c1 == c2):
+            flags[k] = pp_criterion(field, k)
+        if r["a_pp"] != flags[k]:
             rows.append({"kind": "criterion_mismatch", "q": q, "k": r["k"],
-                         "direct": r["a_pp"], "criterion": c1,
-                         "inverse_criterion": c2})
+                         "direct": r["a_pp"], "criterion": flags[k]})
     mismatch_ks = [row["k"] for row in rows]
     verdict = {"section": "criterion", "q": q, "checked": q - 1,
                "mismatch_ks": mismatch_ks, "passed": not mismatch_ks}
@@ -246,7 +179,7 @@ def support_identity_lhs(field, l: int, t: int, u: int, v: int) -> int:
         raise ParamDomainError("l = %d has all base-%d digits equal to 1" % (l, p))
     s = (q - 1) // 2 - (u + v * p**t)
     top = star_reduce(l * (s + (q - 1) // 2), q)
-    return _row_sum(field, l, top, s)
+    return _row_sum(field, l, top, 2 * s)
 
 
 def support_identity_rhs(p: int, x: int, y: int, u: int, v: int) -> int:
@@ -307,21 +240,34 @@ def identity_grid(field) -> tuple[list[dict], dict]:
     return rows, verdict
 
 
+@lru_cache(maxsize=1)  # upper_half_grid asks for one p at a time
+def _upper_half_binoms(p: int) -> tuple[tuple[int, ...], ...]:
+    """C(a, (p-1)/2) and C(p-1, a) for a < p, and C(n, p-1) for n < 2p-1,
+    each mod p: the factors of upper_half_sum."""
+    h = (p - 1) // 2
+    return (tuple(comb(a, h) % p for a in range(p)),
+            tuple(comb(p - 1, a) % p for a in range(p)),
+            tuple(comb(n, p - 1) % p for n in range(2 * p - 1)))
+
+
 def upper_half_sum(p: int, x: int, y: int) -> int:
     """sum over (p-1)/2 <= a, b <= p-1 of
     (-1)^(a+b) C(a,(p-1)/2)^x C(b,(p-1)/2)^x C(a+b,p-1)^y C(p-1,a) C(p-1,b)
     mod p.  For y >= 1 only the a = b = (p-1)/2 term survives mod p and the
     value is 1.
+
+    Each factor is reduced mod p before pow(c, x, p), which keeps 0^0 = 1,
+    so no term grows; the double loop still costs about p^2/4 products.
     """
     h = (p - 1) // 2
+    half, row, col = _upper_half_binoms(p)
+    # (-1)^a C(a, h)^x C(p-1, a) for a = h..p-1; the b factor is the same
+    side = [(-1) ** a * pow(half[a], x, p) * row[a] for a in range(h, p)]
+    col_y = [pow(c, y, p) for c in col]
     total = 0
-    for a in range(h, p):
-        ca = comb(a, h) ** x * comb(p - 1, a)
-        for b in range(h, p):
-            term = ca * comb(b, h) ** x * comb(a + b, p - 1) ** y * comb(p - 1, b)
-            if (a + b) & 1:
-                term = -term
-            total += term
+    for a, ca in enumerate(side, h):
+        if ca:
+            total += ca * sum(cb * col_y[a + b] for b, cb in enumerate(side, h))
     return total % p
 
 

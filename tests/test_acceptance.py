@@ -6,7 +6,7 @@ All expected values are exact; there are no tolerances anywhere.
 
 import itertools
 import json
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -71,13 +71,31 @@ def test_03_criterion_equals_direct_pp_oracle(field_for):
 
 
 def test_04_inverse_criterion_equals_criterion(field_for):
+    # For gcd(k, q-1) = 1 and k' = k^-1 mod q-1, row r of the criterion
+    # written through k', sum over 2 <= i <= q-2 of
+    # (-1)^i C((k'r)*, (k'i)*) C(i, (2r)*), is the criterion row
+    # s = (k'r)*, sum over 1 <= j <= q-2 of (-1)^j C(s, j) C((kj)*, (2ks)*),
+    # mod p; both are summed here with exact integer binomials.
     bad = []
     for q in CRITERION_QS:
-        fld = field_for(q)
-        for k in range(1, q):
-            if criterion.inverse_pp_criterion(fld, k) != criterion.pp_criterion(fld, k):
-                bad.append((q, k))
-    report(4, "inverse criterion vs criterion", not bad, repr(bad))
+        p = field_for(q).p
+
+        def star(n):
+            return digits.star_reduce(n, q)
+
+        for k in range(1, q - 1):
+            if gcd(k, q - 1) != 1:
+                continue
+            kp = digits.mod_inverse(k, q - 1)
+            for r in range(1, q - 1):
+                s, bottom = star(kp * r), star(2 * r)
+                forward = sum((-1) ** j * comb(s, j) * comb(star(k * j), star(2 * k * s))
+                              for j in range(1, q - 1))
+                inverse = sum((-1) ** i * comb(s, star(kp * i)) * comb(i, bottom)
+                              for i in range(2, q - 1))
+                if (forward - inverse) % p:
+                    bad.append((q, k, r))
+    report(4, "inverse-exponent rows are the criterion rows", not bad, repr(bad))
 
 
 def test_05_support_identity_grid(field_for):

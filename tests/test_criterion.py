@@ -1,22 +1,26 @@
 """Binomial-sum criteria against the direct PP oracle, and the identity grids."""
 
 import ast
+import functools
 import inspect
 import itertools
 import sys
 import textwrap
-from math import comb
+import time
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfpp import criterion
 from gfpp.cli import factor_prime_power
 from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
-                            inverse_criterion_sum, inverse_pp_criterion,
                             pp_criterion, support_identity_lhs,
-                            support_identity_rhs, upper_half_sum, xy_params)
+                            support_identity_rhs, upper_half_grid,
+                            upper_half_sum, xy_params)
 from gfpp.digits import lucas_binom, mod_inverse, star_reduce
-from gfpp.errors import ParamDomainError
+from gfpp.errors import NotCoprimeError, ParamDomainError
 from gfpp.field import Field
 from gfpp.permpoly import eval_a, p_powers, sweep
 
@@ -24,6 +28,8 @@ from gfpp.permpoly import eval_a, p_powers, sweep
 # Fields at which the table-driven sums are compared with the exact oracle
 # for every k and s.
 ORACLE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81)
+# Larger fields, from which a hypothesis test draws single rows.
+SAMPLED_QS = (125, 243, 343, 625, 729, 1327)
 
 
 def _exact_criterion_sum(fld, k, s):
@@ -39,12 +45,12 @@ def _exact_criterion_sum(fld, k, s):
     return total % p
 
 
-def _exact_row_sum(fld, mult, top, s):
+def _exact_row_sum(fld, mult, top, bottom):
     # criterion._row_sum term by term, with exact integer binomials
     q, p = fld.q, fld.p
     total = 0
     for i in range(2, q - 1):
-        c2 = comb(i, 2 * s) % p
+        c2 = comb(i, bottom) % p
         if c2:
             term = c2 * lucas_binom(top, star_reduce(mult * i, q), p)
             total += -term if i & 1 else term
@@ -85,27 +91,71 @@ def test_terms_above_s_contribute_nothing(f9):
             total += -term if i & 1 else term
         return total % p
 
-    for k in range(1, 9):
+    for k in _coprime_exponents(9):
         for s in range(1, 8):
             assert criterion_sum(f9, k, s) == truncated(f9, k, s)
+
+
+def _coprime_exponents(q):
+    return [k for k in range(1, q - 1) if gcd(k, q - 1) == 1]
+
+
+def _kernel_calls(q):
+    # (function, args) of every call the oracle test checks: criterion_sum
+    # at every coprime k and s, and _row_sum at every mult in range(q),
+    # 0 and the non-coprime ones included, on the rows r = 1..q-1 of the
+    # inverse-exponent form, top (mult*r)* and bottom (2r)*
+    for k in _coprime_exponents(q):
+        for s in range(1, q - 1):
+            yield criterion_sum, _exact_criterion_sum, (k, s)
+    for mult in range(q):
+        for r in range(1, q):
+            args = (mult, star_reduce(mult * r, q), star_reduce(2 * r, q))
+            yield criterion._row_sum, _exact_row_sum, args
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_sums_equal_the_exact_oracle(q):
     fld = Field(*factor_prime_power(q))
-    h = (q - 1) // 2
-    # k = 0 included: (0*i)* is 0, not q-1
-    for k in range(q):
-        for s in range(1, q - 1):
-            assert criterion_sum(fld, k, s) == _exact_criterion_sum(fld, k, s), (k, s)
-    for kp in range(q):
-        for s in range(1, h + 1):
-            for half in (False, True):
-                top = star_reduce(kp * (s + h if half else s), q)
-                assert (inverse_criterion_sum(fld, kp, s, half)
-                        == _exact_row_sum(fld, kp, top, s)), (kp, s, half)
+    # The identity, between the exact oracles alone: for gcd(k, q-1) = 1,
+    # row r of the criterion through k' is the criterion row s = (k'r)*.
+    for k in _coprime_exponents(q):
+        kp = mod_inverse(k, q - 1)
+        for r in range(1, q - 1):
+            s = star_reduce(kp * r, q)
+            assert (_exact_row_sum(fld, kp, s, star_reduce(2 * r, q))
+                    == _exact_criterion_sum(fld, k, s)), (k, r)
+    # Each table-driven sum against its exact oracle.
+    for func, oracle, args in _kernel_calls(q):
+        assert func(fld, *args) == oracle(fld, *args), (func.__name__, args)
 
 
+def test_criterion_sum_needs_a_coprime_exponent(f9):
+    for k in (0, 2, 4, 6):
+        with pytest.raises(NotCoprimeError):
+            criterion_sum(f9, k, 1)
+
+
+@functools.cache
+def _sampled_field(q):
+    return Field(*factor_prime_power(q))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sums_equal_the_exact_oracle_beyond_q81(data):
+    q = data.draw(st.sampled_from(SAMPLED_QS), label="q")
+    fld = _sampled_field(q)
+    k = data.draw(st.sampled_from(_coprime_exponents(q)), label="k")
+    s = data.draw(st.integers(1, q - 2), label="s")
+    mult = data.draw(st.integers(0, q - 1), label="mult")
+    assert criterion_sum(fld, k, s) == _exact_criterion_sum(fld, k, s)
+    for m in (mod_inverse(k, q - 1), mult):
+        args = (m, star_reduce(m * s, q), star_reduce(2 * s, q))
+        assert criterion._row_sum(fld, *args) == _exact_row_sum(fld, *args), args
+
+
+@functools.cache
 def _loop_body_lines(func):
     # source line number of the first statement of each `for` loop in func
     lines, start = inspect.getsourcelines(func)
@@ -115,41 +165,35 @@ def _loop_body_lines(func):
 
 
 def test_oracle_fields_reach_both_loops_of_each_kernel():
-    # Over the calls of test_sums_equal_the_exact_oracle, each kernel runs
-    # its i-range loop for some (k, s) and its m-range loop (i = k^-1 * m)
-    # for others, so that test checks both loops against the exact sums.
-    # A line tracer on the two kernels records each loop body it enters and
-    # then stops tracing lines in that call.
-    bodies = {f.__code__: _loop_body_lines(f)
-              for f in (criterion.criterion_sum, criterion._row_sum)}
-    assert all(len(lines) == 2 for lines in bodies.values())
+    # Over the calls of test_sums_equal_the_exact_oracle, the one kernel
+    # runs its i-range loop for some calls and its m-range loop
+    # (i = mult^-1 * m) for others, so that test checks both loops against
+    # the exact sums.  A line tracer on the kernel records each loop body
+    # it enters and then stops tracing lines in that call.
+    kernel = criterion._row_sum
+    body = _loop_body_lines(kernel)
+    assert len(body) == 2
     reached = set()
 
     def line_tracer(frame, event, arg):
-        if event == "line" and frame.f_lineno in bodies[frame.f_code]:
-            reached.add((frame.f_code, frame.f_lineno))
+        if event == "line" and frame.f_lineno in body:
+            reached.add(frame.f_lineno)
             frame.f_trace_lines = False
         return line_tracer
 
     def call_tracer(frame, event, arg):
-        return line_tracer if frame.f_code in bodies else None
+        return line_tracer if frame.f_code is kernel.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(call_tracer)
     try:
         for q in ORACLE_QS:
             fld = Field(*factor_prime_power(q))
-            h = (q - 1) // 2
-            for k in range(q):
-                for s in range(1, q - 1):
-                    criterion_sum(fld, k, s)
-                for s in range(1, h + 1):
-                    inverse_criterion_sum(fld, k, s)
-                    inverse_criterion_sum(fld, k, s, half=True)
+            for func, _, args in _kernel_calls(q):
+                func(fld, *args)
     finally:
         sys.settrace(previous)
-    assert reached == {(code, line) for code, lines in bodies.items()
-                       for line in lines}
+    assert reached == body
 
 
 def _loop_passes(func, call):
@@ -174,26 +218,38 @@ def _loop_passes(func, call):
     return len(hits)
 
 
+def _walk_length(q, mult, top, bottom):
+    # The number of passes the kernel makes: the i-walk covers
+    # max(2, bottom)..q-2; for a coprime mult the m-walk covers the m in
+    # 1..min(top, q-2) and, when mult^-1 * m never reaches q-1 there, only
+    # those whose i = mult^-1 * m is at least max(2, bottom).  The kernel
+    # takes the shorter.
+    i_lo, m_hi = max(2, bottom), min(top, q - 2)
+    i_len = max(0, q - 1 - i_lo)
+    if gcd(mult, q - 1) != 1:
+        return i_len
+    inv = mod_inverse(mult, q - 1)
+    if inv * m_hi < q - 1:
+        m_len = sum(inv * m >= i_lo for m in range(1, m_hi + 1))
+    else:
+        m_len = m_hi
+    return min(i_len, m_len)
+
+
 @pytest.mark.parametrize("q", [7, 9, 13, 25, 27])
 def test_rows_walk_only_their_nonempty_index_range(q):
-    # criterion_sum with 0 < ks < q-1 has m = ki, so it walks exactly
-    # ceil((2ks)*/k)..s; _row_sum with mult = 1 has m = i, so it walks
-    # exactly max(2, 2s)..min(top, q-2).  An empty range costs nothing.
+    # Every criterion row and every inverse-exponent row at every mult walk
+    # exactly the narrowed length of the shorter walk.  A row such as
+    # criterion_sum with k*s < q-1, where i = k*m never wraps, walks only
+    # its nonempty range, and an empty range costs nothing.
     fld = Field(*factor_prime_power(q))
-    h = (q - 1) // 2
-    for k in range(1, q - 2):
-        for s in range(1, (q - 2) // k + 1):
-            bottom = star_reduce(2 * k * s, q)
-            expected = max(0, s - -(-bottom // k) + 1)
-            passes = _loop_passes(criterion_sum, lambda: criterion_sum(fld, k, s))
-            assert passes == expected, (k, s)
-    for s in range(1, h + 1):
-        for half in (False, True):
-            top = star_reduce(s + h if half else s, q)
-            expected = max(0, min(top, q - 2) - max(2, 2 * s) + 1)
-            passes = _loop_passes(criterion._row_sum,
-                                  lambda: inverse_criterion_sum(fld, 1, s, half))
-            assert passes == expected, (s, half)
+    for func, _, args in _kernel_calls(q):
+        if func is criterion_sum:
+            k, s = args
+            args = (mod_inverse(k, q - 1), s, star_reduce(2 * k * s, q))
+        passes = _loop_passes(criterion._row_sum,
+                              lambda: criterion._row_sum(fld, *args))
+        assert passes == _walk_length(q, *args), args
 
 
 def test_support_identity_lhs_equals_the_exact_oracle_q81():
@@ -202,7 +258,7 @@ def test_support_identity_lhs_equals_the_exact_oracle_q81():
     rows, _ = identity_grid(fld)
     for r in rows:
         top = star_reduce(r["l"] * (r["s"] + h), q)
-        assert r["lhs"] == _exact_row_sum(fld, r["l"], top, r["s"]), r
+        assert r["lhs"] == _exact_row_sum(fld, r["l"], top, 2 * r["s"]), r
     bad = [(r["lhs"], r["rhs"]) for r in rows if not r["wrap"] and not r["match"]]
     assert bad == [(2, 0)] * 8
 
@@ -241,7 +297,6 @@ def test_criterion_equals_direct_oracle(p, e):
     fld = Field(p, e)
     for k, direct in enumerate(_direct_pp_flags(fld), 1):
         assert pp_criterion(fld, k) == direct, k
-        assert inverse_pp_criterion(fld, k) == direct, k
 
 
 def test_cross_check_reports_each_disagreeing_k(f9, monkeypatch):
@@ -250,13 +305,13 @@ def test_cross_check_reports_each_disagreeing_k(f9, monkeypatch):
         "section": "criterion", "q": 9, "checked": 8, "mismatch_ks": [],
         "passed": True})
     # Patched at the module attribute, where a tracer would wrap it.  The
-    # cross-check runs each criterion at the least member of each Frobenius
+    # cross-check runs the criterion at the least member of each Frobenius
     # orbit, so this fake holds on the whole orbit {2, 6} of k = 2.
-    monkeypatch.setattr(criterion, "inverse_pp_criterion", lambda fld, k: k == 2)
+    monkeypatch.setattr(criterion, "pp_criterion", lambda fld, k: k == 2)
     rows, verdict = cross_check(f9, records)
     assert rows == [
         {"kind": "criterion_mismatch", "q": 9, "k": k, "direct": k in (1, 3),
-         "criterion": k in (1, 3), "inverse_criterion": k in (2, 6)}
+         "criterion": k in (2, 6)}
         for k in (1, 2, 3, 6)]
     assert verdict == {"section": "criterion", "q": 9, "checked": 8,
                        "mismatch_ks": [1, 2, 3, 6], "passed": False}
@@ -264,69 +319,73 @@ def test_cross_check_reports_each_disagreeing_k(f9, monkeypatch):
 
 def test_cross_check_runs_each_criterion_once_per_orbit(f9, monkeypatch):
     calls = []
-    for name in ("pp_criterion", "inverse_pp_criterion"):
-        real = getattr(criterion, name)
-        monkeypatch.setattr(criterion, name, lambda fld, k, name=name, real=real:
-                            calls.append((name, k)) or real(fld, k))
+    real = criterion.pp_criterion
+    monkeypatch.setattr(criterion, "pp_criterion",
+                        lambda fld, k: calls.append(k) or real(fld, k))
     assert cross_check(f9, sweep(f9))[1]["passed"]
     # q = 9: orbits {1, 3}, {2, 6}, {4}, {5, 7}, {8}
-    assert calls == [(name, k) for k in (1, 2, 4, 5, 8)
-                     for name in ("pp_criterion", "inverse_pp_criterion")]
+    assert calls == [1, 2, 4, 5, 8]
 
 
 @pytest.mark.parametrize("q", (9, 25, 27, 49, 81, 125))
 def test_criteria_are_constant_on_frobenius_orbits(q):
     # k -> p*k rotates the base-p digits of every exponent class, so each
-    # row of either criterion, and so each verdict, is the same at p*k.
+    # criterion row, each inverse-exponent row at mult k, and so each
+    # verdict, is the same at p*k.
     fld = Field(*factor_prime_power(q))
-    h = (q - 1) // 2
     data = {}
     for k in range(1, q):
-        data[k] = ([criterion_sum(fld, k, s) for s in range(1, q - 1)],
-                   [inverse_criterion_sum(fld, k, s, half)
-                    for s in range(1, h + 1) for half in (False, True)],
-                   pp_criterion(fld, k), inverse_pp_criterion(fld, k))
+        data[k] = ([criterion_sum(fld, k, s) for s in range(1, q - 1)]
+                   if gcd(k, q - 1) == 1 else None,
+                   [criterion._row_sum(fld, k, star_reduce(k * r, q),
+                                       star_reduce(2 * r, q))
+                    for r in range(1, q)],
+                   pp_criterion(fld, k))
     for k in range(1, q):
         assert data[k] == data[star_reduce(fld.p * k, q)], k
 
 
 def test_inverse_sums_vanish_for_pp_exponents(f9):
-    # k = 1 (k' = 1): every admissible plain row vanishes
+    # k = 1 (k' = 1): every row r = s, R(1, s, 2s), vanishes
     for s in range(1, 5):
-        assert inverse_criterion_sum(f9, 1, s) == 0
-    # k = 3 (k' = 3): shifted row at s = 1
+        assert criterion._row_sum(f9, 1, s, 2 * s) == 0
+    # k = 3 (k' = 3): the row r = 1 + 4, R(3, (3*5)*, 2)
     assert mod_inverse(3, 8) == 3
-    assert inverse_criterion_sum(f9, 3, 1, half=True) == 0
+    assert criterion._row_sum(f9, 3, star_reduce(3 * 5, 9), 2) == 0
 
 
 def test_inverse_sums_detect_non_pp(f27):
     # k = 7 is coprime to 26 but not a power of 3, so some row must fail
     kp = mod_inverse(7, 26)
-    rows = [inverse_criterion_sum(f27, kp, s) for s in range(1, 14)]
-    rows += [inverse_criterion_sum(f27, kp, s, half=True) for s in range(1, 13)]
+    rows = [criterion._row_sum(f27, kp, star_reduce(kp * r, 27),
+                               star_reduce(2 * r, 27)) for r in range(1, 26)]
     assert any(r != 0 for r in rows)
 
 
 def test_inverse_criterion_tries_every_row_cheapest_first(f27, monkeypatch):
-    # with every row patched to vanish, all rows are tried: s from (q-1)/2
-    # down to 1, the plain row before the shifted one, no shifted row at
-    # s = (q-1)/2
+    # with every row patched to vanish, every nonempty row is tried once,
+    # through k': bottom 2s from q-3 down to 2, the row r = s before
+    # r = s + (q-1)/2; the row r = (q-1)/2, bottom q-1, has no term
     tried = []
 
-    def row(fld, kp, s, half=False):
-        tried.append((kp, s, half))
+    def row(fld, mult, top, bottom):
+        tried.append((mult, top, bottom))
         return 0
 
-    monkeypatch.setattr(criterion, "inverse_criterion_sum", row)
-    assert inverse_pp_criterion(f27, 7)
+    monkeypatch.setattr(criterion, "_row_sum", row)
+    assert pp_criterion(f27, 7)
     kp = mod_inverse(7, 26)
-    assert tried == [(kp, 13, False)] + [(kp, s, half) for s in range(12, 0, -1)
-                                          for half in (False, True)]
+    assert tried == [(kp, star_reduce(kp * r, 27), 2 * s)
+                     for s in range(12, 0, -1) for r in (s, s + 13)]
 
 
 def test_inverse_criterion_agrees_with_forward_on_q27(f27):
+    # pp_criterion against the criterion as stated: gcd(k, q-1) = 1 and
+    # every forward row s = 1..q-2 vanishes, by exact binomials
     for k in range(1, 27):
-        assert inverse_pp_criterion(f27, k) == pp_criterion(f27, k), k
+        forward = gcd(k, 26) == 1 and all(
+            _exact_criterion_sum(f27, k, s) == 0 for s in range(1, 26))
+        assert pp_criterion(f27, k) == forward, k
 
 
 def test_boundary_row_is_empty_both_readings(f27):
@@ -336,8 +395,8 @@ def test_boundary_row_is_empty_both_readings(f27):
     q, p = f27.q, f27.p
     h = (q - 1) // 2
     for kp in (1, 3, 7, 9):
-        assert inverse_criterion_sum(f27, kp, h) == 0
         top = star_reduce(kp * h, q)
+        assert criterion._row_sum(f27, kp, top, q - 1) == 0
         starred = 0
         for i in range(2, q - 1):
             term = (comb(i, star_reduce(2 * h, q)) % p
@@ -480,3 +539,31 @@ def test_upper_half_sum_direct_oracle():
         for x in range(3):
             for y in range(1, 3):
                 assert upper_half_sum(p, x, y) == oracle(p, x, y) == 1
+
+
+def _exact_upper_half_sum(p, x, y):
+    # upper_half_sum as stated, with exact integer powers of binomials
+    h = (p - 1) // 2
+    total = 0
+    for a in range(h, p):
+        for b in range(h, p):
+            total += ((-1) ** (a + b) * comb(a, h) ** x * comb(b, h) ** x
+                      * comb(a + b, p - 1) ** y * comb(p - 1, a) * comb(p - 1, b))
+    return total % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_upper_half_sum_equals_the_exact_sum(p):
+    # every grid point, and y = 0, where 0^0 = 1 must hold for C(a+b, p-1)
+    for x in range(5):
+        for y in range(5):
+            assert upper_half_sum(p, x, y) == _exact_upper_half_sum(p, x, y), (x, y)
+
+
+def test_upper_half_grid_p211_takes_under_a_second():
+    # the exact big-integer sums took about 3 s here
+    criterion._upper_half_binoms.cache_clear()
+    start = time.perf_counter()
+    _, verdict = upper_half_grid(211)
+    assert time.perf_counter() - start < 1.0
+    assert verdict["passed"] and verdict["points"] == 20

@@ -82,4 +82,5 @@ def test_tracer_targets_resolve():
     assert unresolved == {"field.power_table", "field.sub_table",
                           "permpoly.a_value_table", "permpoly.b_value_table",
                           "permpoly.is_permutation", "digits.lucas_binom",
-                          "graphs.monomial_tables"}
+                          "graphs.monomial_tables",
+                          "criterion.inverse_pp_criterion"}
