@@ -10,6 +10,22 @@ Starred quantities are exponent classes mod q-1 (digits.star_reduce),
 whose positive-multiple-of-(q-1) -> q-1 rule is load-bearing: the row
 class in the support identity is such a multiple whenever u = v = 0.
 
+When mult is a p-power class p^j, the row has a closed form.  Write x_d
+for the base-p digit d of x, and T_d = top_((d+j) mod e).  For every i in
+0..q-1, m = (p^j*i)* rotates the digits of i, so m_((d+j) mod e) = i_d
+(i = 0 and i = q-1 are fixed by the rotation).  By Lucas' theorem
+C(top, m) C(i, b) = prod over d of C(T_d, i_d) C(i_d, b_d), and as p is
+odd, (-1)^i = prod over d of (-1)^(i_d).  So the sum over all i in
+0..q-1 factors into digit sums, each
+    sum over x < p of (-1)^x C(T, x) C(x, b) = (-1)^b C(T, b) (1-1)^(T-b)
+                                            = (-1)^b [T = b]
+(C(T, x) C(x, b) = C(T, b) C(T-b, x-b)).  Hence the full sum is
+(-1)^b [top = (p^j*b)*], with (-1)^b = prod over d of (-1)^(b_d).  It
+equals the row when the terms i = 0, 1, q-1 that the row leaves out
+vanish: C(i, b) = 0 for i < 2 <= b, and C(top, q-1) = 0 for top <= q-2.
+Outside that guard the kernel walks; the u = v = 0 corner of the support
+identity, where top = b = q-1, is such a row.
+
 The Hermite-type criterion for a_k (Dmytrenko-Lazebnik-Williford, Finite
 Fields Appl. 13, 2007): a_k permutes GF(q) iff gcd(k, q-1) = 1 and every
     criterion_sum(k, s) = sum over 1 <= j <= q-2 of (-1)^j C(s, j) C((kj)*, (2ks)*)
@@ -22,8 +38,10 @@ proof of Conjecture A (arXiv 1701.05214) writes the rows through k':
 row r in 1..q-2 is R(k', (k'r)*, (2r)*), which is criterion_sum(k, (k'r)*)
 since (2k(k'r)*)* = (2r)*.  As r -> (k'r)* is a bijection of 1..q-2, the
 two forms are the same q-2 rows in another order; pp_criterion evaluates
-each once.  The closed forms (support_identity_rhs, upper_half_sum) stay
-integer sums reduced mod p.
+each once.  For a p-power k, k' is a p-power class, so every row takes
+the closed form above, and it is 0: top = (k'r)* is never (k'(2r)*)*, as
+r is not 2r mod q-1.  The closed forms (support_identity_rhs,
+upper_half_sum) stay integer sums reduced mod p.
 """
 
 from __future__ import annotations
@@ -44,17 +62,23 @@ UPPER_HALF_Y_RANGE = range(1, 5)
 def _row_sum(field, mult: int, top: int, bottom: int) -> int:
     """R(mult, top, bottom) mod p for mult >= 0 and top, bottom in 0..q-1.
 
-    A term needs i >= i_lo = max(2, bottom) and m = (mult*i)* <= top.  The
-    loop walks i over i_lo..q-2, or, for gcd(mult, q-1) = 1, m over
-    1..min(top, q-2) with i = inv*m mod q-1, inv = mult^(-1).  When
-    inv*min(top, q-2) < q-1 that map does not wrap, so the m-walk starts
-    at ceil(i_lo/inv).  It takes the shorter walk after that cut.  This is
-    the only place that forms a binomial from field.binom_tables(): C(m, n)
-    is F[m] G[n] G[m-n] when the digit sums show no borrow in m - n, and 0
-    otherwise; F[top] and G[bottom] are applied once.
+    For a p-power class mult (digit sum 1) with bottom >= 2 and top <= q-2,
+    the row is (-1)^bottom [top = (mult*bottom)*], with no walk (see the
+    module docstring).  Otherwise a term needs i >= i_lo = max(2, bottom)
+    and m = (mult*i)* <= top.  The loop walks i over i_lo..q-2, or, for
+    gcd(mult, q-1) = 1, m over 1..min(top, q-2) with i = inv*m mod q-1,
+    inv = mult^(-1).  When inv*min(top, q-2) < q-1 that map does not wrap,
+    so the m-walk starts at ceil(i_lo/inv).  It takes the shorter walk
+    after that cut.  This is the only place that forms a binomial from
+    field.binom_tables(): C(m, n) is F[m] G[n] G[m-n] when the digit sums
+    show no borrow in m - n, and 0 otherwise; F[top] and G[bottom] are
+    applied once.
     """
     q, p = field.q, field.p
     F, G, S = field.binom_tables()
+    if bottom >= 2 and top <= q - 2 and S[star_reduce(mult, q)] == 1:
+        sign = p - 1 if bottom & 1 else 1
+        return sign if top == star_reduce(mult * bottom, q) else 0
     qm1 = q - 1
     Sb, St = S[bottom], S[top]
     i_lo = max(2, bottom)
@@ -105,7 +129,9 @@ def pp_criterion(field, k: int) -> bool:
     The rows are R(k', (k'r)*, (2r)*) for r in 1..q-2.  A row with bottom
     b costs at most about q - b, so they are tried cheapest first: bottom
     2s from q-3 down to 2, r = s before r = s + (q-1)/2.  The row
-    r = (q-1)/2 has bottom q-1 and so no term; it is skipped.
+    r = (q-1)/2 has bottom q-1 and so no term; it is skipped.  For a
+    p-power k every row is the kernel's closed form, so the q-3 rows the
+    criterion must sum to accept k cost O(1) each.
     """
     q = field.q
     if gcd(k, q - 1) != 1:

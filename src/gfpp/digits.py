@@ -96,5 +96,10 @@ def mod_inverse(k: int, m: int) -> int:
 
 
 def digits_binary(k_prime: int, p: int, e: int) -> bool:
-    """Whether every base-p digit of k_prime lies in {0, 1}."""
-    return all(d <= 1 for d in digit_vector(k_prime, p, e).digits)
+    """Whether every base-p digit of star_reduce(k_prime, p**e) lies in {0, 1}."""
+    v = star_reduce(k_prime, p**e)
+    while v:
+        v, d = divmod(v, p)
+        if d > 1:
+            return False
+    return True

@@ -14,11 +14,12 @@ sweep row, a report dict, adds gcd, inverse-exponent digit data, and the
 optional criterion flag.
 
 Two symmetries spare most of that work.  When a map's exponent shares a
-root of unity t != +-1 with q-1, an explicit pair collides (_a_pair,
-_b_pair), so only the exponents with gcd(2k, q-1) <= 2 (for a_k) or
-gcd(k, q-1) <= 2 (for b_k) are scanned.  And a_{pk} = (a_k)^p, b_{pk} =
-(b_k)^p as maps, with x -> x^p a bijection, so a sweep decides each
-Frobenius orbit k -> p*k mod q-1 once, at its least member.
+root of unity w != 1 with q-1 (for a_k), or t != +-1 with q-1 (for b_k),
+an explicit pair collides (_a_pair, _b_pair), so only the exponents with
+gcd(k, q-1) = 1 (for a_k) or gcd(2k, q-1) = 2 (for b_k) are scanned.  And
+a_{pk} = (a_k)^p, b_{pk} = (b_k)^p as maps, with x -> x^p a bijection, so
+a sweep decides each Frobenius orbit k -> p*k mod q-1 once, at its least
+member.
 """
 
 from __future__ import annotations
@@ -126,44 +127,42 @@ def _b_at(field, k: int, x: int) -> int:
 
 def _a_pair(field, k: int) -> tuple[int, int] | None:
     """A colliding pair of a_k built from a root of unity, or None when
-    d = gcd(2k, q-1) <= 2.
+    d = gcd(k, q-1) = 1.
 
-    t = g^((q-1)/d) has t^(2k) = 1 and t != +-1.  x = 1/(t-1) and
-    y = -1-x = -t*x give y(y+1) = x(x+1) and y^(2k) = x^(2k), so
-    a_k(x) = a_k(y); x != y, and neither is 0 or -1.  The pair is taken
-    from the log tables (t - 1 = g^h (1 + g^(log t + h)), with g^h = -1)
-    and returned only after a_k is evaluated at both points, so a None
-    means the scan decides.
+    w = g^((q-1)/d) has w^k = 1 and w != 1.  x = 1/(w-1) has x + 1 = w*x,
+    so (x+1)^k = x^k and a_k(x) = 0 = a_k(0); x is neither 0 nor -1.  x is
+    taken from the log tables (w - 1 = g^h (1 + g^(log w + h)), with
+    g^h = -1), and the pair (0, x) is returned only after a_k is evaluated
+    at x, so a None means the scan decides.
     """
     m = field.q - 1
-    d = gcd(2 * k, m)
-    if d <= 2:
+    d = gcd(k, m)
+    if d == 1:
         return None
     exp, _, zech = field.log_tables()
     h = m // 2
-    nx = -(h + zech[(m // d + h) % m]) % m
-    x, y = exp[nx], exp[(h + zech[nx]) % m]
-    return (x, y) if _a_at(field, k, x) == _a_at(field, k, y) else None
+    x = exp[-(h + zech[(m // d + h) % m]) % m]
+    return (0, x) if _a_at(field, k, x) == 0 else None
 
 
 def _b_pair(field, k: int) -> tuple[int, int] | None:
     """A colliding pair of b_k built from a root of unity, or None when
-    d = gcd(k, q-1) <= 2.
+    d = gcd(2k, q-1) = 2.
 
-    t = g^((q-1)/d) has t^k = 1 and t != +-1.  x = -2/(1+t) and
-    y = -2-x = t*x give y+1 = -(x+1) and y^k = x^k, so b_k(x) = b_k(y);
-    x != y, and neither is 0 or -1.  Taken from the log tables and checked
-    by evaluating b_k at both points, as in _a_pair.
+    t = g^((q-1)/d) has t^(2k) = 1 and t != +-1.  At x = t - 1 != 0,
+    (x+1)^(2k) = 1 gives b_k(x) = -2 x^(q-1) = -2, and b_k(-2) = -2 as
+    (-1)^(2k) = 1; t - 1 != -2, and neither is 0 or -1.  t - 1 is taken
+    from the log tables as in _a_pair, and the pair (-2, t-1) is returned
+    only after b_k is evaluated at both points.
     """
     m = field.q - 1
-    d = gcd(k, m)
-    if d <= 2:
+    d = gcd(2 * k, m)
+    if d == 2:
         return None
     exp, log, zech = field.log_tables()
-    lt = m // d
-    nx = (log[2] + m // 2 - zech[lt]) % m
-    x, y = exp[nx], exp[(lt + nx) % m]
-    return (x, y) if _b_at(field, k, x) == _b_at(field, k, y) else None
+    h = m // 2
+    minus2, x = exp[(log[2] + h) % m], exp[(h + zech[(m // d + h) % m]) % m]
+    return (minus2, x) if _b_at(field, k, minus2) == _b_at(field, k, x) else None
 
 
 def p_powers(field) -> list[int]:
@@ -171,10 +170,23 @@ def p_powers(field) -> list[int]:
     return [field.p**i for i in range(field.e)]
 
 
-def _row(field, k: int, a_pp: bool, b_pp: bool, crit) -> dict:
-    """The sweep row of k with the given flags; gcd and inverse-exponent
-    digit data are computed from k itself."""
+def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
+    """The sweep row of one exponent: direct PP flags, gcd and
+    inverse-exponent digit data, and the optional criterion flag.
+
+    A map whose built pair collides is no PP; any other is scanned to its
+    first collision.  The criterion flag costs O(q^2) binomial work per
+    exponent, so it is opt-in.  girth_ge_8 is None here; a girth scan can
+    fill it in.
+    """
     q = field.q
+    a_pp = _a_pair(field, k) is None and first_collision(a_values(field, k)) is None
+    b_pp = _b_pair(field, k) is None and first_collision(b_values(field, k)) is None
+    crit = None
+    if with_criterion:
+        from . import criterion  # loaded only when the flag is asked for
+
+        crit = criterion.pp_criterion(field, k)
     gcd_ok = gcd(k, q - 1) == 1
     kp = digits.mod_inverse(k, q - 1) if gcd_ok else None
     return {
@@ -192,39 +204,26 @@ def _row(field, k: int, a_pp: bool, b_pp: bool, crit) -> dict:
     }
 
 
-def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
-    """The sweep row of one exponent: direct PP flags, gcd and
-    inverse-exponent digit data, and the optional criterion flag.
-
-    A map whose built pair collides is no PP; any other is scanned to its
-    first collision.  The criterion flag costs O(q^2) binomial work per
-    exponent, so it is opt-in.  girth_ge_8 is None here; a girth scan can
-    fill it in.
-    """
-    a_pp = _a_pair(field, k) is None and first_collision(a_values(field, k)) is None
-    b_pp = _b_pair(field, k) is None and first_collision(b_values(field, k)) is None
-    crit = None
-    if with_criterion:
-        from . import criterion  # loaded only when the flag is asked for
-
-        crit = criterion.pp_criterion(field, k)
-    return _row(field, k, a_pp, b_pp, crit)
-
-
 def sweep(field, **kwargs) -> list[dict]:
     """Rows for every exponent 1 <= k <= q-1, in order.
 
-    The flags are computed once per Frobenius orbit, by sweep_record at its
-    least member, and copied to the other members' rows.
+    Each Frobenius orbit's row is computed once, by sweep_record at its
+    least member, and copied to the other members with their own k and
+    k' = k^(-1).  Every other entry is constant on the orbit: the flags
+    (see the module docstring), gcd(p*k, q-1) = gcd(k, q-1), the orbit of
+    1 is the p-powers, and the digits of (p*k)^(-1) = p^(-1) k' are those
+    of k' rotated.
     """
     rep = digits.orbit_representatives(field.p, field.e)
+    m = field.q - 1
     rows = []
     for k in range(1, field.q):
         if rep[k] == k:
             rows.append(sweep_record(field, k, **kwargs))
         else:
             r = rows[rep[k] - 1]
-            rows.append(_row(field, k, r["a_pp"], r["b_pp"], r["criterion"]))
+            kp = digits.mod_inverse(k, m) if r["gcd_ok"] else None
+            rows.append(dict(r, k=k, k_prime=kp))
     return rows
 
 

@@ -21,7 +21,7 @@ from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
                             upper_half_sum, xy_params)
 from gfpp.digits import lucas_binom, mod_inverse, star_reduce
 from gfpp.errors import NotCoprimeError, ParamDomainError
-from gfpp.field import Field
+from gfpp.field import Field, is_prime
 from gfpp.permpoly import eval_a, p_powers, sweep
 
 
@@ -100,11 +100,19 @@ def _coprime_exponents(q):
     return [k for k in range(1, q - 1) if gcd(k, q - 1) == 1]
 
 
+def _p_power_classes(q):
+    # {p^j mod q-1 : 0 <= j < e}
+    p, e = factor_prime_power(q)
+    return {pow(p, j, q - 1) for j in range(e)}
+
+
 def _kernel_calls(q):
     # (function, args) of every call the oracle test checks: criterion_sum
-    # at every coprime k and s, and _row_sum at every mult in range(q),
-    # 0 and the non-coprime ones included, on the rows r = 1..q-1 of the
-    # inverse-exponent form, top (mult*r)* and bottom (2r)*
+    # at every coprime k and s; _row_sum at every mult in range(q), 0 and
+    # the non-coprime ones included, on the rows r = 1..q-1 of the
+    # inverse-exponent form, top (mult*r)* and bottom (2r)*; and _row_sum
+    # at every p-power mult and every top and bottom in 0..q-1, inside the
+    # closed form's guard (bottom >= 2, top <= q-2) and outside it
     for k in _coprime_exponents(q):
         for s in range(1, q - 1):
             yield criterion_sum, _exact_criterion_sum, (k, s)
@@ -112,6 +120,10 @@ def _kernel_calls(q):
         for r in range(1, q):
             args = (mult, star_reduce(mult * r, q), star_reduce(2 * r, q))
             yield criterion._row_sum, _exact_row_sum, args
+    for mult in sorted(_p_power_classes(q)):
+        for top in range(q):
+            for bottom in range(q):
+                yield criterion._row_sum, _exact_row_sum, (mult, top, bottom)
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -153,6 +165,13 @@ def test_sums_equal_the_exact_oracle_beyond_q81(data):
     for m in (mod_inverse(k, q - 1), mult):
         args = (m, star_reduce(m * s, q), star_reduce(2 * s, q))
         assert criterion._row_sum(fld, *args) == _exact_row_sum(fld, *args), args
+    # a p-power mult at a free (top, bottom), and at the one top,
+    # (p^j * bottom)*, where the closed form is nonzero inside its guard
+    pj = fld.p ** data.draw(st.integers(0, fld.e - 1), label="j")
+    top = data.draw(st.integers(0, q - 1), label="top")
+    bottom = data.draw(st.integers(0, q - 1), label="bottom")
+    for args in ((pj, top, bottom), (pj, star_reduce(pj * bottom, q), bottom)):
+        assert criterion._row_sum(fld, *args) == _exact_row_sum(fld, *args), args
 
 
 @functools.cache
@@ -164,19 +183,32 @@ def _loop_body_lines(func):
             if isinstance(node, ast.For)}
 
 
+@functools.cache
+def _closed_form_return_line(func):
+    # source line number of the first `return` in func: the p-power rows'
+    # closed form, which walks no loop
+    lines, start = inspect.getsourcelines(func)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    return start + min(node.lineno for node in ast.walk(tree)
+                       if isinstance(node, ast.Return)) - 1
+
+
 def test_oracle_fields_reach_both_loops_of_each_kernel():
     # Over the calls of test_sums_equal_the_exact_oracle, the one kernel
-    # runs its i-range loop for some calls and its m-range loop
-    # (i = mult^-1 * m) for others, so that test checks both loops against
-    # the exact sums.  A line tracer on the kernel records each loop body
-    # it enters and then stops tracing lines in that call.
+    # runs its i-range loop for some calls, its m-range loop
+    # (i = mult^-1 * m) for others, and returns the p-power closed form
+    # for others still, so that test checks all three routes against the
+    # exact sums.  A line tracer on the kernel records each watched line it
+    # reaches and then stops tracing lines in that call.
     kernel = criterion._row_sum
     body = _loop_body_lines(kernel)
     assert len(body) == 2
+    watched = body | {_closed_form_return_line(kernel)}
+    assert len(watched) == 3
     reached = set()
 
     def line_tracer(frame, event, arg):
-        if event == "line" and frame.f_lineno in body:
+        if event == "line" and frame.f_lineno in watched:
             reached.add(frame.f_lineno)
             frame.f_trace_lines = False
         return line_tracer
@@ -193,7 +225,7 @@ def test_oracle_fields_reach_both_loops_of_each_kernel():
                 func(fld, *args)
     finally:
         sys.settrace(previous)
-    assert reached == body
+    assert reached == watched
 
 
 def _loop_passes(func, call):
@@ -219,11 +251,14 @@ def _loop_passes(func, call):
 
 
 def _walk_length(q, mult, top, bottom):
-    # The number of passes the kernel makes: the i-walk covers
-    # max(2, bottom)..q-2; for a coprime mult the m-walk covers the m in
-    # 1..min(top, q-2) and, when mult^-1 * m never reaches q-1 there, only
-    # those whose i = mult^-1 * m is at least max(2, bottom).  The kernel
-    # takes the shorter.
+    # The number of passes the kernel makes: none for a p-power class mult
+    # with bottom >= 2 and top <= q-2, whose row is a closed form.
+    # Otherwise the i-walk covers max(2, bottom)..q-2; for a coprime mult
+    # the m-walk covers the m in 1..min(top, q-2) and, when mult^-1 * m
+    # never reaches q-1 there, only those whose i = mult^-1 * m is at least
+    # max(2, bottom).  The kernel takes the shorter.
+    if bottom >= 2 and top <= q - 2 and mult % (q - 1) in _p_power_classes(q):
+        return 0
     i_lo, m_hi = max(2, bottom), min(top, q - 2)
     i_len = max(0, q - 1 - i_lo)
     if gcd(mult, q - 1) != 1:
@@ -239,7 +274,8 @@ def _walk_length(q, mult, top, bottom):
 @pytest.mark.parametrize("q", [7, 9, 13, 25, 27])
 def test_rows_walk_only_their_nonempty_index_range(q):
     # Every criterion row and every inverse-exponent row at every mult walk
-    # exactly the narrowed length of the shorter walk.  A row such as
+    # exactly the narrowed length of the shorter walk, and a p-power row
+    # inside the closed form's guard walks nothing.  A row such as
     # criterion_sum with k*s < q-1, where i = k*m never wraps, walks only
     # its nonempty range, and an empty range costs nothing.
     fld = Field(*factor_prime_power(q))
@@ -261,6 +297,19 @@ def test_support_identity_lhs_equals_the_exact_oracle_q81():
         assert r["lhs"] == _exact_row_sum(fld, r["l"], top, 2 * r["s"]), r
     bad = [(r["lhs"], r["rhs"]) for r in rows if not r["wrap"] and not r["match"]]
     assert bad == [(2, 0)] * 8
+
+
+def test_digit_convolution_is_the_delta():
+    # The p-power rows' digit factor sum over x of (-1)^x C(T, x) C(x, b) is
+    # F[T] G[b] (-1)^b c[T-b] with c[u] = sum over x + y = u of
+    # (-1)^x G[x] G[y]; the closed form rests on c[u] = [u = 0] mod p
+    # for u < p, here by the naive O(p^2) convolution of the field's table
+    # at every odd prime p < 200.
+    for p in filter(is_prime, range(3, 200)):
+        _, G, _ = Field(p, 1).binom_tables()
+        c = [sum((-1) ** x * G[x] * G[u - x] for x in range(u + 1)) % p
+             for u in range(p)]
+        assert c == [1] + [0] * (p - 1), p
 
 
 def test_pp_criterion_examples(f9, f27):
@@ -567,3 +616,12 @@ def test_upper_half_grid_p211_takes_under_a_second():
     _, verdict = upper_half_grid(211)
     assert time.perf_counter() - start < 1.0
     assert verdict["passed"] and verdict["points"] == 20
+
+
+def test_pp_criterion_p10007_k1_takes_under_a_second():
+    # k = 1 must sum all q-3 nonempty rows; walking them took several
+    # seconds, and their closed form takes O(1) each
+    fld = Field(10007, 1)
+    start = time.perf_counter()
+    assert pp_criterion(fld, 1)
+    assert time.perf_counter() - start < 1.0

@@ -213,18 +213,21 @@ def _is_minus_one(fld, x):
 
 
 def test_built_pairs_collide_pointwise():
-    # Every odd q <= 125 and every k: a pair exists exactly when the gcd
-    # exceeds 2, and it collides under the pointwise maps.
+    # Every odd q <= 125 and every k: an a_k pair exists exactly when
+    # gcd(k, q-1) > 1 and starts at 0, a b_k pair exactly when
+    # gcd(2k, q-1) > 2 and starts at -2, and each collides under the
+    # pointwise maps.
     for q in odd_prime_powers(125):
         fld = Field(*factor_prime_power(q))
         for k in range(1, q):
-            for pair, pointwise, d in ((permpoly._a_pair, eval_a, gcd(2 * k, q - 1)),
-                                       (permpoly._b_pair, eval_b, gcd(k, q - 1))):
+            for pair, pointwise, built, first in (
+                    (permpoly._a_pair, eval_a, gcd(k, q - 1) > 1, 0),
+                    (permpoly._b_pair, eval_b, gcd(2 * k, q - 1) > 2, fld.neg(2))):
                 xy = pair(fld, k)
-                assert (xy is not None) == (d > 2), (q, k, pointwise.__name__)
+                assert (xy is not None) == built, (q, k, pointwise.__name__)
                 if xy is not None:
                     x, y = xy
-                    assert x != y and 0 not in xy, (q, k, xy)
+                    assert x == first and x != y and y != 0, (q, k, xy)
                     assert not _is_minus_one(fld, x) and not _is_minus_one(fld, y)
                     assert pointwise(fld, k, x) == pointwise(fld, k, y), (q, k, xy)
 
@@ -256,5 +259,5 @@ def test_sweep_scans_only_orbit_leaders_with_gcd_at_most_2(q, monkeypatch):
     sweep(fld)
     rep = orbit_representatives(fld.p, fld.e)
     leaders = [k for k in range(1, q) if rep[k] == k]
-    assert scanned["a"] == [k for k in leaders if gcd(2 * k, q - 1) <= 2]
-    assert scanned["b"] == [k for k in leaders if gcd(k, q - 1) <= 2]
+    assert scanned["a"] == [k for k in leaders if gcd(k, q - 1) == 1]
+    assert scanned["b"] == [k for k in leaders if gcd(2 * k, q - 1) == 2]
