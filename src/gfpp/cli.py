@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import GfppError, NotPrimeError
-from .field import DEFAULT_FIELD_CAP, Field, cap_error, poly_str
+from .field import DEFAULT_FIELD_CAP, Field, cap_error, least_factor, poly_str
 
 # The largest q whose girth the girth stage checks by default: a BFS per k
 # costs up to about q^3 steps.
@@ -51,13 +51,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     when q is not a prime power."""
     if q < 2:
         raise NotPrimeError("q = %d is not a prime power" % q)
-    p = q
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            p = f
-            break
-        f += 1
+    p = least_factor(q)
     n, e = q, 0
     while n % p == 0:
         n //= p

@@ -23,8 +23,9 @@ odd, (-1)^i = prod over d of (-1)^(i_d).  So the sum over all i in
 (-1)^b [top = (p^j*b)*], with (-1)^b = prod over d of (-1)^(b_d).  It
 equals the row when the terms i = 0, 1, q-1 that the row leaves out
 vanish: C(i, b) = 0 for i < 2 <= b, and C(top, q-1) = 0 for top <= q-2.
-Outside that guard the kernel walks; the u = v = 0 corner of the support
-identity, where top = b = q-1, is such a row.
+Outside that guard the kernel walks i over max(2, b)..q-2, one pass per
+i; the u = v = 0 corner of the support identity, where top = b = q-1, is
+such a row.
 
 The Hermite-type criterion for a_k (Dmytrenko-Lazebnik-Williford, Finite
 Fields Appl. 13, 2007): a_k permutes GF(q) iff gcd(k, q-1) = 1 and every
@@ -51,7 +52,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .digits import (digit_vector, mod_inverse, orbit_representatives,
-                     shift_class, star_reduce, support)
+                     star_reduce)
 from .errors import ParamDomainError
 from .field import is_prime
 
@@ -64,15 +65,12 @@ def _row_sum(field, mult: int, top: int, bottom: int) -> int:
 
     For a p-power class mult (digit sum 1) with bottom >= 2 and top <= q-2,
     the row is (-1)^bottom [top = (mult*bottom)*], with no walk (see the
-    module docstring).  Otherwise a term needs i >= i_lo = max(2, bottom)
-    and m = (mult*i)* <= top.  The loop walks i over i_lo..q-2, or, for
-    gcd(mult, q-1) = 1, m over 1..min(top, q-2) with i = inv*m mod q-1,
-    inv = mult^(-1).  When inv*min(top, q-2) < q-1 that map does not wrap,
-    so the m-walk starts at ceil(i_lo/inv).  It takes the shorter walk
-    after that cut.  This is the only place that forms a binomial from
-    field.binom_tables(): C(m, n) is F[m] G[n] G[m-n] when the digit sums
-    show no borrow in m - n, and 0 otherwise; F[top] and G[bottom] are
-    applied once.
+    module docstring).  Otherwise C(i, bottom) vanishes below bottom, so
+    the loop walks i over max(2, bottom)..q-2 and a row costs exactly
+    q-1-max(2, bottom) passes.  This is the only place that forms a
+    binomial from field.binom_tables(): C(m, n) is F[m] G[n] G[m-n] when
+    the digit sums show no borrow in m - n, and 0 otherwise; F[top] and
+    G[bottom] are applied once.
     """
     q, p = field.q, field.p
     F, G, S = field.binom_tables()
@@ -81,38 +79,20 @@ def _row_sum(field, mult: int, top: int, bottom: int) -> int:
         return sign if top == star_reduce(mult * bottom, q) else 0
     qm1 = q - 1
     Sb, St = S[bottom], S[top]
-    i_lo = max(2, bottom)
-    m_hi = min(top, q - 2)
-    inv = mod_inverse(mult, qm1) if gcd(mult, qm1) == 1 else 0
-    m_lo = -(-i_lo // inv) if inv and inv * m_hi < qm1 else 1
+    wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
     total = 0
-    if inv and m_hi - m_lo < q - 2 - i_lo:
-        for m in range(m_lo, m_hi + 1):
-            d = top - m
-            if S[m] + S[d] != St:
-                continue
-            i = inv * m % qm1
-            if i < i_lo:
-                continue
-            j = i - bottom
-            if Sb + S[j] != S[i]:
-                continue
-            term = F[i] * G[j] * G[m] * G[d]
-            total += -term if i & 1 else term
-    else:
-        wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
-        for i in range(i_lo, q - 1):
-            j = i - bottom
-            if Sb + S[j] != S[i]:
-                continue
-            m = mult * i % qm1 or wrap
-            if m > top:
-                continue
-            d = top - m
-            if S[m] + S[d] != St:
-                continue
-            term = F[i] * G[j] * G[m] * G[d]
-            total += -term if i & 1 else term
+    for i in range(max(2, bottom), qm1):
+        j = i - bottom
+        if Sb + S[j] != S[i]:
+            continue
+        m = mult * i % qm1 or wrap
+        if m > top:
+            continue
+        d = top - m
+        if S[m] + S[d] != St:
+            continue
+        term = F[i] * G[j] * G[m] * G[d]
+        total += -term if i & 1 else term
     return total * F[top] * G[bottom] % p
 
 
@@ -126,9 +106,9 @@ def criterion_sum(field, k: int, s: int) -> int:
 def pp_criterion(field, k: int) -> bool:
     """a_k is a PP iff gcd(k, q-1) = 1 and every criterion row vanishes.
 
-    The rows are R(k', (k'r)*, (2r)*) for r in 1..q-2.  A row with bottom
-    b costs at most about q - b, so they are tried cheapest first: bottom
-    2s from q-3 down to 2, r = s before r = s + (q-1)/2.  The row
+    The rows are R(k', (k'r)*, (2r)*) for r in 1..q-2.  A walked row with
+    bottom b >= 2 costs q-1-b passes, so they are tried cheapest first:
+    bottom 2s from q-3 down to 2, r = s before r = s + (q-1)/2.  The row
     r = (q-1)/2 has bottom q-1 and so no term; it is skipped.  For a
     p-power k every row is the kernel's closed form, so the q-3 rows the
     criterion must sum to accept k cost O(1) each.
@@ -172,12 +152,13 @@ def cross_check(field, records) -> tuple[list[dict], dict]:
 
 
 def xy_params(l: int, t: int, p: int, e: int) -> tuple[int, int]:
-    """Support split (x, y) of the class l against its rotation by t:
-    y counts positions where both l and p^t*l have a nonzero digit, and
-    x is the digit sum of l minus y."""
-    dv = digit_vector(l, p, e)
-    y = len(support(dv) & support(shift_class(l, t, p, e)))
-    return sum(dv.digits) - y, y
+    """Support split (x, y) of the class l against its rotation by t: with
+    d = digit_vector(l), y counts the positions i where both d_i and
+    d_((i-t) mod e) are nonzero, that is where both l and p^t*l have a
+    nonzero digit, and x is the digit sum of l minus y."""
+    d = digit_vector(l, p, e)
+    y = sum(1 for i in range(e) if d[i] and d[(i - t) % e])
+    return sum(d) - y, y
 
 
 def support_identity_lhs(field, l: int, t: int, u: int, v: int) -> int:
@@ -198,7 +179,7 @@ def support_identity_lhs(field, l: int, t: int, u: int, v: int) -> int:
         raise ParamDomainError("u, v must be in 0..%d, got (%d, %d)" % (h, u, v))
     if l < 1:
         raise ParamDomainError("l must be >= 1, got %d" % l)
-    digs = digit_vector(l, p, e).digits
+    digs = digit_vector(l, p, e)
     if any(d > 1 for d in digs):
         raise ParamDomainError("l = %d has a base-%d digit above 1" % (l, p))
     if all(d == 1 for d in digs):

@@ -8,18 +8,7 @@ all-zero string represents only 0.
 
 from __future__ import annotations
 
-from math import comb
-from typing import NamedTuple
-
 from .errors import NotCoprimeError
-
-
-class DigitVector(NamedTuple):
-    """Length-e base-p digit string of a reduced exponent, low digit first."""
-
-    digits: tuple[int, ...]
-    p: int
-    e: int
 
 
 def star_reduce(a: int, q: int) -> int:
@@ -30,25 +19,16 @@ def star_reduce(a: int, q: int) -> int:
     return (a - 1) % (q - 1) + 1
 
 
-def digit_vector(l: int, p: int, e: int) -> DigitVector:
-    """Base-p digits of star_reduce(l, p**e), padded to length e."""
+def digit_vector(l: int, p: int, e: int) -> tuple[int, ...]:
+    """Base-p digits of star_reduce(l, p**e), low digit first, padded to
+    length e.  Multiplying l by p**t rotates them, sending position i to
+    i+t mod e."""
     v = star_reduce(l, p**e)
     digs = []
     for _ in range(e):
         v, d = divmod(v, p)
         digs.append(d)
-    return DigitVector(tuple(digs), p, e)
-
-
-def support(dv: DigitVector) -> frozenset[int]:
-    """Positions carrying a nonzero digit."""
-    return frozenset(i for i, d in enumerate(dv.digits) if d)
-
-
-def shift_class(l: int, t: int, p: int, e: int) -> DigitVector:
-    """Digit string of the class of p**t * l; for 1 <= l* <= q-2 this is the
-    cyclic rotation of digit_vector(l) sending position i to i+t mod e."""
-    return digit_vector(l * p**t, p, e)
+    return tuple(digs)
 
 
 def orbit_representatives(p: int, e: int) -> list[int]:
@@ -68,23 +48,6 @@ def orbit_representatives(p: int, e: int) -> list[int]:
                 j = star_reduce(p * j, q)
                 rep[j] = k
     return rep
-
-
-def lucas_binom(m: int, n: int, p: int) -> int:
-    """C(m, n) mod p via the digitwise product over base-p digits.
-
-    Zero as soon as some digit of n exceeds the matching digit of m, which
-    also covers n > m.
-    """
-    res = 1
-    while n:
-        m, mi = divmod(m, p)
-        n, ni = divmod(n, p)
-        if ni > mi:
-            return 0
-        if ni:
-            res = res * comb(mi, ni) % p
-    return res
 
 
 def mod_inverse(k: int, m: int) -> int:

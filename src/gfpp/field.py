@@ -26,17 +26,21 @@ from .errors import CapExceededError, EvenPrimeError, NotPrimeError
 DEFAULT_FIELD_CAP = 10**6
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division; n itself when
+    n is prime."""
     if n % 2 == 0:
-        return n == 2
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and least_factor(n) == n
 
 
 def _poly_divides(den: tuple[int, ...], num: tuple[int, ...], p: int) -> bool:

@@ -19,10 +19,11 @@ from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
                             pp_criterion, support_identity_lhs,
                             support_identity_rhs, upper_half_grid,
                             upper_half_sum, xy_params)
-from gfpp.digits import lucas_binom, mod_inverse, star_reduce
+from gfpp.digits import mod_inverse, star_reduce
 from gfpp.errors import NotCoprimeError, ParamDomainError
 from gfpp.field import Field, is_prime
 from gfpp.permpoly import eval_a, p_powers, sweep
+from lucas import lucas_binom
 
 
 # Fields at which the table-driven sums are compared with the exact oracle
@@ -193,18 +194,17 @@ def _closed_form_return_line(func):
                        if isinstance(node, ast.Return)) - 1
 
 
-def test_oracle_fields_reach_both_loops_of_each_kernel():
+def test_oracle_fields_reach_the_walk_and_the_closed_form():
     # Over the calls of test_sums_equal_the_exact_oracle, the one kernel
-    # runs its i-range loop for some calls, its m-range loop
-    # (i = mult^-1 * m) for others, and returns the p-power closed form
-    # for others still, so that test checks all three routes against the
-    # exact sums.  A line tracer on the kernel records each watched line it
-    # reaches and then stops tracing lines in that call.
+    # runs its one loop, the walk over i, for some calls and returns the
+    # p-power closed form for others, so that test checks both routes
+    # against the exact sums.  A line tracer on the kernel records each
+    # watched line it reaches and then stops tracing lines in that call.
     kernel = criterion._row_sum
     body = _loop_body_lines(kernel)
-    assert len(body) == 2
+    assert len(body) == 1
     watched = body | {_closed_form_return_line(kernel)}
-    assert len(watched) == 3
+    assert len(watched) == 2
     reached = set()
 
     def line_tracer(frame, event, arg):
@@ -252,32 +252,20 @@ def _loop_passes(func, call):
 
 def _walk_length(q, mult, top, bottom):
     # The number of passes the kernel makes: none for a p-power class mult
-    # with bottom >= 2 and top <= q-2, whose row is a closed form.
-    # Otherwise the i-walk covers max(2, bottom)..q-2; for a coprime mult
-    # the m-walk covers the m in 1..min(top, q-2) and, when mult^-1 * m
-    # never reaches q-1 there, only those whose i = mult^-1 * m is at least
-    # max(2, bottom).  The kernel takes the shorter.
+    # with bottom >= 2 and top <= q-2, whose row is a closed form, and
+    # otherwise one per i in max(2, bottom)..q-2, as C(i, bottom) = 0 for
+    # i < bottom.
     if bottom >= 2 and top <= q - 2 and mult % (q - 1) in _p_power_classes(q):
         return 0
-    i_lo, m_hi = max(2, bottom), min(top, q - 2)
-    i_len = max(0, q - 1 - i_lo)
-    if gcd(mult, q - 1) != 1:
-        return i_len
-    inv = mod_inverse(mult, q - 1)
-    if inv * m_hi < q - 1:
-        m_len = sum(inv * m >= i_lo for m in range(1, m_hi + 1))
-    else:
-        m_len = m_hi
-    return min(i_len, m_len)
+    return max(0, q - 1 - max(2, bottom))
 
 
 @pytest.mark.parametrize("q", [7, 9, 13, 25, 27])
 def test_rows_walk_only_their_nonempty_index_range(q):
-    # Every criterion row and every inverse-exponent row at every mult walk
-    # exactly the narrowed length of the shorter walk, and a p-power row
-    # inside the closed form's guard walks nothing.  A row such as
-    # criterion_sum with k*s < q-1, where i = k*m never wraps, walks only
-    # its nonempty range, and an empty range costs nothing.
+    # Every criterion row and every inverse-exponent row at every mult walks
+    # exactly the i with C(i, bottom) possibly nonzero, from max(2, bottom)
+    # to q-2, and a p-power row inside the closed form's guard walks
+    # nothing.  The row with bottom q-1 costs nothing.
     fld = Field(*factor_prime_power(q))
     for func, _, args in _kernel_calls(q):
         if func is criterion_sum:

@@ -1,16 +1,16 @@
-"""Star reduction, digit strings, Frobenius orbits, Lucas binomials, inverse
-exponents."""
+"""Star reduction, digit strings, Frobenius orbits, inverse exponents, and
+the tests' own digitwise Lucas binomials."""
 
 from math import comb
 
 import pytest
 
-from gfpp.digits import (digit_vector, digits_binary, lucas_binom, mod_inverse,
-                         orbit_representatives, shift_class, star_reduce,
-                         support)
+from gfpp.digits import (digit_vector, digits_binary, mod_inverse,
+                         orbit_representatives, star_reduce)
 from gfpp.errors import NotCoprimeError
 from gfpp.field import Field
 from gfpp.permpoly import p_powers
+from lucas import lucas_binom
 
 
 def test_star_reduce_examples():
@@ -42,33 +42,30 @@ def test_star_respects_multiplication():
 
 
 def test_digit_vector_examples():
-    assert digit_vector(4, 3, 3).digits == (1, 1, 0)
-    assert digit_vector(26, 3, 3).digits == (2, 2, 2)
-    assert digit_vector(27, 3, 3).digits == (1, 0, 0)  # star reduction first
-    assert digit_vector(0, 3, 3).digits == (0, 0, 0)
-
-
-def test_support():
-    assert support(digit_vector(4, 3, 3)) == {0, 1}
-    assert support(digit_vector(0, 3, 3)) == frozenset()
-    assert support(digit_vector(0 + 2 * 3 + 1 * 9, 3, 3)) == {1, 2}
+    assert digit_vector(4, 3, 3) == (1, 1, 0)
+    assert digit_vector(26, 3, 3) == (2, 2, 2)
+    assert digit_vector(27, 3, 3) == (1, 0, 0)  # star reduction first
+    assert digit_vector(0, 3, 3) == (0, 0, 0)
 
 
 def test_shift_class_examples():
-    assert shift_class(4, 1, 3, 3).digits == (0, 1, 1)
-    assert shift_class(26, 1, 3, 3).digits == (2, 2, 2)  # all-(p-1) fixed point
-    assert shift_class(26, 2, 3, 3).digits == (2, 2, 2)
-    assert shift_class(0, 1, 3, 3).digits == (0, 0, 0)
+    # the shift class of l by t is the class of p^t * l
+    assert digit_vector(4 * 3, 3, 3) == (0, 1, 1)
+    assert digit_vector(26 * 3, 3, 3) == (2, 2, 2)  # all-(p-1) fixed point
+    assert digit_vector(26 * 9, 3, 3) == (2, 2, 2)
+    assert digit_vector(0 * 3, 3, 3) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (5, 3)])
 def test_shift_class_is_rotation(p, e):
+    # digit_vector(l * p^t) rotates digit_vector(l), position i to i+t mod
+    # e, for every class l, the all-(p-1) class q-1 and 0 included
     q = p**e
-    for l in range(1, q - 1):
-        digs = digit_vector(l, p, e).digits
-        for t in range(0, e):
+    for l in range(0, 3 * q):
+        digs = digit_vector(l, p, e)
+        for t in range(0, e + 1):
             rotated = tuple(digs[(i - t) % e] for i in range(e))
-            assert shift_class(l, t, p, e).digits == rotated, (l, t)
+            assert digit_vector(l * p**t, p, e) == rotated, (l, t)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (3, 2), (5, 2), (3, 3),
@@ -147,7 +144,9 @@ def test_digits_binary():
 
 
 def test_support_split_sums_to_digit_count():
-    # for 0/1 classes, x + y from the split always equals |supp(l)|
+    # for 0/1 classes, x + y from the split always equals |supp(l)|, and y
+    # is the overlap of the supports of l and of p^t * l, read off their
+    # digit strings
     from gfpp.criterion import xy_params
     p, e = 3, 4
     import itertools
@@ -158,5 +157,5 @@ def test_support_split_sums_to_digit_count():
         for t in range(1, e):
             x, y = xy_params(l, t, p, e)
             assert x + y == sum(bits)
-            assert y == len(support(digit_vector(l, p, e))
-                            & support(shift_class(l, t, p, e)))
+            shifted = digit_vector(l * p**t, p, e)
+            assert y == sum(1 for a, b in zip(bits, shifted) if a and b)

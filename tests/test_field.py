@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
-from gfpp.digits import lucas_binom
 from gfpp.errors import CapExceededError, EvenPrimeError, NotPrimeError
-from gfpp.field import Field, is_prime, poly_str, smallest_irreducible
+from gfpp.field import (Field, is_prime, least_factor, poly_str,
+                        smallest_irreducible)
+from lucas import lucas_binom
 
 
 def brute_smallest_irreducible_quadratic(p):
@@ -217,6 +218,14 @@ def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_least_factor_is_the_least_divisor():
+    # the trial division that is_prime and cli.factor_prime_power share
+    for n in range(2, 3000):
+        assert least_factor(n) == next(f for f in range(2, n + 1) if n % f == 0), n
+    assert least_factor(7 ** 5) == 7
+    assert least_factor(1009 * 1013) == 1009
 
 
 def test_smallest_irreducible_has_no_small_factor():
