@@ -6,12 +6,28 @@ For an exponent 1 <= k <= q-1 the two maps of interest are
     b_k(x) = ((x+1)^(2k) - 1) * x^(q-1-k) - 2 * x^(q-1)
 
 with the convention x^0 = 1 (so b_{q-1}(0) = 0).  For every k a sweep
-streams the (x, value) pairs of both maps in log order and reads each
-stream only up to its first collision, two inputs with one value: a map
-permutes GF(q) iff it has none.  A non-permutation usually collides
-after about sqrt(q) inputs, so only the permutations cost O(q).  Each
-sweep row, a report dict, adds gcd, inverse-exponent digit data, and the
-optional criterion flag.
+scans both maps over the field in one fixed order, x = 0, x = -1, then
+x = g^n in log order, and stops at the first collision, two inputs with
+one value: a map permutes GF(q) iff it has none.  A non-permutation
+usually collides after about sqrt(q) inputs, so only the permutations
+cost O(q).  Each sweep row, a report dict, adds gcd, inverse-exponent
+digit data, and the optional criterion flag.
+
+The scans (a_collision, b_collision) work in the log domain of
+Field.log_tables (Lidl-Niederreiter, ch. 2): with m = q-1, h = m/2
+(g^h = -1), x = g^n and x + 1 = g^z, and g^c - 1 = g^(h + zech[c + h])
+for c != 0 (exponents mod m), each value costs one Zech lookup:
+
+    a_k(x) = x^(2k) ((1 + 1/x)^k - 1):
+        0 if k(z-n) = 0, else of log 2kn + h + zech[k(z-n) + h];
+    b_k(x) + 2 = ((x+1)^(2k) - 1) x^(-k):
+        0 if 2kz = 0, else of log h + zech[2kz + h] - kn.
+
+The b scan reads b_k + 2 rather than b_k: adding 2 is a bijection of
+GF(q), so two inputs collide under one exactly when they collide under
+the other, and the first colliding pair is the same.  A scan keys the
+values it has seen by their logs, with one slot for the value 0, and
+turns a log back into an element only for the pair it returns.
 
 Two symmetries spare most of that work.  When a map's exponent shares a
 root of unity w != 1 with q-1 (for a_k), or t != +-1 with q-1 (for b_k),
@@ -24,7 +40,6 @@ member.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from math import gcd
 
 from . import digits
@@ -44,83 +59,75 @@ def eval_b(field, k: int, x: int) -> int:
     return field.sub(t, field.mul(2, field.pow(x, q - 1)))
 
 
-def a_values(field, k: int) -> Iterator[tuple[int, int]]:
-    """Yield (x, a_k(x)) for every element x: x = 0, then x = -1, then
-    x = g^n in log order.
+def a_collision(field, k: int) -> tuple[int, int] | None:
+    """The first (x1, x2), x1 before x2 in the scan order, with
+    a_k(x1) = a_k(x2), or None when a_k permutes GF(q).
 
-    For x = g^n with x != 0, -1 and x + 1 = g^z, a_k(x) = (x(x+1))^k - x^(2k)
-    is g^u - g^v with u = k(n+z), v = 2kn, and g^u - g^v = g^u (1 + g^(v-u+h))
-    is 0 for u = v and g^(u + zech[v-u+h]) otherwise (exponents mod m = q-1,
-    h = m/2).  a_k(0) = 0 and a_k(-1) = -1.
+    The loop reads x = g^n as n and each value as its log (the module
+    docstring has the formula); the seen logs map to their n, and -1 is
+    n = h, with a_k(-1) = -1 = g^h.  The value 0 is taken by a_k(0), so
+    the first other zero collides with x = 0.
     """
     exp, _, zech = field.log_tables()
     m = field.q - 1
     h = m // 2
-    yield 0, 0
-    yield exp[h], exp[h]
+    k2 = 2 * k
+    seen = {h: h}
     for n, z in enumerate(zech):
         if n != h:
-            u = k * (n + z) % m
-            d = (2 * k * n - u + h) % m
-            yield exp[n], 0 if d == h else exp[(u + zech[d]) % m]
+            d = (k * (z - n) + h) % m
+            if d == h:
+                return 0, exp[n]
+            j = seen.setdefault((k2 * n + h + zech[d]) % m, n)
+            if j != n:
+                return exp[j], exp[n]
+    return None
 
 
-def b_values(field, k: int) -> Iterator[tuple[int, int]]:
-    """Yield (x, b_k(x)) for every element x, in the order of a_values.
+def b_collision(field, k: int) -> tuple[int, int] | None:
+    """The first colliding pair of b_k, or None, as in a_collision.
 
-    For x = g^n with x != 0, -1 and x + 1 = g^z, x^(q-1) = 1 gives
-    b_k(x) = D x^(-k) - 2 with D = g^(2kz) - 1.  D = 0 gives -2; otherwise
-    D = g^d, and D x^(-k) - 2 = g^(d-kn) - g^(log 2) is a second difference,
-    both taken in the log domain as in a_values.
-    b_k(0) = 0 and b_k(-1) = -(-1)^k - 2.
+    The loop reads b_k + 2 (see the module docstring), which is 2 at x = 0
+    and -(-1)^k = g^((k+1)h) at x = -1.  For p = 3 and even k those are
+    equal (2 = -1), so (0, -1) collide before the loop.  x = 0 is kept as
+    None among the seen logs, and the value 0 has its own slot.
     """
     exp, log, zech = field.log_tables()
     m = field.q - 1
     h = m // 2
-    l2 = log[2]
-    minus2 = exp[(l2 + h) % m]
-    yield 0, 0
-    yield exp[h], field.sub(field.neg(exp[k * h % m]), 2)
+    k2 = 2 * k
+    at_zero, at_minus_one = log[2], (k + 1) * h % m
+    if at_zero == at_minus_one:
+        return 0, exp[h]
+    seen = {at_zero: None, at_minus_one: h}
+    zero = None
     for n, z in enumerate(zech):
         if n != h:
-            u = 2 * k * z % m
-            if u == 0:
-                yield exp[n], minus2
-                continue
-            w = (u + zech[(h - u) % m] - k * n) % m
-            d = (l2 - w + h) % m
-            yield exp[n], 0 if d == h else exp[(w + zech[d]) % m]
-
-
-def first_collision(pairs: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
-    """The first (x1, x2) with x1 before x2 and equal values, or None.
-
-    `pairs` yields (x, value); a map given by its pairs over the whole
-    field permutes it iff this is None.  Reading stops at the collision.
-    """
-    seen = {}
-    for x, v in pairs:
-        if v in seen:
-            return seen[v], x
-        seen[v] = x
+            d = (k2 * z + h) % m
+            if d == h:
+                if zero is not None:
+                    return exp[zero], exp[n]
+                zero = n
+            else:
+                j = seen.setdefault((h + zech[d] - k * n) % m, n)
+                if j != n:
+                    return 0 if j is None else exp[j], exp[n]
     return None
 
 
-def _a_at(field, k: int, x: int) -> int:
-    """a_k(x) = (x(x+1))^k - x^(2k) for x != 0, -1: both powers from the
+def _a_at(field, tables, k: int, n: int) -> int:
+    """a_k(x) = (x(x+1))^k - x^(2k) at x = g^n != -1: both powers from the
     log tables, their difference by Field.sub."""
-    exp, log, zech = field.log_tables()
+    exp, _, zech = tables
     m = field.q - 1
-    n = log[x]
     return field.sub(exp[k * (n + zech[n]) % m], exp[2 * k * n % m])
 
 
-def _b_at(field, k: int, x: int) -> int:
-    """b_k(x) = ((x+1)^(2k) - 1) x^(-k) - 2 for x != 0, -1 (x^(q-1) = 1):
+def _b_at(field, tables, k: int, n: int) -> int:
+    """b_k(x) = ((x+1)^(2k) - 1) x^(-k) - 2 at x = g^n != -1 (x^(q-1) = 1):
     the powers from the log tables, the differences by Field.sub."""
-    exp, log, zech = field.log_tables()
+    exp, log, zech = tables
     m = field.q - 1
-    n = log[x]
     lead = field.sub(exp[2 * k * zech[n] % m], 1)
     return field.sub(0 if lead == 0 else exp[(log[lead] - k * n) % m], 2)
 
@@ -139,10 +146,10 @@ def _a_pair(field, k: int) -> tuple[int, int] | None:
     d = gcd(k, m)
     if d == 1:
         return None
-    exp, _, zech = field.log_tables()
+    tables = exp, _, zech = field.log_tables()
     h = m // 2
-    x = exp[-(h + zech[(m // d + h) % m]) % m]
-    return (0, x) if _a_at(field, k, x) == 0 else None
+    n = -(h + zech[(m // d + h) % m]) % m
+    return (0, exp[n]) if _a_at(field, tables, k, n) == 0 else None
 
 
 def _b_pair(field, k: int) -> tuple[int, int] | None:
@@ -159,10 +166,11 @@ def _b_pair(field, k: int) -> tuple[int, int] | None:
     d = gcd(2 * k, m)
     if d == 2:
         return None
-    exp, log, zech = field.log_tables()
+    tables = exp, log, zech = field.log_tables()
     h = m // 2
-    minus2, x = exp[(log[2] + h) % m], exp[(h + zech[(m // d + h) % m]) % m]
-    return (minus2, x) if _b_at(field, k, minus2) == _b_at(field, k, x) else None
+    n2, n = (log[2] + h) % m, (h + zech[(m // d + h) % m]) % m
+    same = _b_at(field, tables, k, n2) == _b_at(field, tables, k, n)
+    return (exp[n2], exp[n]) if same else None
 
 
 def p_powers(field) -> list[int]:
@@ -175,13 +183,13 @@ def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
     inverse-exponent digit data, and the optional criterion flag.
 
     A map whose built pair collides is no PP; any other is scanned to its
-    first collision.  The criterion flag costs O(q^2) binomial work per
-    exponent, so it is opt-in.  girth_ge_8 is None here; a girth scan can
-    fill it in.
+    first collision.  k is a p-power iff it divides q = p^e, as k < q.
+    The criterion flag costs O(q^2) binomial work per exponent, so it is
+    opt-in.  girth_ge_8 is None here; a girth scan can fill it in.
     """
     q = field.q
-    a_pp = _a_pair(field, k) is None and first_collision(a_values(field, k)) is None
-    b_pp = _b_pair(field, k) is None and first_collision(b_values(field, k)) is None
+    a_pp = _a_pair(field, k) is None and a_collision(field, k) is None
+    b_pp = _b_pair(field, k) is None and b_collision(field, k) is None
     crit = None
     if with_criterion:
         from . import criterion  # loaded only when the flag is asked for
@@ -196,7 +204,7 @@ def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
         "gcd_ok": gcd_ok,
         "a_pp": a_pp,
         "b_pp": b_pp,
-        "k_is_p_power": k in p_powers(field),
+        "k_is_p_power": q % k == 0,
         "k_prime": kp,
         "k_prime_binary": None if kp is None else digits.digits_binary(kp, field.p, field.e),
         "criterion": crit,

@@ -8,9 +8,8 @@ from gfpp import permpoly
 from gfpp.cli import factor_prime_power, odd_prime_powers
 from gfpp.digits import orbit_representatives, star_reduce
 from gfpp.field import Field
-from gfpp.permpoly import (a_values, b_values, conjecture_verdict, eval_a,
-                           eval_b, first_collision, p_powers, sweep,
-                           sweep_record)
+from gfpp.permpoly import (a_collision, b_collision, conjecture_verdict,
+                           eval_a, eval_b, p_powers, sweep, sweep_record)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +24,8 @@ def f27():
 
 def test_a_family_k1_is_identity(f9, f27):
     for fld in (f9, f27, Field(5, 1)):
-        assert dict(a_values(fld, 1)) == {x: x for x in fld.elements()}
+        assert [eval_a(fld, 1, x) for x in fld.elements()] == list(fld.elements())
+        assert a_collision(fld, 1) is None
 
 
 def test_a_family_vanishes_at_zero(f9):
@@ -41,7 +41,8 @@ def test_a_family_k2_not_injective_on_f3():
 
 def test_b_family_k1_is_identity(f9, f27):
     for fld in (f9, f27):
-        assert dict(b_values(fld, 1)) == {x: x for x in fld.elements()}
+        assert [eval_b(fld, 1, x) for x in fld.elements()] == list(fld.elements())
+        assert b_collision(fld, 1) is None
 
 
 def test_b_family_vanishes_at_zero(f9):
@@ -51,19 +52,51 @@ def test_b_family_vanishes_at_zero(f9):
     assert eval_b(f9, 8, 0) == 0
 
 
-def assert_streams_match_pointwise_eval(fld, k):
-    """Each stream yields every element once, with the pointwise value."""
-    for values, pointwise in ((a_values, eval_a), (b_values, eval_b)):
-        pairs = list(values(fld, k))
-        assert sorted(x for x, _ in pairs) == list(fld.elements())
-        assert dict(pairs) == {x: pointwise(fld, k, x) for x in fld.elements()}
+def scan_order(fld):
+    """0, -1, then g^n in log order, from the exp list alone."""
+    exp = fld.log_tables()[0]
+    minus_one = exp[(fld.q - 1) // 2]
+    return [0, minus_one] + [x for x in exp if x != minus_one]
+
+
+def pointwise_first_collision(fld, k, pointwise):
+    """The first repeated value of eval_a or eval_b in the scan order, as
+    (earlier input, later input), or None."""
+    seen = {}
+    for x in scan_order(fld):
+        v = pointwise(fld, k, x)
+        if v in seen:
+            return seen[v], x
+        seen[v] = x
+    return None
+
+
+def assert_kernels_match_pointwise_scan(fld, k):
+    for kernel, pointwise in ((a_collision, eval_a), (b_collision, eval_b)):
+        assert kernel(fld, k) == pointwise_first_collision(fld, k, pointwise), (
+            fld.q, k, kernel.__name__)
 
 
 def test_value_tables_match_pointwise_eval(f9):
-    # in GF(3) only x = 1 takes the Zech path; x = 0 and x = -1 are handled apart
+    # The value identities the kernels read, checked at every x = g^n != -1
+    # against the pointwise maps: a_k(x) from 2kn + h + zech[k(z-n) + h],
+    # b_k(x) + 2 from h + zech[2kz + h] - kn.  In GF(3) only x = 1 takes
+    # that path.
     for fld in (Field(3, 1), Field(7, 1), f9, Field(5, 2)):
+        exp, _, zech = fld.log_tables()
+        m = fld.q - 1
+        h = m // 2
         for k in range(1, fld.q):
-            assert_streams_match_pointwise_eval(fld, k)
+            for n, z in enumerate(zech):
+                if n == h:
+                    continue
+                x = exp[n]
+                c = k * (z - n) % m
+                a = 0 if c == 0 else exp[(2 * k * n + h + zech[(c + h) % m]) % m]
+                assert a == eval_a(fld, k, x), (fld.q, k, x)
+                c = 2 * k * z % m
+                b2 = 0 if c == 0 else exp[(h + zech[(c + h) % m] - k * n) % m]
+                assert b2 == fld.add(eval_b(fld, k, x), 2), (fld.q, k, x)
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (3, 4), (4099, 1)], ids=["q27", "q81", "q4099"])
@@ -71,37 +104,60 @@ def test_value_tables_match_pointwise_eval_q27_sample(p, e):
     fld = Field(p, e)
     m = fld.q - 1
     for k in sorted({1, 3, 5, 7, 13, m // 2, m - 1, m}):
-        assert_streams_match_pointwise_eval(fld, k)
+        assert_kernels_match_pointwise_scan(fld, k)
 
 
-def test_streams_start_at_zero_then_minus_one(f9):
-    minus_one = f9.neg(1)
-    for values in (a_values, b_values):
-        assert [x for x, _ in values(f9, 5)][:2] == [0, minus_one]
+def test_b_scan_pairs_zero_with_minus_one_at_p3_even_k():
+    # In characteristic 3, 2 = -1, so b_k(-1) = -(-1)^k - 2 = 0 = b_k(0) for
+    # even k: x = 0 and x = -1 are the first two inputs and collide at once.
+    for q in (3, 9, 27):
+        fld = Field(*factor_prime_power(q))
+        minus_one = fld.neg(1)
+        for k in range(1, q):
+            if k % 2 == 0:
+                assert b_collision(fld, k) == (0, minus_one), (q, k)
+            else:
+                assert b_collision(fld, k) != (0, minus_one), (q, k)
 
 
 def test_a3_is_pp_of_f9(f9):
-    assert first_collision(a_values(f9, 3)) is None
+    assert a_collision(f9, 3) is None
 
 
 def test_first_collision_basics():
-    assert first_collision([]) is None
-    assert first_collision([(0, 5), (1, 6), (2, 5)]) == (0, 2)
-    assert first_collision([(0, 5), (1, 6), (2, 7)]) is None
-    # the first repeated value decides, not the first value that repeats
-    assert first_collision([(0, 1), (1, 2), (2, 2), (3, 1)]) == (1, 2)
+    # Pairs worked by hand.  GF(3): a_2(1) = 1 * (2^2 - 1) = 0 = a_2(0);
+    # b_1 is the identity.  GF(5): a_2(x) = 2x^3 + x^2, and in the scan order
+    # 0, 4, 1, 2, 3 (g = 2) a_2 takes 0, 4, 3, 0, so the pair is (0, 2).
+    assert a_collision(Field(3, 1), 2) == (0, 1)
+    assert b_collision(Field(3, 1), 1) is None
+    assert scan_order(Field(5, 1)) == [0, 4, 1, 2, 3]
+    assert a_collision(Field(5, 1), 2) == (0, 2)
 
 
-def test_first_collision_stops_reading_at_the_collision():
-    seen = []
+class CountingList(list):
+    """A list that counts the items its iterator hands out."""
 
-    def pairs():
-        for x in range(10):
-            seen.append(x)
-            yield x, x % 3
+    def __iter__(self):
+        self.read = 0
+        for item in list.__iter__(self):
+            self.read += 1
+            yield item
 
-    assert first_collision(pairs()) == (0, 3)
-    assert seen == [0, 1, 2, 3]
+
+def test_first_collision_stops_reading_at_the_collision(monkeypatch):
+    # A scan reads zech in log order up to its second colliding input and
+    # no further: x2 = g^n is the (n+1)-th item read.  A PP (k = 5 at
+    # q = 25) reads all q-1 items.
+    fld = Field(5, 2)
+    exp, log, zech = fld.log_tables()
+    counting = CountingList(zech)
+    monkeypatch.setattr(fld, "log_tables", lambda: (exp, log, counting))
+    for kernel in (a_collision, b_collision):
+        for k in (2, 7, 13, 14):
+            pair = kernel(fld, k)
+            assert pair is not None and pair[1] not in (0, fld.neg(1))
+            assert counting.read == log[pair[1]] + 1, (kernel.__name__, k, pair)
+        assert kernel(fld, 5) is None and counting.read == 24
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)],
@@ -109,14 +165,7 @@ def test_first_collision_stops_reading_at_the_collision():
 def test_first_collision_matches_pointwise_oracle(p, e):
     fld = Field(p, e)
     for k in range(1, fld.q):
-        for values, pointwise in ((a_values, eval_a), (b_values, eval_b)):
-            pair = first_collision(values(fld, k))
-            distinct = len({pointwise(fld, k, x) for x in fld.elements()}) == fld.q
-            assert (pair is None) == distinct, (fld.q, k, pointwise.__name__)
-            if pair is not None:
-                x1, x2 = pair
-                assert x1 != x2
-                assert pointwise(fld, k, x1) == pointwise(fld, k, x2)
+        assert_kernels_match_pointwise_scan(fld, k)
 
 
 def test_sweep_record_q9_k3(f9):
@@ -190,13 +239,13 @@ ORBIT_QS = (9, 25, 27, 49, 81, 125)
 
 @pytest.mark.parametrize("q", ORBIT_QS)
 def test_frobenius_images_have_the_same_first_collision(q):
-    # a_{pk} = (a_k)^p and b_{pk} = (b_k)^p as maps, and both streams visit
+    # a_{pk} = (a_k)^p and b_{pk} = (b_k)^p as maps, and both scans visit
     # x in one order, so k and p*k collide first at the same pair.
     fld = Field(*factor_prime_power(q))
-    for values in (a_values, b_values):
-        first = {k: first_collision(values(fld, k)) for k in range(1, q)}
+    for kernel in (a_collision, b_collision):
+        first = {k: kernel(fld, k) for k in range(1, q)}
         for k in range(1, q):
-            assert first[k] == first[star_reduce(fld.p * k, q)], (k, values.__name__)
+            assert first[k] == first[star_reduce(fld.p * k, q)], (k, kernel.__name__)
 
 
 @pytest.mark.parametrize("q", ORBIT_QS)
@@ -239,8 +288,8 @@ def test_sweep_flags_equal_the_full_scan(qs):
         fld = Field(*factor_prime_power(q))
         for r in sweep(fld):
             k = r["k"]
-            assert r["a_pp"] == (first_collision(a_values(fld, k)) is None), (q, k)
-            assert r["b_pp"] == (first_collision(b_values(fld, k)) is None), (q, k)
+            assert r["a_pp"] == (a_collision(fld, k) is None), (q, k)
+            assert r["b_pp"] == (b_collision(fld, k) is None), (q, k)
 
 
 @pytest.mark.parametrize("q", [3, 5, 25, 27, 61, 81, 121, 125])
@@ -248,14 +297,14 @@ def test_sweep_scans_only_orbit_leaders_with_gcd_at_most_2(q, monkeypatch):
     fld = Field(*factor_prime_power(q))
     scanned = {"a": [], "b": []}
 
-    def counting(name, values):
-        def stream(field, k):
+    def counting(name, kernel):
+        def scan(field, k):
             scanned[name].append(k)
-            return values(field, k)
-        return stream
+            return kernel(field, k)
+        return scan
 
-    monkeypatch.setattr(permpoly, "a_values", counting("a", a_values))
-    monkeypatch.setattr(permpoly, "b_values", counting("b", b_values))
+    monkeypatch.setattr(permpoly, "a_collision", counting("a", a_collision))
+    monkeypatch.setattr(permpoly, "b_collision", counting("b", b_collision))
     sweep(fld)
     rep = orbit_representatives(fld.p, fld.e)
     leaders = [k for k in range(1, q) if rep[k] == k]
