@@ -1,10 +1,14 @@
-"""Command-line runner: per-field jobs, the report, the cache and the parser.
+"""Command-line runner: per-field stages, the report, the cache and the parser.
 
-A job makes one library call per stage (permpoly, criterion, graphs);
-every stage returns its report rows and verdicts as dicts, so a job only
-concatenates them, and the report itself is a dict of BODY_KEYS plus
-"timing".  The runner records the seconds of building the field and of
-each stage in the report's timing.stages, keyed by q.  Commands emit a
+A command is the list of stages it runs, in order, on the field of every
+q.  A stage makes one library call (permpoly, criterion, graphs), which
+returns report rows and verdicts as dicts, so the runner only
+concatenates them; the criterion and girth-scan stages also fill in the
+criterion and girth_ge_8 flags of the sweep rows.  A stage that raises
+ends its field's job with an error row and a failing verdict in its own
+section.  The report itself is a dict of BODY_KEYS plus "timing"; the
+runner records the seconds of building the field and its tables, and of
+each stage, in the report's timing.stages, keyed by q.  Commands emit a
 single JSON report on the data stream (stdout, or --json PATH) and
 human-readable verdict lines on stderr.  Reports are deterministic apart
 from the top-level "timing" entry; the exit status is 0 iff every verdict
@@ -14,7 +18,7 @@ A report body is encoded once: the text the cache stores, or would store,
 is the text emitted, with "timing" spliced in as its last key, so a cache
 hit parses its entry but never encodes it again.  The process pool is
 imported only when more than one worker runs, and the stage modules and
-csv only where a job or --csv uses them, so a cache hit loads none.
+csv only where a stage or --csv uses them, so a cache hit loads none.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import GfppError, NotPrimeError
+from .errors import CapExceededError, GfppError, NotPrimeError
 from .field import DEFAULT_FIELD_CAP, Field, cap_error, least_factor, poly_str
 
 # The largest q whose girth the girth stage checks by default: a BFS per k
@@ -43,7 +47,7 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -80,101 +84,81 @@ BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
              "version")
 
 
-# -- per-field jobs ----------------------------------------------------------
+# -- per-field stages --------------------------------------------------------
 #
-# A job takes one field, the parsed arguments and a dict for its stage
-# seconds, and returns (rows, verdicts).  Jobs are top-level functions so
-# that they pickle for the process pool.
+# A stage is (name, run, tables).  run(fld, args, rows) makes the stage's
+# library call on one field, given the rows of the stages before it, and
+# returns the rows and verdicts it adds; `tables` are the Field methods
+# that build the tables it reads, which the runner calls first.  A command
+# is the list of stages it runs on each field.  Stage functions are
+# top-level so that they pickle for the process pool.
 
-def _lap(stages: dict, name: str, start: float) -> float:
-    """Add the seconds since start to stage `name`; return the time now."""
-    now = time.perf_counter()
-    stages[name] = round(stages.get(name, 0.0) + now - start, 4)
-    return now
-
-
-def _failure(section: str, q: int, exc: Exception) -> tuple[dict, dict]:
-    """The error row and the failing verdict that report exc for q."""
+def _failure(section: str, key: str, n: int, exc: Exception) -> tuple[dict, dict]:
+    """The error row and the failing verdict that report exc for q = n or
+    p = n, as `key` says."""
     err = "%s: %s" % (type(exc).__name__, exc)
-    return ({"kind": "error", "q": q, "error": err},
-            {"section": section, "q": q, "error": err, "passed": False})
+    return ({"kind": "error", key: n, "error": err},
+            {"section": section, key: n, "error": err, "passed": False})
 
 
-def _sweep_job(fld: Field, args, stages: dict) -> tuple[list, list]:
-    """The sweep of one field, and its girth scan under --with-girth; a q
-    above the girth cap keeps its sweep rows and verdict, and adds an
-    error row and a failing girth verdict."""
+def _sweep_rows(rows: list) -> list:
+    return [r for r in rows if r["kind"] == "sweep"]
+
+
+def _sweep(fld: Field, args, rows: list) -> tuple[list, list]:
+    """Every exponent's sweep row, judged for --which, or for each family
+    under verify-all."""
     from . import permpoly
 
-    t = time.perf_counter()
-    fld.log_tables()
-    if args.with_criterion:
-        fld.binom_tables()
-    t = _lap(stages, "field", t)
-    rows = permpoly.sweep(fld, with_criterion=args.with_criterion)
-    verdicts = [permpoly.conjecture_verdict(fld, args.which, records=rows)]
-    t = _lap(stages, "sweep", t)
-    if args.with_girth:
-        if fld.q > args.girth_cap:
-            exc = cap_error(fld.q, args.girth_cap, "girth")
-            row, verdict = _failure("girth", fld.q, exc)
-            rows.append(row)
-            verdicts.append(verdict)
-        else:
-            from . import graphs
-
-            _, girth = graphs.girth_scan(fld, rows)
-            for r in rows:
-                r["girth_ge_8"] = r["k"] in girth["witnesses"]
-        _lap(stages, "girth", t)
-    return rows, verdicts
+    records = permpoly.sweep(fld)
+    families = ("A", "B", "two") if args.command == "verify-all" else (args.which,)
+    return records, [permpoly.conjecture_verdict(fld, w, records=records)
+                     for w in families]
 
 
-def _identity_job(fld: Field, args, stages: dict) -> tuple[list, list]:
+def _criterion(fld: Field, args, rows: list) -> tuple[list, list]:
+    """The criterion against the sweep's a_pp flags.  Each sweep row gets
+    its criterion flag: a_pp, negated where the two disagree."""
+    from . import criterion
+
+    records = _sweep_rows(rows)
+    cc_rows, verdict = criterion.cross_check(fld, records)
+    mismatch_ks = set(verdict["mismatch_ks"])
+    for r in records:
+        r["criterion"] = r["a_pp"] != (r["k"] in mismatch_ks)
+    return cc_rows, [verdict]
+
+
+def _identities(fld: Field, args, rows: list) -> tuple[list, list]:
+    """The support-identity grid, defined for e >= 3: for a smaller e,
+    verify-all adds nothing and a command that names q a skipped verdict."""
     if fld.e < 3:
+        if args.command == "verify-all":
+            return [], []
         return [], [{"section": "identities", "q": fld.q,
                      "skipped": "ParamDomain: e = %d < 3" % fld.e, "passed": True}]
     from . import criterion
 
-    t = time.perf_counter()
-    rows, verdict = criterion.identity_grid(fld)
-    _lap(stages, "identities", t)
-    return rows, [verdict]
+    id_rows, verdict = criterion.identity_grid(fld)
+    return id_rows, [verdict]
 
 
-def _verify_job(fld: Field, args, stages: dict) -> tuple[list, list]:
-    """Every stage on one field; each of the four stage keys is recorded,
-    as about 0 when the stage does not apply to q.  The field's tables are
-    built first and timed as part of stage "field"."""
-    from . import criterion, graphs, permpoly
+def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
+    """The girth of G_q(XY, X^kY^2k) for every k against the sweep rows,
+    whose girth_ge_8 flags it fills.  Above --girth-cap verify-all adds
+    nothing, and a command that names q fails."""
+    if fld.q > args.girth_cap:
+        if args.command == "verify-all":
+            return [], []
+        raise cap_error(fld.q, args.girth_cap, "girth")
+    from . import graphs
 
-    t = time.perf_counter()
-    fld.log_tables()
-    fld.binom_tables()
-    t = _lap(stages, "field", t)
-    records = permpoly.sweep(fld)
-    rows = list(records)
-    verdicts = [permpoly.conjecture_verdict(fld, w, records=records)
-                for w in ("A", "B", "two")]
-    t = _lap(stages, "sweep", t)
-
-    cc_rows, cc_verdict = criterion.cross_check(fld, records)
-    rows.extend(cc_rows)
-    verdicts.append(cc_verdict)
-    t = _lap(stages, "criterion", t)
-
-    if fld.e >= 3:
-        id_rows, id_verdict = criterion.identity_grid(fld)
-        rows.extend(id_rows)
-        verdicts.append(id_verdict)
-    t = _lap(stages, "identities", t)
-
-    if fld.q <= args.girth_cap:
-        girth_rows, girth_verdict = graphs.girth_scan(fld, records)
-        rows.extend(girth_rows)
-        verdicts.append(girth_verdict)
-    _lap(stages, "girth", t)
-    return rows, verdicts
+    records = _sweep_rows(rows)
+    girth_rows, verdict = graphs.girth_scan(fld, records)
+    passing = set(verdict["witnesses"])
+    for r in records:
+        r["girth_ge_8"] = r["k"] in passing
+    return girth_rows, [verdict]
 
 
 def _girth_exps(args) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -185,7 +169,9 @@ def _girth_exps(args) -> tuple[tuple[int, int], tuple[int, int]]:
     return (a, b), (c, d)
 
 
-def _girth_job(fld: Field, args, stages: dict) -> tuple[list, list]:
+def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
+    """The exact girth of one graph; for G_q(XY, X^kY^2k), also whether
+    girth >= 8 implies that a_k and b_k are PPs."""
     from . import graphs, permpoly
 
     q, k = fld.q, args.k
@@ -194,9 +180,7 @@ def _girth_job(fld: Field, args, stages: dict) -> tuple[list, list]:
     if q > args.girth_cap:
         raise cap_error(q, args.girth_cap, "girth")
     f_exps, g_exps = _girth_exps(args)
-    t = time.perf_counter()
     value = graphs.girth(fld, f_exps, g_exps)
-    _lap(stages, "girth", t)
     ge8 = value >= 8
     row = {"kind": "girth", "q": q, "k": k,
            "f_exps": list(f_exps), "g_exps": list(g_exps),
@@ -213,25 +197,31 @@ def _girth_job(fld: Field, args, stages: dict) -> tuple[list, list]:
                     "implication_ok": implication_ok, "passed": implication_ok}]
 
 
-def _field_job(fld: Field, args, stages: dict) -> tuple[list, list]:
+def _field(fld: Field, args, rows: list) -> tuple[list, list]:
     return ([{"kind": "field", "q": fld.q, "p": fld.p, "e": fld.e,
               "modulus": list(fld.modulus), "modulus_str": poly_str(fld.modulus)}],
             [{"section": "field", "q": fld.q, "passed": True}])
 
 
-def _run_job(spec):
-    """Build GF(q) and run one job on it.
+_SWEEP = ("sweep", _sweep, (Field.log_tables,))
+_CRITERION = ("criterion", _criterion, (Field.binom_tables,))
+_IDENTITIES = ("identities", _identities, ())
+_GIRTH_SCAN = ("girth", _girth_scan, ())
 
-    Returns (modulus, rows, verdicts, stages); building the field is stage
-    "field", and so is building the tables a job asks for up front.  The
-    modulus is recorded as soon as the field exists, so it is kept even
-    when the job fails, and so are the stages that finished.  Any GfppError
-    or ValueError, from the field or from the job, becomes one error row
-    and one failing verdict in `section`.
+
+def _run_job(spec):
+    """Build GF(q) and run the stages on it, in order.
+
+    Returns (modulus, rows, verdicts, seconds).  Building the field and the
+    tables its stages read is timed as stage "field", and each stage under
+    its name.  The modulus is recorded as soon as the field exists.  A
+    GfppError or ValueError ends the job with one error row and one failing
+    verdict, in the section of the stage that raised it, or in `section`
+    while the field is built; the stages that finished keep their rows,
+    verdicts and times.
     """
-    job, section, q, args = spec
-    modulus = None
-    stages: dict = {}
+    stages, section, q, args = spec
+    modulus, rows, verdicts, seconds = None, [], [], {}
     try:
         # Factoring a large q by trial division takes long: a q above the
         # field cap is rejected first, as Field would reject it.
@@ -240,23 +230,33 @@ def _run_job(spec):
         p, e = factor_prime_power(q)
         t = time.perf_counter()
         fld = Field(p, e, cap=args.field_cap)
-        _lap(stages, "field", t)
         modulus = list(fld.modulus)
-        rows, verdicts = job(fld, args, stages)
+        for _, _, tables in stages:
+            for table in tables:
+                table(fld)
+        seconds["field"] = round(time.perf_counter() - t, 4)
+        for section, run, _ in stages:
+            t = time.perf_counter()
+            stage_rows, stage_verdicts = run(fld, args, rows)
+            rows += stage_rows
+            verdicts += stage_verdicts
+            seconds[section] = round(time.perf_counter() - t, 4)
     except (GfppError, ValueError) as exc:
-        row, verdict = _failure(section, q, exc)
-        rows, verdicts = [row], [verdict]
-    return modulus, rows, verdicts, stages
+        row, verdict = _failure(section, "q", q, exc)
+        rows.append(row)
+        verdicts.append(verdict)
+    return modulus, rows, verdicts, seconds
 
 
-def _run_jobs(job, section, qs, args) -> tuple[dict, list, list, dict]:
-    """Run `job` on the field of every q in qs, fanned out to a process pool.
+def _run_jobs(stages, section, qs, args) -> tuple[dict, list, list, dict]:
+    """Run `stages` on the field of every q in qs, fanned out to a process
+    pool.
 
     Results merge in input order, so the report is deterministic regardless
     of completion order.  Returns (modulus_by_q, rows, verdicts,
-    stages_by_q), the last keyed by str(q) for the timing entry.
+    seconds_by_q), the last keyed by str(q) for the timing entry.
     """
-    specs = [(job, section, q, args) for q in qs]
+    specs = [(stages, section, q, args) for q in qs]
     # The pool starts every worker up front, so never ask for more than the
     # machine has cores, whatever --jobs says.
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
@@ -268,17 +268,14 @@ def _run_jobs(job, section, qs, args) -> tuple[dict, list, list, dict]:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, specs))
-    modulus_by_q: dict = {}
-    rows: list = []
-    verdicts: list = []
-    stages_by_q: dict = {}
-    for q, (modulus, job_rows, job_verdicts, stages) in zip(qs, results):
+    modulus_by_q, rows, verdicts, seconds_by_q = {}, [], [], {}
+    for q, (modulus, job_rows, job_verdicts, seconds) in zip(qs, results):
         if modulus is not None:
             modulus_by_q[str(q)] = modulus
         rows.extend(job_rows)
         verdicts.extend(job_verdicts)
-        stages_by_q[str(q)] = stages
-    return modulus_by_q, rows, verdicts, stages_by_q
+        seconds_by_q[str(q)] = seconds
+    return modulus_by_q, rows, verdicts, seconds_by_q
 
 
 # -- output ---------------------------------------------------------------
@@ -422,55 +419,64 @@ def _overall(verdicts) -> str:
     return "pass" if all(v.get("passed") for v in verdicts) else "fail"
 
 
-def _run_command(args, command, params, job, qs, ps=(),
+def _run_command(args, command, params, stages, qs, ps=(),
                  p_cap=math.inf) -> tuple[dict, str]:
-    """The report of `command` and its body's text (see _with_cache): `job`
-    on the field of every q, then the upper-half grid of every p; served
-    from the cache when one is given.  A p above p_cap gets one error row
-    and a failing verdict instead of its grid."""
-    # A failing job's verdict names the command; field-info's keeps the
-    # section of its other verdicts.
+    """The report of `command` and its body's text (see _with_cache): the
+    stages on the field of every q, then the upper-half grid of every p;
+    served from the cache when one is given.  A p above p_cap, or one that
+    is not an odd prime, gets one error row and a failing verdict instead
+    of its grid."""
+    # An error while a field is built names the command; field-info's
+    # keeps the section of its other verdicts.
     section = "field" if command == "field-info" else command
 
     def compute() -> dict:
-        modulus_by_q, rows, verdicts, stages = _run_jobs(job, section, qs, args)
+        modulus_by_q, rows, verdicts, seconds = _run_jobs(stages, section, qs, args)
         for p in ps:
-            if p > p_cap:
-                # The grid first tests p for primality by trial division,
-                # which takes long for a huge p.
-                rows.append({"kind": "error", "p": p,
-                             "error": "CapExceededError: p = %d exceeds the "
-                                      "field cap %d" % (p, p_cap)})
-                verdicts.append({"section": "upper_half", "p": p, "passed": False})
-                continue
-            from . import criterion
+            try:
+                if p > p_cap:
+                    # The grid first tests p for primality by trial
+                    # division, which takes long for a huge p.
+                    raise CapExceededError("p = %d exceeds the field cap %d"
+                                           % (p, p_cap))
+                from . import criterion
 
-            uh_rows, uh_verdict = criterion.upper_half_grid(p)
+                uh_rows, uh_verdict = criterion.upper_half_grid(p)
+            except GfppError as exc:
+                row, uh_verdict = _failure("upper_half", "p", p, exc)
+                uh_rows = [row]
             rows.extend(uh_rows)
             verdicts.append(uh_verdict)
         return {"command": command, "params": params,
                 "modulus_by_q": modulus_by_q, "rows": rows, "verdicts": verdicts,
                 "overall": _overall(verdicts), "version": __version__,
-                "timing": {"stages": stages}}
+                "timing": {"stages": seconds}}
 
     return _with_cache(args, command, params, compute)
 
 
 # -- commands ---------------------------------------------------------------
+#
+# Each command is the list of stages it runs on every field.
 
 def cmd_sweep(args) -> tuple[dict, str]:
     qs = sorted(set(args.q))
     params = {"q": qs, "which": args.which, "with_criterion": args.with_criterion,
               "with_girth": args.with_girth, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap}
-    return _run_command(args, "sweep", params, _sweep_job, qs)
+    stages = [_SWEEP]
+    if args.with_criterion:
+        stages.append(_CRITERION)
+    if args.with_girth:
+        stages.append(_GIRTH_SCAN)
+    return _run_command(args, "sweep", params, stages, qs)
 
 
 def cmd_identities(args) -> tuple[dict, str]:
     qs = sorted(set(args.q or []))
     ps = sorted(set(args.p or []))
     params = {"q": qs, "p": ps, "field_cap": args.field_cap}
-    return _run_command(args, "identities", params, _identity_job, qs, ps,
+    return _run_command(args, "identities", params, [_IDENTITIES], qs, ps,
                         p_cap=args.field_cap)
 
 
@@ -479,7 +485,7 @@ def cmd_girth(args) -> tuple[dict, str]:
     params = {"q": args.q, "k": args.k, "f_exps": list(f_exps),
               "g_exps": list(g_exps), "field_cap": args.field_cap,
               "girth_cap": args.girth_cap}
-    return _run_command(args, "girth", params, _girth_job, [args.q])
+    return _run_command(args, "girth", params, [("girth", _girth, ())], [args.q])
 
 
 def cmd_verify_all(args) -> tuple[dict, str]:
@@ -487,14 +493,15 @@ def cmd_verify_all(args) -> tuple[dict, str]:
     params = {"q_max": args.q_max, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap,
               "upper_half_primes": list(UPPER_HALF_PRIMES)}
-    return _run_command(args, "verify-all", params, _verify_job, qs,
+    return _run_command(args, "verify-all", params,
+                        [_SWEEP, _CRITERION, _IDENTITIES, _GIRTH_SCAN], qs,
                         UPPER_HALF_PRIMES)
 
 
 def cmd_field_info(args) -> tuple[dict, str]:
     qs = sorted(set(args.q))
     params = {"q": qs, "field_cap": args.field_cap}
-    return _run_command(args, "field-info", params, _field_job, qs)
+    return _run_command(args, "field-info", params, [("field", _field, ())], qs)
 
 
 # -- argument parsing --------------------------------------------------------

@@ -53,7 +53,7 @@ from math import comb, gcd
 
 from .digits import (digit_vector, mod_inverse, orbit_representatives,
                      star_reduce)
-from .errors import ParamDomainError
+from .errors import NotPrimeError, ParamDomainError
 from .field import is_prime
 
 UPPER_HALF_X_RANGE = range(0, 5)
@@ -280,12 +280,9 @@ def upper_half_sum(p: int, x: int, y: int) -> int:
 
 def upper_half_grid(p: int) -> tuple[list[dict], dict]:
     """The upper-half sum over UPPER_HALF_X_RANGE x UPPER_HALF_Y_RANGE for p;
-    a p that is not an odd prime gives one error row and a failing verdict
-    instead."""
+    raises NotPrimeError when p is not an odd prime."""
     if not is_prime(p) or p == 2:
-        return ([{"kind": "error", "p": p,
-                  "error": "NotPrimeError: p = %d is not an odd prime" % p}],
-                {"section": "upper_half", "p": p, "passed": False})
+        raise NotPrimeError("p = %d is not an odd prime" % p)
     rows = []
     for x in UPPER_HALF_X_RANGE:
         for y in UPPER_HALF_Y_RANGE:

@@ -10,8 +10,8 @@ scans both maps over the field in one fixed order, x = 0, x = -1, then
 x = g^n in log order, and stops at the first collision, two inputs with
 one value: a map permutes GF(q) iff it has none.  A non-permutation
 usually collides after about sqrt(q) inputs, so only the permutations
-cost O(q).  Each sweep row, a report dict, adds gcd, inverse-exponent
-digit data, and the optional criterion flag.
+cost O(q).  Each sweep row, a report dict, adds gcd and inverse-exponent
+digit data.
 
 The scans (a_collision, b_collision) work in the log domain of
 Field.log_tables (Lidl-Niederreiter, ch. 2): with m = q-1, h = m/2
@@ -178,23 +178,18 @@ def p_powers(field) -> list[int]:
     return [field.p**i for i in range(field.e)]
 
 
-def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
+def sweep_record(field, k: int) -> dict:
     """The sweep row of one exponent: direct PP flags, gcd and
-    inverse-exponent digit data, and the optional criterion flag.
+    inverse-exponent digit data.
 
     A map whose built pair collides is no PP; any other is scanned to its
     first collision.  k is a p-power iff it divides q = p^e, as k < q.
-    The criterion flag costs O(q^2) binomial work per exponent, so it is
-    opt-in.  girth_ge_8 is None here; a girth scan can fill it in.
+    criterion and girth_ge_8 are None here; the command line's criterion
+    and girth stages fill them in.
     """
     q = field.q
     a_pp = _a_pair(field, k) is None and a_collision(field, k) is None
     b_pp = _b_pair(field, k) is None and b_collision(field, k) is None
-    crit = None
-    if with_criterion:
-        from . import criterion  # loaded only when the flag is asked for
-
-        crit = criterion.pp_criterion(field, k)
     gcd_ok = gcd(k, q - 1) == 1
     kp = digits.mod_inverse(k, q - 1) if gcd_ok else None
     return {
@@ -207,12 +202,12 @@ def sweep_record(field, k: int, *, with_criterion: bool = False) -> dict:
         "k_is_p_power": q % k == 0,
         "k_prime": kp,
         "k_prime_binary": None if kp is None else digits.digits_binary(kp, field.p, field.e),
-        "criterion": crit,
+        "criterion": None,
         "girth_ge_8": None,
     }
 
 
-def sweep(field, **kwargs) -> list[dict]:
+def sweep(field) -> list[dict]:
     """Rows for every exponent 1 <= k <= q-1, in order.
 
     Each Frobenius orbit's row is computed once, by sweep_record at its
@@ -227,7 +222,7 @@ def sweep(field, **kwargs) -> list[dict]:
     rows = []
     for k in range(1, field.q):
         if rep[k] == k:
-            rows.append(sweep_record(field, k, **kwargs))
+            rows.append(sweep_record(field, k))
         else:
             r = rows[rep[k] - 1]
             kp = digits.mod_inverse(k, m) if r["gcd_ok"] else None

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from gfpp import cli, criterion
+from gfpp import cli, criterion, graphs
 from gfpp.cli import CSV_COLUMNS, factor_prime_power, main, odd_prime_powers
 from gfpp.errors import GfppError, NotPrimeError
 
@@ -55,6 +55,9 @@ def test_sweep_bad_q_is_item_error(tmp_path):
     errors = [r for r in report["rows"] if r["kind"] == "error"]
     assert len(errors) == 1
     assert "EvenPrime" in errors[0]["error"]
+    # no stage ran on q = 4, so its verdict keeps the command's section
+    assert report["verdicts"][0] == {"section": "sweep", "q": 4,
+                                     "error": errors[0]["error"], "passed": False}
     # the good q still ran
     assert any(v.get("passed") and v["q"] == 9 for v in report["verdicts"])
 
@@ -74,13 +77,64 @@ def test_sweep_with_criterion_rows(tmp_path):
 
 
 def test_sweep_with_girth_flag(tmp_path):
+    # The sweep rows get the flags of the girth rows, which follow them,
+    # and the girth verdict follows the sweep verdict, as in verify-all.
     code, report = run(tmp_path, "sweep", "--q", "3", "--with-girth")
     assert code == 0
-    assert [r["girth_ge_8"] for r in report["rows"]] == [True, False]
+    sweep_rows = [r for r in report["rows"] if r["kind"] == "sweep"]
+    girth_rows = [r for r in report["rows"] if r["kind"] == "girth"]
+    assert report["rows"] == sweep_rows + girth_rows
+    assert [r["girth_ge_8"] for r in sweep_rows] == [True, False]
+    assert [r["girth_ge_8"] for r in girth_rows] == [True, False]
+    assert [(v["section"], v["passed"]) for v in report["verdicts"]] == [
+        ("sweep", True), ("girth", True)]
+    assert report["verdicts"][1]["witnesses"] == [1]
     # without the flag the girth column stays empty
     code, report = run(tmp_path, "sweep", "--q", "3", name="plain.json")
     assert code == 0
     assert [r["girth_ge_8"] for r in report["rows"]] == [None, None]
+
+
+def test_sweep_with_girth_fails_on_a_girth_disagreement(tmp_path, monkeypatch):
+    # Every graph claimed to have girth >= 8: the girth stage's verdict
+    # must fail the sweep, as it fails verify-all.
+    monkeypatch.setattr(graphs, "girth_at_least", lambda *args: True)
+    code, report = run(tmp_path, "sweep", "--q", "9", "--with-girth")
+    assert code == 1
+    assert report["overall"] == "fail"
+    sweep_verdict, girth_verdict = report["verdicts"]
+    assert sweep_verdict["section"] == "sweep" and sweep_verdict["passed"]
+    assert girth_verdict["section"] == "girth" and not girth_verdict["passed"]
+    assert girth_verdict["witnesses"] == list(range(1, 9))
+    assert not girth_verdict["implication_ok"]
+    assert all(r["girth_ge_8"] for r in report["rows"])
+
+
+def test_sweep_with_criterion_fails_on_a_criterion_disagreement(tmp_path, monkeypatch):
+    # The criterion claims every a_k is a PP: each k whose a_k is not one
+    # gets a mismatch row, and the criterion verdict fails the sweep.
+    monkeypatch.setattr(criterion, "pp_criterion", lambda fld, k: True)
+    code, report = run(tmp_path, "sweep", "--q", "9", "--with-criterion")
+    assert code == 1
+    sweep_rows = [r for r in report["rows"] if r["kind"] == "sweep"]
+    mismatches = [r for r in report["rows"] if r["kind"] == "criterion_mismatch"]
+    assert report["rows"] == sweep_rows + mismatches
+    bad = [r["k"] for r in sweep_rows if not r["a_pp"]]
+    assert bad == [2, 4, 5, 6, 7, 8]
+    assert mismatches == [{"kind": "criterion_mismatch", "q": 9, "k": k,
+                           "direct": False, "criterion": True} for k in bad]
+    assert all(r["criterion"] for r in sweep_rows)
+    sweep_verdict, criterion_verdict = report["verdicts"]
+    assert sweep_verdict["passed"]
+    assert criterion_verdict == {"section": "criterion", "q": 9, "checked": 8,
+                                 "mismatch_ks": bad, "passed": False}
+
+
+def test_sweep_with_criterion_times_the_criterion_stage(tmp_path):
+    code, report = run(tmp_path, "sweep", "--q", "9", "--with-criterion")
+    assert code == 0
+    assert set(report["timing"]["stages"]["9"]) == {"field", "sweep", "criterion"}
+    assert report["verdicts"][-1]["section"] == "criterion"
 
 
 def test_sweep_girth_cap_error_keeps_modulus(tmp_path):
@@ -144,12 +198,27 @@ def test_identities_upper_half_only(tmp_path):
 def test_identities_rejects_even_p(tmp_path):
     code, report = run(tmp_path, "identities", "--p", "2,4")
     assert code == 1
-    assert report["rows"] == [
-        {"kind": "error", "p": p,
-         "error": "NotPrimeError: p = %d is not an odd prime" % p}
-        for p in (2, 4)]
+    errors = ["NotPrimeError: p = %d is not an odd prime" % p for p in (2, 4)]
+    assert report["rows"] == [{"kind": "error", "p": p, "error": err}
+                              for p, err in zip((2, 4), errors)]
     assert report["verdicts"] == [
-        {"section": "upper_half", "p": p, "passed": False} for p in (2, 4)]
+        {"section": "upper_half", "p": p, "error": err, "passed": False}
+        for p, err in zip((2, 4), errors)]
+
+
+def test_bad_p_rows_and_verdicts_have_one_shape(tmp_path):
+    # A p that is not an odd prime and a p above the field cap both give
+    # an error row and a failing verdict that carries the same error.
+    big = 1000000000000000003
+    code, report = run(tmp_path, "identities", "--p", "4,%d" % big)
+    assert code == 1
+    errors = ["NotPrimeError: p = 4 is not an odd prime",
+              "CapExceededError: p = %d exceeds the field cap 1000000" % big]
+    assert report["rows"] == [{"kind": "error", "p": 4, "error": errors[0]},
+                              {"kind": "error", "p": big, "error": errors[1]}]
+    assert report["verdicts"] == [
+        {"section": "upper_half", "p": 4, "error": errors[0], "passed": False},
+        {"section": "upper_half", "p": big, "error": errors[1], "passed": False}]
 
 
 def test_girth_command(tmp_path):
@@ -237,6 +306,9 @@ def test_verify_all_small(tmp_path):
 
 
 def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
+    # A stage that raises ends its field's job: the stages before it keep
+    # their rows and verdicts, the stage gets one error row and a failing
+    # verdict in its own section, and the stages after it do not run.
     def broken(fld, k):
         raise GfppError("criterion broke at q = %d" % fld.q)
 
@@ -244,13 +316,27 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
     code, report = run(tmp_path, "verify-all", "--q-max", "9")
     assert code == 1
     assert report["overall"] == "fail"
+    qs = [3, 5, 7, 9]
+    sweep_rows = [r for r in report["rows"] if r["kind"] == "sweep"]
     errors = [r for r in report["rows"] if r["kind"] == "error"]
-    assert [r["q"] for r in errors] == [3, 5, 7, 9]
-    assert errors[0]["error"] == "GfppError: criterion broke at q = 3"
-    failing = [v for v in report["verdicts"] if not v["passed"]]
-    assert [(v["section"], v["q"]) for v in failing] == [
-        ("verify-all", q) for q in (3, 5, 7, 9)]
+    assert [r["kind"] for r in report["rows"] if "q" in r] == [
+        kind for q in qs for kind in ["sweep"] * (q - 1) + ["error"]]
+    assert [(r["q"], r["k"]) for r in sweep_rows] == [
+        (q, k) for q in qs for k in range(1, q)]
+    assert all(r["criterion"] is None and r["girth_ge_8"] is None for r in sweep_rows)
+    assert errors == [{"kind": "error", "q": q,
+                       "error": "GfppError: criterion broke at q = %d" % q} for q in qs]
+    job_verdicts = [v for v in report["verdicts"] if "q" in v]
+    assert [(v["section"], v["q"], v.get("which")) for v in job_verdicts] == [
+        (section, q, which) for q in qs for section, which in
+        [("sweep", "A"), ("sweep", "B"), ("sweep", "two"), ("criterion", None)]]
+    assert all(v["passed"] for v in job_verdicts if v["section"] == "sweep")
+    assert [v for v in job_verdicts if v["section"] == "criterion"] == [
+        {"section": "criterion", "q": q, "error": r["error"], "passed": False}
+        for q, r in zip(qs, errors)]
     assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
+    for q in qs:
+        assert set(report["timing"]["stages"][str(q)]) == {"field", "sweep"}
 
 
 def test_verify_all_deterministic(tmp_path):
@@ -268,13 +354,13 @@ GOLDEN_DIGESTS = {
     "sweep --q 729,1327 --which two":
         "e7c0aaaa1481a8b07ee54f6bf9d7d196bbb568c1a3bff4d7c800f758709cdeb1",
     "verify-all --q-max 27":
-        "249f1d79c101ae3a961fef393ff4fe82219c3c563fe0c908ae28290b4d6be997",
+        "82b23274a38c69820bbe8d70c1f5b119065cfdcbdbf86d32df2e637d28ae2455",
     "girth --q 9 --k 3":
         "81abc82839f585414415255a28557a2e29f91fefb3d7bdd7bd5d21a6c4aefb3c",
     "identities --q 27,243 --p 3,13":
         "0f095fb4985a232762293961968592993b7c9fe00b9fafa6c8841d0e3cd37d58",
     "sweep --q 5,9 --with-criterion --with-girth":
-        "66728b56cd9bec9535662624dbcf40c8b44983bfcf00b41fa46c78fc2c8c7338",
+        "5b4edf8b4f835ba41d10680a68349263ca5ca04f3387b62118ec1bf858a3c8be",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
         "858ce5f1a400f28efa728e69c9db6a1429d680b077df4a04568242b2156ff077",
     "girth --q 5 --exps 1,1,1,2":
@@ -282,7 +368,13 @@ GOLDEN_DIGESTS = {
     "field-info --q 9,27":
         "03db3b58ab4121212cb49929c5a4bf51a73abbb6d13f0ed6503fa9791afb38d9",
     "verify-all --q-max 81":
-        "aa610d1118147cf33884cd0363d480c8d4313b443534a0cf7138f8baef52af20",
+        "3ebccef8ca15e4cdf6d2b2935bc8a0cc331b1ee37a34667a1cdc9ae42dec3fca",
+    "identities --q 9":
+        "b6a4d1baf80f496e4df987079572d4a4ca9daf1b66dd0511e81f506a8f1ef454",
+    "girth --q 5 --k 9":
+        "018948fc8768a3e126206ac0d7932b768081330ed2199238147e04224515ce05",
+    "sweep --q 19 --with-girth":
+        "84b3ec79168e528e220d2d02ba53c5f8eedc4a211f88c4afd5484761c9ef38aa",
 }
 
 # SHA-256 of the emitted body text as written, everything before its
@@ -292,13 +384,13 @@ GOLDEN_TEXT_DIGESTS = {
     "sweep --q 729,1327 --which two":
         "446f859d7099000ce1e4aafe9ff94ef41b72da13b4ae634d29b1a6e1bdf2c5ff",
     "verify-all --q-max 27":
-        "58dea7b19fd3cdf7ab84b09a8e925816d37c95020f89395a338a0bd282c494a9",
+        "7c472effad3cce64fc81ddaa4c818d0ad4f6561ca0499cde9da96dd1f9300c74",
     "girth --q 9 --k 3":
         "b65301818c07365d366266d3f23541b09731162dbfaac5e026c3412c619da2c1",
     "identities --q 27,243 --p 3,13":
         "7cc811a94f3a9daa230279f8a8bf2f4149f0a6e4c7527ce323ed8b35ee2125ed",
     "sweep --q 5,9 --with-criterion --with-girth":
-        "68d5f6c0ae509f39b71e1e29551e78114b63fd569c3e722f006b5bf7ad8ec62e",
+        "a750b3ad4ae1f9a694e40b754123e3e36cf8888812551774a3fd0a69be7aaf42",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
         "c37edb612f66a27970657230b2518ad55585b6ce4b085e9b9a0a381c45cc1fbf",
     "girth --q 5 --exps 1,1,1,2":
@@ -306,13 +398,21 @@ GOLDEN_TEXT_DIGESTS = {
     "field-info --q 9,27":
         "2df71ab186d523dba3976a96510f33eaebbb42b20692ae8c2ff2f3e3f216453a",
     "verify-all --q-max 81":
-        "21c8771ffa9e1a07c77d686cfe9367bf368cbaea625d9a02d7155422329fa724",
+        "1d08135cee27e8e4c453796b00f020d4699052e40ef8ee28ec1055b1a0f40e91",
+    "identities --q 9":
+        "b755d5828e55eeb43bca674ade1711f87b5c640a5c1dc0749b6f0336b181fb3b",
+    "girth --q 5 --k 9":
+        "653e7a8fb79a43ce506c54afc1cf25e13e188db0c4688686489e35ed9281f6e2",
+    "sweep --q 19 --with-girth":
+        "38d01b282030fdf9ea7a827c29b9103e81b219028b28af4d33ff9da72f5cb9d8",
 }
 
-# Golden commands whose report fails: q = 9 is above the girth cap of 5,
-# and the identity grid of q = 81 fails at its even-e corner.
+# Golden commands whose report fails: q = 9 is above the girth cap of 5
+# and q = 19 above the default cap of 17, the identity grid of q = 81 fails
+# at its even-e corner, and k = 9 is out of range for q = 5.
 GOLDEN_EXIT = {"sweep --q 9 --which A --with-girth --girth-cap 5": 1,
-               "verify-all --q-max 81": 1}
+               "verify-all --q-max 81": 1, "sweep --q 19 --with-girth": 1,
+               "girth --q 5 --k 9": 1}
 
 
 @pytest.mark.parametrize("command", GOLDEN_DIGESTS)
@@ -545,6 +645,7 @@ def test_p_above_the_field_cap_is_rejected_before_the_primality_test(tmp_path):
         "kind": "error", "p": p,
         "error": "CapExceededError: p = %d exceeds the field cap 1000000" % p}
     assert report["verdicts"][-1] == {"section": "upper_half", "p": p,
+                                      "error": report["rows"][-1]["error"],
                                       "passed": False}
     assert report["verdicts"][0]["passed"]
     # verify-all's own primes are not capped

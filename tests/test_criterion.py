@@ -20,7 +20,7 @@ from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
                             support_identity_rhs, upper_half_grid,
                             upper_half_sum, xy_params)
 from gfpp.digits import mod_inverse, star_reduce
-from gfpp.errors import NotCoprimeError, ParamDomainError
+from gfpp.errors import NotCoprimeError, NotPrimeError, ParamDomainError
 from gfpp.field import Field, is_prime
 from gfpp.permpoly import eval_a, p_powers, sweep
 from lucas import lucas_binom
@@ -604,6 +604,12 @@ def test_upper_half_grid_p211_takes_under_a_second():
     _, verdict = upper_half_grid(211)
     assert time.perf_counter() - start < 1.0
     assert verdict["passed"] and verdict["points"] == 20
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
+def test_upper_half_grid_rejects_a_p_that_is_not_an_odd_prime(p):
+    with pytest.raises(NotPrimeError, match="p = %d is not an odd prime" % p):
+        upper_half_grid(p)
 
 
 def test_pp_criterion_p10007_k1_takes_under_a_second():

@@ -34,6 +34,33 @@ def test_runtime_imports_are_stdlib_or_gfpp():
     assert foreign == []
 
 
+def _imported_gfpp_modules(path):
+    """The gfpp modules that the source at `path` imports, at any depth of
+    its code, lazy imports included."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names if a.name.startswith("gfpp"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add("gfpp." + node.module)
+            else:
+                out.update("gfpp." + a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gfpp"):
+            out.add(node.module)
+            if node.module == "gfpp":
+                out.update("gfpp." + a.name for a in node.names)
+    return out
+
+
+def test_permpoly_imports_neither_criterion_nor_graphs():
+    # The sweep knows nothing of the checks that judge its rows: the
+    # command line runs the criterion and the girth scan as stages.
+    imported = _imported_gfpp_modules(SRC / "permpoly.py")
+    assert "gfpp.digits" in imported
+    assert not {"gfpp.criterion", "gfpp.graphs"} & imported
+
+
 STAGE_MODULES = {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs", "gfpp.digits"}
 
 

@@ -252,9 +252,7 @@ def test_frobenius_images_have_the_same_first_collision(q):
 def test_sweep_rows_equal_the_per_k_records(q):
     # The sweep copies each orbit's flags; sweep_record decides every k.
     fld = Field(*factor_prime_power(q))
-    with_criterion = q <= 81
-    assert sweep(fld, with_criterion=with_criterion) == [
-        sweep_record(fld, k, with_criterion=with_criterion) for k in range(1, q)]
+    assert sweep(fld) == [sweep_record(fld, k) for k in range(1, q)]
 
 
 def _is_minus_one(fld, x):
