@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 from . import __version__
@@ -66,16 +67,19 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def odd_prime_powers(limit: int) -> list[int]:
-    """All q = p^e <= limit with p an odd prime, ascending."""
+    """All q = p^e <= limit with p an odd prime, ascending: the odd primes
+    from a sieve, and p^2, p^3, ... for each p <= sqrt(limit)."""
+    prime = bytearray([1]) * (limit + 1)
     out = []
-    for q in range(3, limit + 1):
-        try:
-            p, _ = factor_prime_power(q)
-        except NotPrimeError:
-            continue
-        if p != 2:
-            out.append(q)
-    return out
+    for p in range(3, math.isqrt(max(limit, 0)) + 1, 2):
+        if prime[p]:  # odd multiples below p^2 have a smaller factor
+            prime[p * p::2 * p] = bytes(len(range(p * p, limit + 1, 2 * p)))
+            q = p * p
+            while q <= limit:
+                out.append(q)
+                q *= p
+    out += compress(range(3, limit + 1, 2), prime[3::2])
+    return sorted(out)
 
 
 # The deterministic part of a report, keys in the order they are written.
@@ -155,9 +159,8 @@ def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
 
     records = _sweep_rows(rows)
     girth_rows, verdict = graphs.girth_scan(fld, records)
-    passing = set(verdict["witnesses"])
-    for r in records:
-        r["girth_ge_8"] = r["k"] in passing
+    for r, g in zip(records, girth_rows):
+        r["girth_ge_8"] = g["girth_ge_8"]
     return girth_rows, [verdict]
 
 
@@ -206,7 +209,8 @@ def _field(fld: Field, args, rows: list) -> tuple[list, list]:
 _SWEEP = ("sweep", _sweep, (Field.log_tables,))
 _CRITERION = ("criterion", _criterion, (Field.binom_tables,))
 _IDENTITIES = ("identities", _identities, ())
-_GIRTH_SCAN = ("girth", _girth_scan, ())
+_GIRTH_SCAN = ("girth", _girth_scan, (Field.log_tables,))
+_GIRTH = ("girth", _girth, (Field.log_tables,))
 
 
 def _run_job(spec):
@@ -485,7 +489,7 @@ def cmd_girth(args) -> tuple[dict, str]:
     params = {"q": args.q, "k": args.k, "f_exps": list(f_exps),
               "g_exps": list(g_exps), "field_cap": args.field_cap,
               "girth_cap": args.girth_cap}
-    return _run_command(args, "girth", params, [("girth", _girth, ())], [args.q])
+    return _run_command(args, "girth", params, [_GIRTH], [args.q])
 
 
 def cmd_verify_all(args) -> tuple[dict, str]:

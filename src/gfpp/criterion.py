@@ -51,8 +51,7 @@ import itertools
 from functools import lru_cache
 from math import comb, gcd
 
-from .digits import (digit_vector, mod_inverse, orbit_representatives,
-                     star_reduce)
+from .digits import digit_vector, mod_inverse, per_orbit, star_reduce
 from .errors import NotPrimeError, ParamDomainError
 from .field import is_prime
 
@@ -129,26 +128,19 @@ def cross_check(field, records) -> tuple[list[dict], dict]:
     """The criterion against the direct a_pp flag of every sweep row: one
     row per k where the two disagree, and the field's verdict.
 
-    The criterion is constant on the Frobenius orbits k -> p*k mod q-1:
-    that rotates the base-p digits of every exponent class in a row, so by
-    Lucas' theorem it only permutes the digitwise binomials.  It runs once
-    per orbit, at its least member, through this module's attribute.
+    The criterion runs once per Frobenius orbit k -> p*k mod q-1, through
+    digits.per_orbit and this module's attribute: k -> p*k rotates the
+    base-p digits of every exponent class in a row, so by Lucas' theorem it
+    only permutes the digitwise binomials.
     """
     q = field.q
-    rep = orbit_representatives(field.p, field.e)
-    flags = {}
-    rows = []
-    for r in records:
-        k = rep[r["k"]]
-        if k not in flags:
-            flags[k] = pp_criterion(field, k)
-        if r["a_pp"] != flags[k]:
-            rows.append({"kind": "criterion_mismatch", "q": q, "k": r["k"],
-                         "direct": r["a_pp"], "criterion": flags[k]})
+    flags = per_orbit(field.p, field.e, lambda k: pp_criterion(field, k))
+    rows = [{"kind": "criterion_mismatch", "q": q, "k": r["k"],
+             "direct": r["a_pp"], "criterion": flags[r["k"] - 1]}
+            for r in records if r["a_pp"] != flags[r["k"] - 1]]
     mismatch_ks = [row["k"] for row in rows]
-    verdict = {"section": "criterion", "q": q, "checked": q - 1,
-               "mismatch_ks": mismatch_ks, "passed": not mismatch_ks}
-    return rows, verdict
+    return rows, {"section": "criterion", "q": q, "checked": q - 1,
+                  "mismatch_ks": mismatch_ks, "passed": not mismatch_ks}
 
 
 def xy_params(l: int, t: int, p: int, e: int) -> tuple[int, int]:

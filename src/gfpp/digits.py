@@ -31,23 +31,19 @@ def digit_vector(l: int, p: int, e: int) -> tuple[int, ...]:
     return tuple(digs)
 
 
-def orbit_representatives(p: int, e: int) -> list[int]:
-    """rep[k] for 0 <= k <= p**e - 1: the smallest member of the orbit of k
-    under the Frobenius map k -> (p*k)*, so rep[q-1] = q-1 and rep[0] = 0.
-
-    The map multiplies the exponent class by p, and p^e = 1 mod q-1, so
-    e-1 steps from any member visit its whole orbit; in a prime field
-    p = 1 mod q-1 and every orbit is a single exponent.
-    """
-    q = p**e
-    rep = list(range(q))
+def per_orbit(p: int, e: int, decide) -> list:
+    """[decide(k) for k in 1..p**e - 1] for a decide constant on the orbits
+    of the Frobenius map k -> (p*k)*: decide runs once per orbit, at its
+    least member, and every member gets that value.  As p^e = 1 mod q-1,
+    the orbit of k is {(k*p^i)* : i < e}; in a prime field it is {k}."""
+    q, m = p**e, p**e - 1
+    values = {}
     for k in range(1, q):
-        if rep[k] == k:  # no smaller member has claimed it: k is the least
-            j = k
-            for _ in range(e - 1):
-                j = star_reduce(p * j, q)
-                rep[j] = k
-    return rep
+        if k not in values:  # no smaller member has claimed it: k is the least
+            value = decide(k)
+            for i in range(e):
+                values[k * p**i % m or m] = value  # (k*p^i)*, as k >= 1
+    return [values[k] for k in range(1, q)]
 
 
 def mod_inverse(k: int, m: int) -> int:

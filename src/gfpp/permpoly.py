@@ -210,24 +210,17 @@ def sweep_record(field, k: int) -> dict:
 def sweep(field) -> list[dict]:
     """Rows for every exponent 1 <= k <= q-1, in order.
 
-    Each Frobenius orbit's row is computed once, by sweep_record at its
-    least member, and copied to the other members with their own k and
-    k' = k^(-1).  Every other entry is constant on the orbit: the flags
-    (see the module docstring), gcd(p*k, q-1) = gcd(k, q-1), the orbit of
-    1 is the p-powers, and the digits of (p*k)^(-1) = p^(-1) k' are those
-    of k' rotated.
+    sweep_record runs once per Frobenius orbit, at its least member, through
+    digits.per_orbit; the other members take its row with their own k and
+    k' = k^(-1).  The rest is constant on the orbit: the flags (see the
+    module docstring), gcd(p*k, q-1) = gcd(k, q-1), the orbit of 1 is the
+    p-powers, and the digits of (p*k)^(-1) = p^(-1) k' rotate those of k'.
     """
-    rep = digits.orbit_representatives(field.p, field.e)
     m = field.q - 1
-    rows = []
-    for k in range(1, field.q):
-        if rep[k] == k:
-            rows.append(sweep_record(field, k))
-        else:
-            r = rows[rep[k] - 1]
-            kp = digits.mod_inverse(k, m) if r["gcd_ok"] else None
-            rows.append(dict(r, k=k, k_prime=kp))
-    return rows
+    leaders = digits.per_orbit(field.p, field.e, lambda k: sweep_record(field, k))
+    return [r if r["k"] == k else
+            dict(r, k=k, k_prime=digits.mod_inverse(k, m) if r["gcd_ok"] else None)
+            for k, r in enumerate(leaders, 1)]
 
 
 def conjecture_verdict(field, which: str, records=None) -> dict:

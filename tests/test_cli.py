@@ -34,6 +34,20 @@ def test_odd_prime_powers():
     assert odd_prime_powers(27) == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27]
 
 
+def test_odd_prime_powers_equal_the_factoring_filter():
+    # The sieve against factor_prime_power on every q, at every limit.
+    expected = []
+    for q in range(3, 5001):
+        try:
+            p, _ = factor_prime_power(q)
+        except NotPrimeError:
+            continue
+        if p != 2:
+            expected.append(q)
+    for limit in range(-2, 5001):
+        assert odd_prime_powers(limit) == [q for q in expected if q <= limit], limit
+
+
 def test_sweep_report_shape(tmp_path):
     code, report = run(tmp_path, "sweep", "--q", "9", "--which", "A")
     assert code == 0
@@ -231,6 +245,27 @@ def test_girth_command(tmp_path):
     (row,) = report["rows"]
     assert row["girth"] < 8 and not row["girth_ge_8"]
     assert not row["a_pp"]
+
+
+@pytest.mark.parametrize("argv,target", [
+    (("girth", "--q", "9", "--k", "3"), "girth"),
+    (("girth", "--q", "9", "--exps", "1,1,1,2"), "girth"),
+    (("sweep", "--q", "9", "--with-girth"), "girth_at_least"),
+])
+def test_girth_stages_find_the_log_tables_built(tmp_path, monkeypatch, argv, target):
+    # A stage declares the tables it reads, and the runner builds them
+    # under "field" before it times the stage.
+    built = []
+    real = getattr(graphs, target)
+
+    def spy(fld, *args, **kwargs):
+        built.append(fld._logs is not None)
+        return real(fld, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, target, spy)
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    assert built and all(built)
 
 
 def test_girth_command_exps(tmp_path):

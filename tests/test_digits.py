@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from gfpp.digits import (digit_vector, digits_binary, mod_inverse,
-                         orbit_representatives, star_reduce)
+from gfpp.digits import (digit_vector, digits_binary, mod_inverse, per_orbit,
+                         star_reduce)
 from gfpp.errors import NotCoprimeError
 from gfpp.field import Field
 from gfpp.permpoly import p_powers
@@ -68,28 +68,47 @@ def test_shift_class_is_rotation(p, e):
             assert digit_vector(l * p**t, p, e) == rotated, (l, t)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (3, 2), (5, 2), (3, 3),
-                                 (7, 2), (3, 4), (5, 3), (3, 6)])
-def test_orbit_representatives_equal_the_closure(p, e):
-    # The orbit of k under k -> p*k mod q-1, closed by brute force, with
+ORBIT_CASES = [(3, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3),
+               (3, 6)]
+
+
+def _orbits(p, e):
+    # The orbits of k -> p*k mod q-1 on 1..q-1, closed by brute force, with
     # q-1 standing for the class of 0 (its orbit is {q-1}).
     q, m = p**e, p**e - 1
-    rep = orbit_representatives(p, e)
-    assert len(rep) == q and rep[0] == 0
+    orbit_of = {}
     for k in range(1, q):
         orbit, j = set(), k
         while j not in orbit:
             orbit.add(j)
             j = p * j % m or m
-        assert rep[k] == min(orbit), k
+        orbit_of[k] = orbit
+    return orbit_of
+
+
+@pytest.mark.parametrize("p,e", ORBIT_CASES)
+def test_orbit_representatives_equal_the_closure(p, e):
+    # per_orbit with decide = identity gives member k the least member of
+    # its orbit.
+    orbit_of = _orbits(p, e)
+    values = per_orbit(p, e, lambda k: k)
+    assert values == [min(orbit_of[k]) for k in range(1, p**e)]
+    for k, orbit in orbit_of.items():
         assert len(orbit) <= e and e % len(orbit) == 0, k
     if e == 1:
-        assert rep == list(range(q))
+        assert values == list(range(1, p))
 
 
 def test_orbit_representatives_examples():
     # q = 9: orbits {1, 3}, {2, 6}, {4}, {5, 7}, {8}
-    assert orbit_representatives(3, 2) == [0, 1, 2, 1, 4, 5, 2, 5, 8]
+    assert per_orbit(3, 2, lambda k: k) == [1, 2, 1, 4, 5, 2, 5, 8]
+
+
+@pytest.mark.parametrize("p,e", ORBIT_CASES)
+def test_per_orbit_decides_once_per_orbit(p, e):
+    calls = []
+    per_orbit(p, e, calls.append)
+    assert calls == sorted({min(orbit) for orbit in _orbits(p, e).values()})
 
 
 def test_lucas_binom_examples():

@@ -10,6 +10,7 @@ import pytest
 
 from gfpp import graphs, permpoly
 from gfpp.cli import factor_prime_power
+from gfpp.digits import star_reduce
 from gfpp.field import Field
 from gfpp.graphs import _difference_table, _monomial_table, girth, girth_at_least, girth_scan
 
@@ -233,3 +234,35 @@ def test_girth_scan(q_args, expected):
     assert verdict["expected"] == expected
     assert verdict["implication_ok"]
     assert verdict["passed"]
+
+
+@pytest.mark.parametrize("q,orbits", [(9, 5), (25, 14), (27, 10)])
+def test_girth_scan_runs_one_bfs_per_frobenius_orbit(q, orbits, monkeypatch):
+    # Patched at the module attribute, which the benchmark's tracer wraps.
+    field = Field(*factor_prime_power(q))
+    calls = []
+    real = graphs.girth_at_least
+    monkeypatch.setattr(graphs, "girth_at_least",
+                        lambda *args: calls.append(args[2][0]) or real(*args))
+    girth_scan(field, permpoly.sweep(field))
+    assert len(calls) == len(set(calls)) == orbits
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_girth_scan_witnesses_equal_a_bfs_at_every_k(q):
+    field = Field(*factor_prime_power(q))
+    _, verdict = girth_scan(field, permpoly.sweep(field))
+    per_k = [k for k in range(1, q) if girth_at_least(field, (1, 1), (k, 2 * k), 8)]
+    assert verdict["witnesses"] == per_k == permpoly.p_powers(field)
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 125])
+def test_frobenius_maps_the_table_of_k_onto_the_table_of_pk(q):
+    # The isomorphism of the module docstring, on the value tables:
+    # x^((pk)*) y^((2pk)*) is the p-th power of x^k y^(2k).
+    field = Field(*factor_prime_power(q))
+    frob = [field.pow(x, field.p) for x in range(q)]
+    for k in range(1, q):
+        pk, p2k = (star_reduce(field.p * n, q) for n in (k, 2 * k))
+        image = [[frob[v] for v in row] for row in _monomial_table(field, k, 2 * k)]
+        assert _monomial_table(field, pk, p2k) == image, k

@@ -6,7 +6,7 @@ import pytest
 
 from gfpp import permpoly
 from gfpp.cli import factor_prime_power, odd_prime_powers
-from gfpp.digits import orbit_representatives, star_reduce
+from gfpp.digits import star_reduce
 from gfpp.field import Field
 from gfpp.permpoly import (a_collision, b_collision, conjecture_verdict,
                            eval_a, eval_b, p_powers, sweep, sweep_record)
@@ -248,6 +248,24 @@ def test_frobenius_images_have_the_same_first_collision(q):
             assert first[k] == first[star_reduce(fld.p * k, q)], (k, kernel.__name__)
 
 
+def _orbit_leaders(fld):
+    """The least member of each orbit of k -> p*k mod q-1, ascending."""
+    q = fld.q
+    return [k for k in range(1, q)
+            if k == min(star_reduce(k * fld.p**i, q) for i in range(fld.e))]
+
+
+@pytest.mark.parametrize("q", ORBIT_QS)
+def test_sweep_calls_sweep_record_once_per_orbit(q, monkeypatch):
+    # Patched at the module attribute, which the benchmark's tracer wraps.
+    fld = Field(*factor_prime_power(q))
+    calls = []
+    monkeypatch.setattr(permpoly, "sweep_record",
+                        lambda field, k: calls.append(k) or sweep_record(field, k))
+    assert len(sweep(fld)) == q - 1
+    assert calls == _orbit_leaders(fld)
+
+
 @pytest.mark.parametrize("q", ORBIT_QS)
 def test_sweep_rows_equal_the_per_k_records(q):
     # The sweep copies each orbit's flags; sweep_record decides every k.
@@ -304,7 +322,6 @@ def test_sweep_scans_only_orbit_leaders_with_gcd_at_most_2(q, monkeypatch):
     monkeypatch.setattr(permpoly, "a_collision", counting("a", a_collision))
     monkeypatch.setattr(permpoly, "b_collision", counting("b", b_collision))
     sweep(fld)
-    rep = orbit_representatives(fld.p, fld.e)
-    leaders = [k for k in range(1, q) if rep[k] == k]
+    leaders = _orbit_leaders(fld)
     assert scanned["a"] == [k for k in leaders if gcd(k, q - 1) == 1]
     assert scanned["b"] == [k for k in leaders if gcd(2 * k, q - 1) == 2]
