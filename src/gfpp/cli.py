@@ -48,7 +48,7 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:

@@ -4,11 +4,13 @@ flags, the support-identity grid and the upper-half sum grid.  Each check
 returns (rows, verdict) in the report's dict form.
 
 Every binomial-sum row is one kernel, _row_sum:
-    R(mult, top, b) = sum over 2 <= i <= q-2 of (-1)^i C(top, (mult*i)*) C(i, b)
+    R(mult, top, b) = sum over 2 <= i <= q-2 of (-1)^i C(top, mult*i % (q-1)) C(i, b)
 mod p, with each binomial reduced through the field's Lucas tables.
-Starred quantities are exponent classes mod q-1 (digits.star_reduce),
-whose positive-multiple-of-(q-1) -> q-1 rule is load-bearing: the row
-class in the support identity is such a multiple whenever u = v = 0.
+Starred quantities are exponent classes mod q-1 reduced into 1..q-1
+(digits.star_reduce).  The lower index mult*i % (q-1) is the one exponent
+of its class in 0..top: only the class of 0 could have two there, 0 and
+q-1, and only in the support identity (the criterion's mult is coprime
+to q-1), where top <= q-2 on every walked row (see identity_grid).
 
 When mult is a p-power class p^j, the row has a closed form.  Write x_d
 for the base-p digit d of x, and T_d = top_((d+j) mod e).  For every i in
@@ -78,13 +80,12 @@ def _row_sum(field, mult: int, top: int, bottom: int) -> int:
         return sign if top == star_reduce(mult * bottom, q) else 0
     qm1 = q - 1
     Sb, St = S[bottom], S[top]
-    wrap = qm1 if mult else 0  # (mult*i)* for mult*i % (q-1) == 0
     total = 0
     for i in range(max(2, bottom), qm1):
         j = i - bottom
         if Sb + S[j] != S[i]:
             continue
-        m = mult * i % qm1 or wrap
+        m = mult * i % qm1
         if m > top:
             continue
         d = top - m
@@ -157,7 +158,7 @@ def support_identity_lhs(field, l: int, t: int, u: int, v: int) -> int:
     """Row-sum side of the digit-support identity.
 
     With s = (q-1)/2 - (u + v*p^t), computes
-    sum over 2 <= i <= q-2 of (-1)^i C((l*(s+(q-1)/2))*, (li)*) C(i, 2s)
+    sum over 2 <= i <= q-2 of (-1)^i C((l*(s+(q-1)/2))*, l*i % (q-1)) C(i, 2s)
     mod p.  s is recomputed from (u, v, t) here so that inconsistent
     parameter bundles cannot be formed.
     """
@@ -208,6 +209,11 @@ def identity_grid(field) -> tuple[list[dict], dict]:
     Those rows are flagged wrap=True and judged against their analyzed
     values (lhs = 0, rhs = 1) instead of against each other; all other
     points must match exactly.
+
+    Off that corner top <= q-2.  With w = u + v*p^t, top = -l*w mod q-1,
+    and l*w = u*l + v*(p^t*l), where l and its rotation have 0/1 digits,
+    so its base-p digits are u, v or u + v <= p-1; it is a multiple of
+    q-1 only at u = v = 0 or with every digit u + v = p-1, an all-ones l.
     """
     p, e, q = field.p, field.e, field.q
     h = (p - 1) // 2

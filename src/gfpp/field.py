@@ -257,7 +257,11 @@ class Field:
         """
         if self._logs is None:
             q, m, p = self.q, self.q - 1, self.p
-            primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+            primes, rest = set(), m  # the prime factors of m
+            while rest > 1:
+                r = least_factor(rest)
+                primes.add(r)
+                rest //= r
             g = next(g for g in range(2, q)
                      if all(self.pow(g, m // r) != 1 for r in primes))
             exp = [1] * m

@@ -115,23 +115,6 @@ def b_collision(field, k: int) -> tuple[int, int] | None:
     return None
 
 
-def _a_at(field, tables, k: int, n: int) -> int:
-    """a_k(x) = (x(x+1))^k - x^(2k) at x = g^n != -1: both powers from the
-    log tables, their difference by Field.sub."""
-    exp, _, zech = tables
-    m = field.q - 1
-    return field.sub(exp[k * (n + zech[n]) % m], exp[2 * k * n % m])
-
-
-def _b_at(field, tables, k: int, n: int) -> int:
-    """b_k(x) = ((x+1)^(2k) - 1) x^(-k) - 2 at x = g^n != -1 (x^(q-1) = 1):
-    the powers from the log tables, the differences by Field.sub."""
-    exp, log, zech = tables
-    m = field.q - 1
-    lead = field.sub(exp[2 * k * zech[n] % m], 1)
-    return field.sub(0 if lead == 0 else exp[(log[lead] - k * n) % m], 2)
-
-
 def _a_pair(field, k: int) -> tuple[int, int] | None:
     """A colliding pair of a_k built from a root of unity, or None when
     d = gcd(k, q-1) = 1.
@@ -139,17 +122,18 @@ def _a_pair(field, k: int) -> tuple[int, int] | None:
     w = g^((q-1)/d) has w^k = 1 and w != 1.  x = 1/(w-1) has x + 1 = w*x,
     so (x+1)^k = x^k and a_k(x) = 0 = a_k(0); x is neither 0 nor -1.  x is
     taken from the log tables (w - 1 = g^h (1 + g^(log w + h)), with
-    g^h = -1), and the pair (0, x) is returned only after a_k is evaluated
-    at x, so a None means the scan decides.
+    g^h = -1), and the pair (0, x) is returned only after a_k(x) = 0 is
+    checked as the scan reads it, k(z-n) = 0 for x = g^n, x + 1 = g^z, so
+    a None means the scan decides.
     """
     m = field.q - 1
     d = gcd(k, m)
     if d == 1:
         return None
-    tables = exp, _, zech = field.log_tables()
+    exp, _, zech = field.log_tables()
     h = m // 2
     n = -(h + zech[(m // d + h) % m]) % m
-    return (0, exp[n]) if _a_at(field, tables, k, n) == 0 else None
+    return (0, exp[n]) if k * (zech[n] - n) % m == 0 else None
 
 
 def _b_pair(field, k: int) -> tuple[int, int] | None:
@@ -160,17 +144,17 @@ def _b_pair(field, k: int) -> tuple[int, int] | None:
     (x+1)^(2k) = 1 gives b_k(x) = -2 x^(q-1) = -2, and b_k(-2) = -2 as
     (-1)^(2k) = 1; t - 1 != -2, and neither is 0 or -1.  t - 1 is taken
     from the log tables as in _a_pair, and the pair (-2, t-1) is returned
-    only after b_k is evaluated at both points.
+    only after b_k(t-1) + 2 = 0 is checked as the scan reads it, 2kz = 0
+    for x + 1 = g^z; b_k(-2) = -2 holds for every k.
     """
     m = field.q - 1
     d = gcd(2 * k, m)
     if d == 2:
         return None
-    tables = exp, log, zech = field.log_tables()
+    exp, log, zech = field.log_tables()
     h = m // 2
-    n2, n = (log[2] + h) % m, (h + zech[(m // d + h) % m]) % m
-    same = _b_at(field, tables, k, n2) == _b_at(field, tables, k, n)
-    return (exp[n2], exp[n]) if same else None
+    n = (h + zech[(m // d + h) % m]) % m
+    return (exp[(log[2] + h) % m], exp[n]) if 2 * k * zech[n] % m == 0 else None
 
 
 def p_powers(field) -> list[int]:

@@ -17,7 +17,7 @@ from lucas import lucas_binom
 
 CONJECTURE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 243, 343, 729)
 CRITERION_QS = (3, 5, 7, 9, 25, 27, 49, 81)
-IDENTITY_QS = (27, 125, 243)
+IDENTITY_QS = (27, 81, 125, 243, 625)
 UPPER_HALF_PS = (3, 5, 7, 11, 13)
 GIRTH_QS = (3, 5, 7, 9, 11, 13)
 SCAN_QS = (3, 5, 7, 9)

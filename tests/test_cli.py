@@ -340,6 +340,15 @@ def test_verify_all_small(tmp_path):
     assert {v["section"] for v in report["verdicts"]} == {"upper_half"}
 
 
+def test_verify_all_q_max_243_passes(tmp_path):
+    # 61 fields, the even-e q = 81 among them: every verdict passes.
+    code, report = run(tmp_path, "verify-all", "--q-max", "243")
+    assert code == 0
+    assert report["overall"] == "pass"
+    assert len(report["modulus_by_q"]) == 61
+    assert all(v["passed"] for v in report["verdicts"])
+
+
 def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
     # A stage that raises ends its field's job: the stages before it keep
     # their rows and verdicts, the stage gets one error row and a failing
@@ -403,7 +412,7 @@ GOLDEN_DIGESTS = {
     "field-info --q 9,27":
         "03db3b58ab4121212cb49929c5a4bf51a73abbb6d13f0ed6503fa9791afb38d9",
     "verify-all --q-max 81":
-        "3ebccef8ca15e4cdf6d2b2935bc8a0cc331b1ee37a34667a1cdc9ae42dec3fca",
+        "f8eb12bb9921e1daa1b7e0c901ad980a70681e259ea3f52f456ae97b084d14dc",
     "identities --q 9":
         "b6a4d1baf80f496e4df987079572d4a4ca9daf1b66dd0511e81f506a8f1ef454",
     "girth --q 5 --k 9":
@@ -433,7 +442,7 @@ GOLDEN_TEXT_DIGESTS = {
     "field-info --q 9,27":
         "2df71ab186d523dba3976a96510f33eaebbb42b20692ae8c2ff2f3e3f216453a",
     "verify-all --q-max 81":
-        "1d08135cee27e8e4c453796b00f020d4699052e40ef8ee28ec1055b1a0f40e91",
+        "e6b0d7f01d41cb935a6a782ea6f729f34ce9866c16204106516f46bc6213201e",
     "identities --q 9":
         "b755d5828e55eeb43bca674ade1711f87b5c640a5c1dc0749b6f0336b181fb3b",
     "girth --q 5 --k 9":
@@ -443,11 +452,10 @@ GOLDEN_TEXT_DIGESTS = {
 }
 
 # Golden commands whose report fails: q = 9 is above the girth cap of 5
-# and q = 19 above the default cap of 17, the identity grid of q = 81 fails
-# at its even-e corner, and k = 9 is out of range for q = 5.
+# and q = 19 above the default cap of 17, and k = 9 is out of range for
+# q = 5.
 GOLDEN_EXIT = {"sweep --q 9 --which A --with-girth --girth-cap 5": 1,
-               "verify-all --q-max 81": 1, "sweep --q 19 --with-girth": 1,
-               "girth --q 5 --k 9": 1}
+               "sweep --q 19 --with-girth": 1, "girth --q 5 --k 9": 1}
 
 
 @pytest.mark.parametrize("command", GOLDEN_DIGESTS)

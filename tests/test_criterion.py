@@ -47,13 +47,15 @@ def _exact_criterion_sum(fld, k, s):
 
 
 def _exact_row_sum(fld, mult, top, bottom):
-    # criterion._row_sum term by term, with exact integer binomials
+    # criterion._row_sum term by term, with exact integer binomials; the
+    # lower index is the plain residue mult*i mod q-1, so 0 when q-1
+    # divides mult*i
     q, p = fld.q, fld.p
     total = 0
     for i in range(2, q - 1):
         c2 = comb(i, bottom) % p
         if c2:
-            term = c2 * lucas_binom(top, star_reduce(mult * i, q), p)
+            term = c2 * lucas_binom(top, mult * i % (q - 1), p)
             total += -term if i & 1 else term
     return total % p
 
@@ -284,7 +286,7 @@ def test_support_identity_lhs_equals_the_exact_oracle_q81():
         top = star_reduce(r["l"] * (r["s"] + h), q)
         assert r["lhs"] == _exact_row_sum(fld, r["l"], top, 2 * r["s"]), r
     bad = [(r["lhs"], r["rhs"]) for r in rows if not r["wrap"] and not r["match"]]
-    assert bad == [(2, 0)] * 8
+    assert bad == []
 
 
 def test_digit_convolution_is_the_delta():
@@ -513,22 +515,26 @@ def test_support_identity_full_grid_q27(f27):
                         assert lhs == rhs, (l, t, u, v)
 
 
-@pytest.mark.parametrize("p,e", [(3, 4), (5, 4)])
-def test_identity_grid_even_e_fails_only_at_the_complementary_corner(p, e):
-    # On even e some l and p^t*l have complementary 0/1 supports (y = 0).
-    # At u = v = (p-1)/2 those points do not match; this pins that every
-    # other point off the wrap corner does, and that wrap reads (0, 1).
+@pytest.mark.parametrize("p,e,corner", [(3, 4, [(0, 0)] * 8),
+                                         (5, 4, [(4, 4)] * 8),
+                                         (3, 6, [(0, 0)] * 12)],
+                         ids=["q81", "q625", "q729"])
+def test_identity_grid_even_e_matches_off_the_u0v0_corner(p, e, corner):
+    # On even e some l and p^t*l have complementary 0/1 supports (y = 0,
+    # x = e/2).  At u = v = (p-1)/2 there, l*i is a multiple of q-1 for
+    # some walked i, whose lower index reads 0: C(top, 0) = 1 keeps the
+    # term.  Those points read (lhs, rhs) = corner, every point off
+    # u = v = 0 matches, and every u = v = 0 point reads its analysed (0, 1).
     h = (p - 1) // 2
     rows, verdict = identity_grid(Field(p, e))
+    assert [(r["lhs"], r["rhs"]) for r in rows
+            if (r["x"], r["y"]) == (e // 2, 0) and r["u"] == r["v"] == h] == corner
     wrap_rows = [r for r in rows if r["wrap"]]
-    bad = [r for r in rows if not r["wrap"] and not r["match"]]
-    assert all(r["y"] == 0 and r["u"] == r["v"] == h for r in bad), bad
-    assert all((r["lhs"], r["rhs"]) == (0, 1) for r in wrap_rows)
-    assert verdict["points"] == len(rows)
-    assert verdict["wrap_points"] == len(wrap_rows)
-    assert verdict["wrap_as_analyzed"] is True
-    assert verdict["mismatches"] == len(bad)
-    assert verdict["passed"] is (not bad)
+    assert wrap_rows and all((r["lhs"], r["rhs"]) == (0, 1) for r in wrap_rows)
+    assert [r for r in rows if not r["wrap"] and not r["match"]] == []
+    assert verdict == {"section": "identities", "q": p**e, "points": len(rows),
+                       "wrap_points": len(wrap_rows), "wrap_as_analyzed": True,
+                       "mismatches": 0, "passed": True}
 
 
 def test_support_identity_rhs_trivial_corner():

@@ -278,11 +278,11 @@ def _is_minus_one(fld, x):
 
 
 def test_built_pairs_collide_pointwise():
-    # Every odd q <= 125 and every k: an a_k pair exists exactly when
+    # Every odd q <= 243 and every k: an a_k pair exists exactly when
     # gcd(k, q-1) > 1 and starts at 0, a b_k pair exactly when
     # gcd(2k, q-1) > 2 and starts at -2, and each collides under the
     # pointwise maps.
-    for q in odd_prime_powers(125):
+    for q in odd_prime_powers(243):
         fld = Field(*factor_prime_power(q))
         for k in range(1, q):
             for pair, pointwise, built, first in (
