@@ -386,7 +386,8 @@ def _with_cache(args, command, params, compute) -> tuple[dict, str]:
     written, the report is still returned and stderr says why.  An entry
     that cannot be read or parsed, that does not begin and end as the
     writer lays entries out, or whose keys are not BODY_KEYS in order, is
-    treated as a miss: recomputed and rewritten.
+    treated as a miss: recomputed and rewritten.  A miss records the seconds
+    of encoding the body in the report's timing.encode.
     """
     path = None
     if args.cache:
@@ -407,7 +408,9 @@ def _with_cache(args, command, params, compute) -> tuple[dict, str]:
                 report["timing"] = {"cached": True}
                 return report, text
     report = compute()
+    t = time.perf_counter()
     text = _body_text({k: report[k] for k in BODY_KEYS})
+    report["timing"]["encode"] = round(time.perf_counter() - t, 4)
     if path is not None:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

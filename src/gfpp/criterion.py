@@ -55,7 +55,7 @@ from math import comb, gcd
 
 from .digits import digit_vector, mod_inverse, per_orbit, star_reduce
 from .errors import NotPrimeError, ParamDomainError
-from .field import is_prime
+from .field import from_digits, is_prime
 
 UPPER_HALF_X_RANGE = range(0, 5)
 UPPER_HALF_Y_RANGE = range(1, 5)
@@ -218,7 +218,7 @@ def identity_grid(field) -> tuple[list[dict], dict]:
     p, e, q = field.p, field.e, field.q
     h = (p - 1) // 2
     classes = sorted(
-        sum(b * p**i for i, b in enumerate(bits))
+        from_digits(bits, p)
         for bits in itertools.product((0, 1), repeat=e)
         if any(bits) and not all(bits)
     )

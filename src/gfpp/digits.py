@@ -9,6 +9,7 @@ all-zero string represents only 0.
 from __future__ import annotations
 
 from .errors import NotCoprimeError
+from .field import to_digits
 
 
 def star_reduce(a: int, q: int) -> int:
@@ -23,12 +24,7 @@ def digit_vector(l: int, p: int, e: int) -> tuple[int, ...]:
     """Base-p digits of star_reduce(l, p**e), low digit first, padded to
     length e.  Multiplying l by p**t rotates them, sending position i to
     i+t mod e."""
-    v = star_reduce(l, p**e)
-    digs = []
-    for _ in range(e):
-        v, d = divmod(v, p)
-        digs.append(d)
-    return tuple(digs)
+    return to_digits(star_reduce(l, p**e), p, e)
 
 
 def per_orbit(p: int, e: int, decide) -> list:
@@ -56,9 +52,4 @@ def mod_inverse(k: int, m: int) -> int:
 
 def digits_binary(k_prime: int, p: int, e: int) -> bool:
     """Whether every base-p digit of star_reduce(k_prime, p**e) lies in {0, 1}."""
-    v = star_reduce(k_prime, p**e)
-    while v:
-        v, d = divmod(v, p)
-        if d > 1:
-            return False
-    return True
+    return max(digit_vector(k_prime, p, e)) <= 1

@@ -3,14 +3,16 @@
 An element is identified by its index in the canonical enumeration: the
 element with coefficient vector (c0, ..., c_{e-1}) over Z_p (low degree
 first) has index sum(c_i * p^i).  Index 0 is the zero element and index 1
-is the one element, so plain ints double as element handles.
+is the one element, so plain ints double as element handles.  This base-p
+codec, `to_digits`/`from_digits`, also reads exponents for `gfpp.digits`.
 
-Besides the direct polynomial arithmetic, a field can build discrete-log
-and Zech-log tables for a fixed primitive element (Lidl-Niederreiter,
-Finite Fields, ch. 2), which turn products and powers into sums of
-exponents mod q-1 and sums into one table lookup, and base-p digit tables
-that turn a binomial coefficient C(m, n) mod p with m, n < q into three
-lookups (Lucas and Kummer).
+Besides the pointwise arithmetic, a field can build discrete-log and
+Zech-log tables for a fixed primitive element (Lidl-Niederreiter, Finite
+Fields, ch. 2), which turn products and powers into sums of exponents mod
+q-1 and sums into one table lookup, and base-p digit tables that turn a
+binomial coefficient C(m, n) mod p with m, n < q into three lookups (Lucas
+and Kummer).  These builders, and the difference table of `gfpp.graphs`,
+build each entry from an earlier one and one digit, in O(1), not O(e).
 
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e (coefficients compared low-degree-first), which
@@ -76,6 +78,23 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no monic irreducible of degree %d over Z_%d" % (e, p))
 
 
+def to_digits(n: int, p: int, e: int) -> tuple[int, ...]:
+    """The e base-p digits of 0 <= n < p**e, low digit first."""
+    out = []
+    for _ in range(e):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
+
+
+def from_digits(digits, p: int) -> int:
+    """The index sum((d_i mod p) * p**i) of digits d, low digit first."""
+    n = 0
+    for d in reversed(digits):
+        n = n * p + d % p
+    return n
+
+
 def cap_error(q: int, cap: int, name: str) -> CapExceededError:
     """The error for a q above the `name` cap ("field" or "girth")."""
     return CapExceededError("q = %d exceeds the %s cap %d" % (q, name, cap))
@@ -117,7 +136,6 @@ class Field:
         self.e = e
         self.q = q
         self.modulus = smallest_irreducible(p, e)
-        self._pbase = tuple(p**i for i in range(e))
         self._xpow = self._reduction_rows()
         self._logs = None
         self._binoms = None
@@ -129,19 +147,13 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of element a, low degree first, length e."""
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            a, c = divmod(a, p)
-            out.append(c)
-        return tuple(out)
+        return to_digits(a, self.p, self.e)
 
     def element(self, coeffs) -> int:
         """Element index for a coefficient vector (entries reduced mod p)."""
         if len(coeffs) != self.e:
             raise ValueError("expected %d coefficients, got %d" % (self.e, len(coeffs)))
-        p = self.p
-        return sum((c % p) * b for c, b in zip(coeffs, self._pbase))
+        return from_digits(coeffs, self.p)
 
     def elements(self) -> range:
         """All q elements in canonical order: zero first, one second."""
@@ -150,62 +162,33 @@ class Field:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a + b) % p
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
-        enc = 0
-        for i in range(self.e - 1, -1, -1):
-            enc = enc * p + (ca[i] + cb[i]) % p
-        return enc
+        return from_digits([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))], self.p)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return -a % p
-        ca = self.coeffs(a)
-        enc = 0
-        for i in range(self.e - 1, -1, -1):
-            enc = enc * p + -ca[i] % p
-        return enc
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a - b) % p
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
-        enc = 0
-        for i in range(self.e - 1, -1, -1):
-            enc = enc * p + (ca[i] - cb[i]) % p
-        return enc
+        return from_digits([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))], self.p)
 
     def mul(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
+        p, e = self.p, self.e
+        if e == 1:
             return a * b % p
-        e = self.e
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
+        ca = to_digits(a, p, e)
+        cb = to_digits(b, p, e)
         acc = [0] * (2 * e - 1)
         for i, x in enumerate(ca):
             if x:
                 for j, y in enumerate(cb):
                     if y:
                         acc[i + j] += x * y
-        res = acc[:e]
-        xpow = self._xpow
         for j in range(e, 2 * e - 1):
             c = acc[j] % p
             if c:
-                row = xpow[j - e]
+                row = self._xpow[j - e]
                 for i in range(e):
-                    res[i] += c * row[i]
-        enc = 0
-        for i in range(e - 1, -1, -1):
-            enc = enc * p + res[i] % p
-        return enc
+                    acc[i] += c * row[i]
+        return from_digits(acc[:e], p)
 
     def inv(self, a: int) -> int:
         if a == 0:

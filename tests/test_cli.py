@@ -507,7 +507,7 @@ def test_cache_round_trip(tmp_path):
     cache = tmp_path / "cache"
     out1 = tmp_path / "fresh.json"
     out2 = tmp_path / "cached.json"
-    argv = ["verify-all", "--q-max", "9", "--jobs", "1", "--cache", str(cache)]
+    argv = ["verify-all", "--q-max", "27", "--jobs", "1", "--cache", str(cache)]
     assert main(argv + ["--json", str(out1)]) == 0
     cache_files = list(cache.glob("*.json"))
     assert len(cache_files) == 1
@@ -516,6 +516,10 @@ def test_cache_round_trip(tmp_path):
     cached = json.loads(out2.read_text())
     assert cached["timing"]["cached"] is True
     assert "stages" in fresh["timing"] and "stages" not in cached["timing"]
+    # Only a miss encodes the body, and the encode is timed outside it.
+    assert isinstance(fresh["timing"]["encode"], float)
+    assert fresh["timing"]["encode"] >= 0
+    assert "encode" not in cached["timing"]
     fresh.pop("timing")
     cached.pop("timing")
     assert fresh == cached

@@ -46,6 +46,11 @@ def test_digit_vector_examples():
     assert digit_vector(26, 3, 3) == (2, 2, 2)
     assert digit_vector(27, 3, 3) == (1, 0, 0)  # star reduction first
     assert digit_vector(0, 3, 3) == (0, 0, 0)
+    # Below q-1 an exponent and an element index are one base-p string.
+    for p, e in ((3, 3), (5, 3)):
+        fld = Field(p, e)
+        for a in range(fld.q - 1):
+            assert digit_vector(a, p, e) == fld.coeffs(a), (p, e, a)
 
 
 def test_shift_class_examples():
@@ -160,6 +165,11 @@ def test_digits_binary():
     assert digits_binary(13, 3, 3)
     assert digits_binary(1 + 5 + 25, 5, 3)
     assert not digits_binary(2 + 5, 5, 3)
+    for p, e in ((3, 1), (3, 3), (5, 3), (7, 2)):
+        q = p**e
+        assert digits_binary(0, p, e)
+        assert not digits_binary(q - 1, p, e)  # every digit is p-1 >= 2
+        assert digits_binary(q, p, e)  # q reduces to 1
 
 
 def test_support_split_sums_to_digit_count():

@@ -3,6 +3,7 @@
 from math import comb
 
 import pytest
+from sympy import Poly, symbols
 
 from gfpp.errors import CapExceededError, EvenPrimeError, NotPrimeError
 from gfpp.field import (Field, is_prime, least_factor, poly_str,
@@ -112,6 +113,30 @@ def test_field_axioms_exhaustive(p, e):
                 assert fld.mul(fld.mul(a, b), c) == fld.mul(a, fld.mul(b, c))
                 assert fld.add(fld.add(a, b), c) == fld.add(a, fld.add(b, c))
                 assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (5, 2), (3, 3)])
+def test_pointwise_arithmetic_matches_sympy_polynomials(p, e):
+    # The axioms hold under any relabelling of the elements that fixes 0 and
+    # 1, such as swapping two digits above the lowest in both decoder and
+    # encoder; this oracle pins the canonical index sum(c_i * p^i) of every
+    # result.
+    fld = Field(p, e)
+    X = symbols("X")
+    modulus = Poly(fld.modulus[::-1], X, modulus=p)
+    polys = [Poly([a // p**i % p for i in reversed(range(e))], X, modulus=p)
+             for a in range(fld.q)]
+
+    def index(f):
+        # sympy keeps symmetric residues, -p/2 < c < p/2
+        coeffs = f.rem(modulus).all_coeffs()[::-1]
+        return sum(int(c) % p * p**i for i, c in enumerate(coeffs))
+
+    for a, fa in enumerate(polys):
+        for b, fb in enumerate(polys):
+            assert fld.add(a, b) == index(fa + fb), (a, b)
+            assert fld.sub(a, b) == index(fa - fb), (a, b)
+            assert fld.mul(a, b) == index(fa * fb), (a, b)
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 1)])
