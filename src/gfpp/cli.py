@@ -14,9 +14,10 @@ human-readable verdict lines on stderr.  Reports are deterministic apart
 from the top-level "timing" entry; the exit status is 0 iff every verdict
 passes.
 
-A report body is encoded once: the text the cache stores, or would store,
-is the text emitted, with "timing" spliced in as its last key, so a cache
-hit parses its entry but never encodes it again.  The process pool is
+A report body is encoded once: the bytes the cache stores, or would store,
+are the bytes emitted, with "timing" spliced in as its last key.  A cache
+hit checks its entry's digest and parses only the verdicts and what
+follows them, never the rows unless --csv asks.  The process pool is
 imported only when more than one worker runs, and the stage modules and
 csv only where a stage or --csv uses them, so a cache hit loads none.
 """
@@ -90,12 +91,14 @@ BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
 
 # -- per-field stages --------------------------------------------------------
 #
-# A stage is (name, run, tables).  run(fld, args, rows) makes the stage's
-# library call on one field, given the rows of the stages before it, and
-# returns the rows and verdicts it adds; `tables` are the Field methods
-# that build the tables it reads, which the runner calls first.  A command
-# is the list of stages it runs on each field.  Stage functions are
-# top-level so that they pickle for the process pool.
+# A stage is (name, run, tables, check).  run(fld, args, rows) makes the
+# stage's library call on one field, given the rows of the stages before
+# it, and returns the rows and verdicts it adds; `tables` names the Field
+# methods that build the tables it reads, which the runner calls first;
+# check(fld, args), or None, rejects arguments the stage cannot serve
+# before any table is built.  A command is the list of stages it runs on
+# each field.  Stage functions are top-level so that they pickle for the
+# process pool.
 
 def _failure(section: str, key: str, n: int, exc: Exception) -> tuple[dict, dict]:
     """The error row and the failing verdict that report exc for q = n or
@@ -172,16 +175,22 @@ def _girth_exps(args) -> tuple[tuple[int, int], tuple[int, int]]:
     return (a, b), (c, d)
 
 
+def _girth_check(fld: Field, args) -> None:
+    """The girth command's k must lie in 1..q-1 and its q within the girth
+    cap."""
+    q, k = fld.q, args.k
+    if k is not None and not 1 <= k <= q - 1:
+        raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
+    if q > args.girth_cap:
+        raise cap_error(q, args.girth_cap, "girth")
+
+
 def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
     """The exact girth of one graph; for G_q(XY, X^kY^2k), also whether
     girth >= 8 implies that a_k and b_k are PPs."""
     from . import graphs, permpoly
 
     q, k = fld.q, args.k
-    if k is not None and not 1 <= k <= q - 1:
-        raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
-    if q > args.girth_cap:
-        raise cap_error(q, args.girth_cap, "girth")
     f_exps, g_exps = _girth_exps(args)
     value = graphs.girth(fld, f_exps, g_exps)
     ge8 = value >= 8
@@ -206,11 +215,12 @@ def _field(fld: Field, args, rows: list) -> tuple[list, list]:
             [{"section": "field", "q": fld.q, "passed": True}])
 
 
-_SWEEP = ("sweep", _sweep, (Field.log_tables,))
-_CRITERION = ("criterion", _criterion, (Field.binom_tables,))
-_IDENTITIES = ("identities", _identities, ())
-_GIRTH_SCAN = ("girth", _girth_scan, (Field.log_tables,))
-_GIRTH = ("girth", _girth, (Field.log_tables,))
+_SWEEP = ("sweep", _sweep, ("log_tables",), None)
+_CRITERION = ("criterion", _criterion, ("binom_tables",), None)
+_IDENTITIES = ("identities", _identities, (), None)
+_GIRTH_SCAN = ("girth", _girth_scan, ("log_tables",), None)
+_GIRTH = ("girth", _girth, ("log_tables",), _girth_check)
+_FIELD = ("field", _field, (), None)
 
 
 def _run_job(spec):
@@ -218,10 +228,11 @@ def _run_job(spec):
 
     Returns (modulus, rows, verdicts, seconds).  Building the field and the
     tables its stages read is timed as stage "field", and each stage under
-    its name.  The modulus is recorded as soon as the field exists.  A
-    GfppError or ValueError ends the job with one error row and one failing
-    verdict, in the section of the stage that raised it, or in `section`
-    while the field is built; the stages that finished keep their rows,
+    its name.  The modulus is recorded as soon as the field exists, and the
+    stages' checks run before any table is built.  A GfppError or
+    ValueError ends the job with one error row and one failing verdict, in
+    the section of the stage that raised it, or in `section` while the
+    field is built or checked; the stages that finished keep their rows,
     verdicts and times.
     """
     stages, section, q, args = spec
@@ -235,11 +246,14 @@ def _run_job(spec):
         t = time.perf_counter()
         fld = Field(p, e, cap=args.field_cap)
         modulus = list(fld.modulus)
-        for _, _, tables in stages:
+        for _, _, _, check in stages:
+            if check is not None:
+                check(fld, args)
+        for _, _, tables, _ in stages:
             for table in tables:
-                table(fld)
+                getattr(fld, table)()
         seconds["field"] = round(time.perf_counter() - t, 4)
-        for section, run, _ in stages:
+        for section, run, _, _ in stages:
             t = time.perf_counter()
             stage_rows, stage_verdicts = run(fld, args, rows)
             rows += stage_rows
@@ -309,21 +323,24 @@ def _write_csv(rows, path) -> None:
             ])
 
 
-def _emit(report: dict, text: str, args) -> bool:
-    """Write the report: `text` is its body as _with_cache lays it out,
-    ending in "\n}\n", and timing goes in as the last key.  JSON text holds
-    no raw newline inside a string, so indenting the timing's lines by two
-    spaces nests it exactly as json.dumps(..., indent=2) of the whole
-    report would.  Returns False, after one line on stderr that names the
-    path, when --json or --csv cannot be written."""
+def _emit(report: dict, body: memoryview, args) -> bool:
+    """Write the report: `body` views its body's bytes as _with_cache lays
+    them out, ending in b"\n}\n", and timing goes in as the last key.  JSON
+    text holds no raw newline inside a string, so indenting the timing's
+    lines by two spaces nests it exactly as json.dumps(..., indent=2) of
+    the whole report would.  Returns False, after one line on stderr that
+    names the path, when --json or --csv cannot be written."""
     timing = json.dumps(report["timing"], indent=2).replace("\n", "\n  ")
-    payload = text[:-3] + ',\n  "timing": ' + timing + "\n}\n"
+    head = body[:-3]
+    tail = ',\n  "timing": ' + timing + "\n}\n"
     if not args.json:
-        sys.stdout.write(payload)
+        sys.stdout.write(str(head, "utf-8") + tail)
     path = args.json
     try:
         if path:
-            Path(path).write_text(payload, encoding="utf-8")
+            with open(path, "wb") as fh:
+                fh.write(head)
+                fh.write(tail.encode())
         path = args.csv
         if path:
             _write_csv(report["rows"], path)
@@ -375,19 +392,59 @@ def _body_text(body: dict) -> str:
                         '\n  "rows": [\n    {\n      %s\n    }\n  ]' % flat, 1) + "\n"
 
 
-def _with_cache(args, command, params, compute) -> tuple[dict, str]:
+# The top-level key after "rows" as _body_text lays it out.  A string holds
+# no raw newline and nested keys are indented deeper, so nothing else in a
+# body matches it.
+_TAIL_KEY = b'\n  "verdicts": '
+_TAIL_KEYS = BODY_KEYS[BODY_KEYS.index("verdicts"):]
+
+
+def _read_entry(path: Path, command: str,
+                want_rows: bool) -> tuple[dict, memoryview] | None:
+    """The report of the cache entry at `path` and a view of its body, or
+    None when the entry cannot be read or fails a check.
+
+    An entry is the SHA-256 hex digest of the body, a newline, and the
+    body.  The body must match its digest, begin and end as _body_text lays
+    out a body of `command`, and end in the keys _TAIL_KEYS; only that
+    tail is parsed, and the rows only when `want_rows` asks for them.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    start = data.find(b"\n") + 1  # 0 when there is no digest line
+    body = memoryview(data)[start:]
+    head = b'{\n  "command": %s,\n  "params": ' % json.dumps(command).encode()
+    tail = data.rfind(_TAIL_KEY, start)
+    if (start == 0 or data[:start - 1] != hashlib.sha256(body).hexdigest().encode()
+            or not data.startswith(head, start) or not data.endswith(b"\n}\n")
+            or tail < 0):
+        return None
+    try:
+        report = json.loads(b"{" + data[tail:])
+        if tuple(report) != _TAIL_KEYS:
+            return None
+        if want_rows:
+            report["rows"] = json.loads(bytes(body))["rows"]
+    except ValueError:
+        return None
+    report.update(command=command, timing={"cached": True})
+    return report, body
+
+
+def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
     """JSON result cache keyed by (CACHE_SCHEMA, version, command, params).
 
-    Returns the report and the text of its body, json.dumps(body, indent=2)
-    plus a newline: the entry's bytes.  A hit returns the entry's text as
-    read; it is still parsed, which rejects damaged entries and gives the
-    report.  An entry is written to a temp file in the cache directory and
-    renamed into place, so it is never seen half-written; when it cannot be
-    written, the report is still returned and stderr says why.  An entry
-    that cannot be read or parsed, that does not begin and end as the
-    writer lays entries out, or whose keys are not BODY_KEYS in order, is
-    treated as a miss: recomputed and rewritten.  A miss records the seconds
-    of encoding the body in the report's timing.encode.
+    Returns the report and a view of its body's bytes, json.dumps(body,
+    indent=2) plus a newline.  A hit's body is the entry's, checked by its
+    digest (see _read_entry); its report holds the command, the verdicts,
+    overall and version, and the rows only under --csv.  An entry that
+    fails a check is treated as a miss: recomputed and rewritten.  An entry
+    is written to a temp file in the cache directory and renamed into
+    place, so it is never seen half-written; when it cannot be written, the
+    report is still returned and stderr says why.  A miss records the
+    seconds of encoding the body in the report's timing.encode.
     """
     path = None
     if args.cache:
@@ -395,31 +452,24 @@ def _with_cache(args, command, params, compute) -> tuple[dict, str]:
                "params": params}
         digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
         path = Path(args.cache) / ("%s.json" % digest)
-        head = '{\n  "command": %s,\n  "params": ' % json.dumps(command)
-        try:
-            text = path.read_text(encoding="utf-8")
-            report = json.loads(text)
-        except (OSError, ValueError):
-            pass  # a missing or damaged entry is a miss
-        else:
-            # Text that begins with "{" parsed to a dict, so it has keys.
-            if (text.startswith(head) and text.endswith("\n}\n")
-                    and tuple(report) == BODY_KEYS):
-                report["timing"] = {"cached": True}
-                return report, text
+        hit = _read_entry(path, command, bool(args.csv))
+        if hit is not None:
+            return hit
     report = compute()
     t = time.perf_counter()
-    text = _body_text({k: report[k] for k in BODY_KEYS})
+    body = _body_text({k: report[k] for k in BODY_KEYS}).encode()
     report["timing"]["encode"] = round(time.perf_counter() - t, 4)
     if path is not None:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "wb") as fh:
+                fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
+                fh.write(body)
             os.replace(tmp, path)
         except OSError as exc:
             print("[gfpp] cache not written: %s" % exc, file=sys.stderr)
-    return report, text
+    return report, memoryview(body)
 
 
 def _overall(verdicts) -> str:
@@ -427,8 +477,8 @@ def _overall(verdicts) -> str:
 
 
 def _run_command(args, command, params, stages, qs, ps=(),
-                 p_cap=math.inf) -> tuple[dict, str]:
-    """The report of `command` and its body's text (see _with_cache): the
+                 p_cap=math.inf) -> tuple[dict, memoryview]:
+    """The report of `command` and a view of its body (see _with_cache): the
     stages on the field of every q, then the upper-half grid of every p;
     served from the cache when one is given.  A p above p_cap, or one that
     is not an odd prime, gets one error row and a failing verdict instead
@@ -466,7 +516,7 @@ def _run_command(args, command, params, stages, qs, ps=(),
 #
 # Each command is the list of stages it runs on every field.
 
-def cmd_sweep(args) -> tuple[dict, str]:
+def cmd_sweep(args) -> tuple[dict, memoryview]:
     qs = sorted(set(args.q))
     params = {"q": qs, "which": args.which, "with_criterion": args.with_criterion,
               "with_girth": args.with_girth, "field_cap": args.field_cap,
@@ -479,7 +529,7 @@ def cmd_sweep(args) -> tuple[dict, str]:
     return _run_command(args, "sweep", params, stages, qs)
 
 
-def cmd_identities(args) -> tuple[dict, str]:
+def cmd_identities(args) -> tuple[dict, memoryview]:
     qs = sorted(set(args.q or []))
     ps = sorted(set(args.p or []))
     params = {"q": qs, "p": ps, "field_cap": args.field_cap}
@@ -487,7 +537,7 @@ def cmd_identities(args) -> tuple[dict, str]:
                         p_cap=args.field_cap)
 
 
-def cmd_girth(args) -> tuple[dict, str]:
+def cmd_girth(args) -> tuple[dict, memoryview]:
     f_exps, g_exps = _girth_exps(args)
     params = {"q": args.q, "k": args.k, "f_exps": list(f_exps),
               "g_exps": list(g_exps), "field_cap": args.field_cap,
@@ -495,7 +545,7 @@ def cmd_girth(args) -> tuple[dict, str]:
     return _run_command(args, "girth", params, [_GIRTH], [args.q])
 
 
-def cmd_verify_all(args) -> tuple[dict, str]:
+def cmd_verify_all(args) -> tuple[dict, memoryview]:
     qs = odd_prime_powers(min(args.q_max, args.field_cap))
     params = {"q_max": args.q_max, "field_cap": args.field_cap,
               "girth_cap": args.girth_cap,
@@ -505,10 +555,10 @@ def cmd_verify_all(args) -> tuple[dict, str]:
                         UPPER_HALF_PRIMES)
 
 
-def cmd_field_info(args) -> tuple[dict, str]:
+def cmd_field_info(args) -> tuple[dict, memoryview]:
     qs = sorted(set(args.q))
     params = {"q": qs, "field_cap": args.field_cap}
-    return _run_command(args, "field-info", params, [("field", _field, ())], qs)
+    return _run_command(args, "field-info", params, [_FIELD], qs)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -616,9 +666,9 @@ def main(argv=None) -> int:
     if args.command == "identities" and args.q is None and args.p is None:
         parser.error("identities needs --q or --p")
     started = time.perf_counter()
-    report, text = args.func(args)
+    report, body = args.func(args)
     report["timing"].setdefault("seconds", round(time.perf_counter() - started, 3))
-    if not _emit(report, text, args):
+    if not _emit(report, body, args):
         return 2
     return 0 if report["overall"] == "pass" else 1
 

@@ -268,6 +268,28 @@ def test_girth_stages_find_the_log_tables_built(tmp_path, monkeypatch, argv, tar
     assert built and all(built)
 
 
+@pytest.mark.parametrize("q,k,error", [
+    (999983, 1, "CapExceededError: q = 999983 exceeds the girth cap 17"),
+    (19, 1, "CapExceededError: q = 19 exceeds the girth cap 17"),
+    (5, 9, "ValueError: k must be in 1..4, got 9"),
+])
+def test_girth_arguments_are_checked_before_any_table(tmp_path, monkeypatch,
+                                                     q, k, error):
+    # The body is the one written when the tables were built first: the
+    # modulus is recorded, then the error row and the failing verdict.
+    def no_tables(fld):
+        raise AssertionError("log tables built for GF(%d)" % fld.q)
+
+    monkeypatch.setattr(cli.Field, "log_tables", no_tables)
+    code, report = run(tmp_path, "girth", "--q", str(q), "--k", str(k))
+    assert code == 1
+    assert report["modulus_by_q"] == {str(q): [0, 1]}
+    assert report["rows"] == [{"kind": "error", "q": q, "error": error}]
+    assert report["verdicts"] == [{"section": "girth", "q": q, "error": error,
+                                   "passed": False}]
+    assert report["overall"] == "fail"
+
+
 def test_girth_command_exps(tmp_path):
     code, report = run(tmp_path, "girth", "--q", "3", "--exps", "1,1,1,2")
     assert code == 0
@@ -525,6 +547,11 @@ def test_cache_round_trip(tmp_path):
     assert fresh == cached
 
 
+def _entry(body: str) -> str:
+    """A cache entry that stores `body` under its own, valid digest."""
+    return hashlib.sha256(body.encode()).hexdigest() + "\n" + body
+
+
 def test_damaged_cache_entry_is_a_miss(tmp_path):
     cache = tmp_path / "cache"
     argv = ["sweep", "--q", "9", "--jobs", "1", "--cache", str(cache)]
@@ -533,13 +560,24 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
     fresh.pop("timing")
     (entry,) = cache.glob("*.json")
     good = entry.read_text()
-    short = json.loads(good)
+    digest, body = good.split("\n", 1)
+    assert good == _entry(body)
+    short = json.loads(body)
     del short["overall"]
-    # Truncated; parseable but not in the writer's layout; and in the
-    # writer's layout, with its head and tail, but missing a key.
-    for damaged in (good[: len(good) // 2],
-                    json.dumps(json.loads(good), separators=(",", ":")),
-                    json.dumps(short, indent=2) + "\n"):
+    edited = body.replace('"a_pp": false', '"a_pp": true', 1)
+    assert edited != body
+    for damaged in (
+            # Under a valid digest: truncated; parseable but not in the
+            # writer's layout; and in the writer's layout, with its head
+            # and tail, but missing a key.
+            _entry(body[: len(body) // 2]),
+            _entry(json.dumps(json.loads(body), separators=(",", ":"))),
+            _entry(json.dumps(short, indent=2) + "\n"),
+            # One value edited inside a row, still valid JSON in the
+            # writer's layout, under the digest of the unedited body.
+            digest + "\n" + edited,
+            # A bare body, without a digest line.
+            body):
         entry.write_text(damaged)
         assert main(argv + ["--json", str(tmp_path / "again.json")]) == 0
         again = json.loads((tmp_path / "again.json").read_text())
@@ -548,6 +586,36 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
         assert fresh == again
         assert entry.read_text() == good
         assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def test_cache_hit_csv_matches_the_cold_run(tmp_path):
+    argv = ["verify-all", "--q-max", "27", "--jobs", "1",
+            "--cache", str(tmp_path / "cache"), "--json", str(tmp_path / "r.json")]
+    assert main(argv + ["--csv", str(tmp_path / "cold.csv")]) == 0
+    assert main(argv + ["--csv", str(tmp_path / "hit.csv")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["timing"]["cached"] is True
+    cold = (tmp_path / "cold.csv").read_bytes()
+    assert len(cold.splitlines()) > 1  # the header and the sweep rows
+    assert (tmp_path / "hit.csv").read_bytes() == cold
+
+
+def test_cache_hit_never_decodes_the_rows(tmp_path, monkeypatch):
+    argv = ["verify-all", "--q-max", "27", "--jobs", "1",
+            "--cache", str(tmp_path / "cache"), "--json", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    real = json.loads
+    decoded = []
+
+    def spy(s, *args, **kwargs):
+        decoded.append(s)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", spy)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert real((tmp_path / "r.json").read_text())["timing"]["cached"] is True
+    assert decoded
+    assert not any('"rows"' in str(s) or '"kind"' in str(s) for s in decoded)
 
 
 def test_unwritable_cache_still_emits_the_report(tmp_path, capsys):

@@ -206,10 +206,13 @@ def test_log_tables(p, e):
     assert sorted(exp) == list(range(1, q))
 
     def order(x):
-        n, acc = 1, x
-        while acc != 1:
-            n, acc = n + 1, fld.mul(acc, x)
-        return n
+        """The multiplicative order of x, or None past q - 1 steps."""
+        acc = x
+        for n in range(1, m + 1):
+            if acc == 1:
+                return n
+            acc = fld.mul(acc, x)
+        return None
 
     g = next(x for x in range(1, q) if order(x) == m)
     for n in range(m):
