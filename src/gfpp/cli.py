@@ -3,16 +3,16 @@
 A command is the list of stages it runs, in order, on the field of every
 q.  A stage makes one library call (permpoly, criterion, graphs), which
 returns report rows and verdicts as dicts, so the runner only
-concatenates them; the criterion and girth-scan stages also fill in the
-criterion and girth_ge_8 flags of the sweep rows.  A stage that raises
-ends its field's job with an error row and a failing verdict in its own
-section.  The report itself is a dict of BODY_KEYS plus "timing"; the
-runner records the seconds of building the field and its tables, and of
-each stage, in the report's timing.stages, keyed by q.  Commands emit a
-single JSON report on the data stream (stdout, or --json PATH) and
-human-readable verdict lines on stderr.  Reports are deterministic apart
-from the top-level "timing" entry; the exit status is 0 iff every verdict
-passes.
+concatenates them; the girth-scan stage also fills in the girth_ge_8 flags
+of the sweep rows.  A stage that raises ends its field's job with an error
+row and a failing verdict in its own section.  The report itself is a dict
+of BODY_KEYS plus "timing"; the runner records the seconds of building the
+field and its tables, and of each stage, in the report's timing.stages,
+keyed by q.  Commands emit a single JSON report on the data stream
+(stdout, or --json PATH) and human-readable verdict lines on stderr.
+Reports are deterministic apart from the top-level "timing" entry; the
+exit status is 0 iff every verdict passes.  --csv is a view of the sweep
+rows that rebuilds the columns a row does not carry (see _write_csv).
 
 A report body is encoded once: the bytes the cache stores, or would store,
 are the bytes emitted, with "timing" spliced in as its last key.  A cache
@@ -32,7 +32,6 @@ import os
 import sys
 import time
 from itertools import compress
-from pathlib import Path
 
 from . import __version__
 from .errors import CapExceededError, GfppError, NotPrimeError
@@ -49,7 +48,7 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
-CACHE_SCHEMA = 5
+CACHE_SCHEMA = 6
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -124,15 +123,11 @@ def _sweep(fld: Field, args, rows: list) -> tuple[list, list]:
 
 
 def _criterion(fld: Field, args, rows: list) -> tuple[list, list]:
-    """The criterion against the sweep's a_pp flags.  Each sweep row gets
-    its criterion flag: a_pp, negated where the two disagree."""
+    """The criterion against the sweep's a_pp flags: a row per k where the
+    two disagree, and the verdict."""
     from . import criterion
 
-    records = _sweep_rows(rows)
-    cc_rows, verdict = criterion.cross_check(fld, records)
-    mismatch_ks = set(verdict["mismatch_ks"])
-    for r in records:
-        r["criterion"] = r["a_pp"] != (r["k"] in mismatch_ks)
+    cc_rows, verdict = criterion.cross_check(fld, _sweep_rows(rows))
     return cc_rows, [verdict]
 
 
@@ -202,8 +197,7 @@ def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
         return [row], [{"section": "girth", "q": q, "girth": row["girth"],
                         "passed": True}]
     rec = permpoly.sweep_record(fld, k)
-    row.update({"a_pp": rec["a_pp"], "b_pp": rec["b_pp"],
-                "p_power": rec["k_is_p_power"]})
+    row.update({"a_pp": rec["a_pp"], "b_pp": rec["b_pp"], "p_power": q % k == 0})
     implication_ok = (not ge8) or (rec["a_pp"] and rec["b_pp"])
     return [row], [{"section": "girth", "q": q, "k": k, "girth": row["girth"],
                     "implication_ok": implication_ok, "passed": implication_ok}]
@@ -302,48 +296,76 @@ def _bool_cell(v) -> str:
     return "" if v is None else ("true" if v else "false")
 
 
-def _write_csv(rows, path) -> None:
-    """Sweep rows as flat CSV with a fixed column order; other row kinds are
-    JSON-only."""
+def _write_csv(report: dict, path) -> None:
+    """The sweep rows as flat CSV with a fixed column order; other row
+    kinds are JSON-only.
+
+    A sweep row carries q, k, a_pp, b_pp and girth_ge_8; the other columns
+    are rebuilt here.  gcd_ok, k_prime (k^(-1) mod q-1), k_prime_binary
+    and p_power are functions of (q, k).  criterion is the criterion's own
+    flag, a_pp negated at the mismatch_ks of the q's criterion verdict, and
+    empty where no criterion stage finished.
+    """
     import csv
 
+    from .digits import digits_binary, mod_inverse
+
+    mismatch_ks = {v["q"]: set(v["mismatch_ks"]) for v in report["verdicts"]
+                   if v.get("section") == "criterion" and "mismatch_ks" in v}
+    factors = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in rows:
+        for r in report["rows"]:
             if r.get("kind") != "sweep":
                 continue
+            q, k, a_pp = r["q"], r["k"], r["a_pp"]
+            if q not in factors:
+                factors[q] = factor_prime_power(q)
+            kp = mod_inverse(k, q - 1) if math.gcd(k, q - 1) == 1 else None
+            bad = mismatch_ks.get(q)
             writer.writerow([
-                r["q"], r["k"], _bool_cell(r["gcd_ok"]), _bool_cell(r["a_pp"]),
-                _bool_cell(r["b_pp"]), _bool_cell(r["criterion"]),
-                "" if r["k_prime"] is None else r["k_prime"],
-                _bool_cell(r["k_prime_binary"]),
+                q, k, _bool_cell(kp is not None), _bool_cell(a_pp),
+                _bool_cell(r["b_pp"]),
+                "" if bad is None else _bool_cell(a_pp != (k in bad)),
+                "" if kp is None else kp,
+                "" if kp is None else _bool_cell(digits_binary(kp, *factors[q])),
                 "" if r["girth_ge_8"] is None else ("ge8" if r["girth_ge_8"] else "lt8"),
-                _bool_cell(r["k_is_p_power"]),
+                _bool_cell(q % k == 0),
             ])
+
+
+def _timing_tail(timing: dict, started: float) -> str:
+    """The text that closes an emitted report: timing as its last key, with
+    the seconds since `started` recorded as timing.emit.  JSON text holds no
+    raw newline inside a string, so indenting the timing's lines by two
+    spaces nests it exactly as json.dumps(..., indent=2) of the whole report
+    would."""
+    timing["emit"] = round(time.perf_counter() - started, 4)
+    return ',\n  "timing": ' + json.dumps(timing, indent=2).replace("\n", "\n  ") + "\n}\n"
 
 
 def _emit(report: dict, body: memoryview, args) -> bool:
     """Write the report: `body` views its body's bytes as _with_cache lays
-    them out, ending in b"\n}\n", and timing goes in as the last key.  JSON
-    text holds no raw newline inside a string, so indenting the timing's
-    lines by two spaces nests it exactly as json.dumps(..., indent=2) of
-    the whole report would.  Returns False, after one line on stderr that
-    names the path, when --json or --csv cannot be written."""
-    timing = json.dumps(report["timing"], indent=2).replace("\n", "\n  ")
+    them out, ending in b"\n}\n", and timing goes in as the last key, with
+    the seconds of writing the body as timing.emit.  Returns False, after
+    one line on stderr that names the path, when --json or --csv cannot be
+    written."""
     head = body[:-3]
-    tail = ',\n  "timing": ' + timing + "\n}\n"
     if not args.json:
-        sys.stdout.write(str(head, "utf-8") + tail)
+        t = time.perf_counter()
+        sys.stdout.write(str(head, "utf-8"))
+        sys.stdout.write(_timing_tail(report["timing"], t))
     path = args.json
     try:
         if path:
+            t = time.perf_counter()
             with open(path, "wb") as fh:
                 fh.write(head)
-                fh.write(tail.encode())
+                fh.write(_timing_tail(report["timing"], t).encode())
         path = args.csv
         if path:
-            _write_csv(report["rows"], path)
+            _write_csv(report, path)
     except OSError as exc:
         print("[gfpp] cannot write %s: %s" % (path, exc.strerror or exc),
               file=sys.stderr)
@@ -399,7 +421,7 @@ _TAIL_KEY = b'\n  "verdicts": '
 _TAIL_KEYS = BODY_KEYS[BODY_KEYS.index("verdicts"):]
 
 
-def _read_entry(path: Path, command: str,
+def _read_entry(path: str, command: str,
                 want_rows: bool) -> tuple[dict, memoryview] | None:
     """The report of the cache entry at `path` and a view of its body, or
     None when the entry cannot be read or fails a check.
@@ -410,7 +432,8 @@ def _read_entry(path: Path, command: str,
     tail is parsed, and the rows only when `want_rows` asks for them.
     """
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError:
         return None
     start = data.find(b"\n") + 1  # 0 when there is no digest line
@@ -451,7 +474,7 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
         key = {"schema": CACHE_SCHEMA, "version": __version__, "command": command,
                "params": params}
         digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
-        path = Path(args.cache) / ("%s.json" % digest)
+        path = os.path.join(args.cache, "%s.json" % digest)
         hit = _read_entry(path, command, bool(args.csv))
         if hit is not None:
             return hit
@@ -461,8 +484,8 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
     report["timing"]["encode"] = round(time.perf_counter() - t, 4)
     if path is not None:
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+            os.makedirs(args.cache, exist_ok=True)
+            tmp = "%s.%d.tmp" % (path, os.getpid())
             with open(tmp, "wb") as fh:
                 fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
                 fh.write(body)

@@ -149,10 +149,10 @@ def girth_scan(field, records) -> tuple[list[dict], dict]:
     Frobenius orbit through digits.per_orbit (see the module docstring), so
     the e p-powers, the orbit of 1, share one full-depth BFS.
 
-    Returns one girth row per sweep row of `records`, the field's
-    permpoly.sweep, and the field's verdict.  The verdict asserts the
-    passing set (its witnesses) equals the p-powers, and that every passing
-    k has both polynomial families PP (implication cross-check).
+    Returns one girth row per k, in order, and the field's verdict.  The
+    verdict asserts the passing set (its witnesses) equals the p-powers,
+    and that every passing k has both polynomial families PP in `records`,
+    the field's permpoly.sweep (implication cross-check).
     """
     q = field.q
     ge8 = per_orbit(field.p, field.e,
@@ -160,9 +160,8 @@ def girth_scan(field, records) -> tuple[list[dict], dict]:
     passing = [k for k, ok in enumerate(ge8, 1) if ok]
     expected = permpoly.p_powers(field)
     implication_ok = all(r["a_pp"] and r["b_pp"] for r in records if ge8[r["k"] - 1])
-    rows = [{"kind": "girth", "q": q, "k": r["k"], "girth_ge_8": ge8[r["k"] - 1],
-             "a_pp": r["a_pp"], "b_pp": r["b_pp"], "p_power": r["k_is_p_power"]}
-            for r in records]
+    rows = [{"kind": "girth", "q": q, "k": k, "girth_ge_8": ok}
+            for k, ok in enumerate(ge8, 1)]
     verdict = {"section": "girth", "q": q, "witnesses": passing,
                "expected": expected, "implication_ok": implication_ok,
                "passed": passing == expected and implication_ok}

@@ -10,8 +10,8 @@ scans both maps over the field in one fixed order, x = 0, x = -1, then
 x = g^n in log order, and stops at the first collision, two inputs with
 one value: a map permutes GF(q) iff it has none.  A non-permutation
 usually collides after about sqrt(q) inputs, so only the permutations
-cost O(q).  Each sweep row, a report dict, adds gcd and inverse-exponent
-digit data.
+cost O(q).  A sweep row, a report dict, holds the two flags of one k and
+nothing that is a function of (q, k) alone.
 
 The scans (a_collision, b_collision) work in the log domain of
 Field.log_tables (Lidl-Niederreiter, ch. 2): with m = q-1, h = m/2
@@ -163,30 +163,18 @@ def p_powers(field) -> list[int]:
 
 
 def sweep_record(field, k: int) -> dict:
-    """The sweep row of one exponent: direct PP flags, gcd and
-    inverse-exponent digit data.
+    """The sweep row of one exponent: its direct PP flags.
 
     A map whose built pair collides is no PP; any other is scanned to its
-    first collision.  k is a p-power iff it divides q = p^e, as k < q.
-    criterion and girth_ge_8 are None here; the command line's criterion
-    and girth stages fill them in.
+    first collision.  girth_ge_8 is None here; the command line's girth
+    stage fills it in.
     """
-    q = field.q
-    a_pp = _a_pair(field, k) is None and a_collision(field, k) is None
-    b_pp = _b_pair(field, k) is None and b_collision(field, k) is None
-    gcd_ok = gcd(k, q - 1) == 1
-    kp = digits.mod_inverse(k, q - 1) if gcd_ok else None
     return {
         "kind": "sweep",
-        "q": q,
+        "q": field.q,
         "k": k,
-        "gcd_ok": gcd_ok,
-        "a_pp": a_pp,
-        "b_pp": b_pp,
-        "k_is_p_power": q % k == 0,
-        "k_prime": kp,
-        "k_prime_binary": None if kp is None else digits.digits_binary(kp, field.p, field.e),
-        "criterion": None,
+        "a_pp": _a_pair(field, k) is None and a_collision(field, k) is None,
+        "b_pp": _b_pair(field, k) is None and b_collision(field, k) is None,
         "girth_ge_8": None,
     }
 
@@ -195,16 +183,11 @@ def sweep(field) -> list[dict]:
     """Rows for every exponent 1 <= k <= q-1, in order.
 
     sweep_record runs once per Frobenius orbit, at its least member, through
-    digits.per_orbit; the other members take its row with their own k and
-    k' = k^(-1).  The rest is constant on the orbit: the flags (see the
-    module docstring), gcd(p*k, q-1) = gcd(k, q-1), the orbit of 1 is the
-    p-powers, and the digits of (p*k)^(-1) = p^(-1) k' rotate those of k'.
+    digits.per_orbit; the other members take its row with their own k, as
+    the flags are constant on the orbit (see the module docstring).
     """
-    m = field.q - 1
     leaders = digits.per_orbit(field.p, field.e, lambda k: sweep_record(field, k))
-    return [r if r["k"] == k else
-            dict(r, k=k, k_prime=digits.mod_inverse(k, m) if r["gcd_ok"] else None)
-            for k, r in enumerate(leaders, 1)]
+    return [r if r["k"] == k else dict(r, k=k) for k, r in enumerate(leaders, 1)]
 
 
 def conjecture_verdict(field, which: str, records=None) -> dict:

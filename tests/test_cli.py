@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -17,6 +18,15 @@ def run(tmp_path, *argv, name="out.json"):
     out = tmp_path / name
     code = main(list(argv) + ["--json", str(out), "--jobs", "1"])
     return code, json.loads(out.read_text())
+
+
+def run_csv(tmp_path, *argv):
+    """run, plus the --csv view's rows as dicts keyed by CSV_COLUMNS."""
+    out = tmp_path / "rows.csv"
+    code, report = run(tmp_path, *argv, "--csv", str(out))
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, report, rows
 
 
 def test_factor_prime_power():
@@ -84,10 +94,13 @@ def test_sweep_multiple_q_two(tmp_path):
 
 
 def test_sweep_with_criterion_rows(tmp_path):
-    code, report = run(tmp_path, "sweep", "--q", "9", "--with-criterion")
+    # No mismatch: every row is a sweep row, and the CSV's criterion
+    # column equals its a_pp column.
+    code, report, rows = run_csv(tmp_path, "sweep", "--q", "9", "--with-criterion")
     assert code == 0
-    for row in report["rows"]:
-        assert row["criterion"] == row["a_pp"]
+    assert [r["kind"] for r in report["rows"]] == ["sweep"] * 8
+    assert [r["criterion"] for r in rows] == [r["a_pp"] for r in rows]
+    assert {r["criterion"] for r in rows} == {"true", "false"}
 
 
 def test_sweep_with_girth_flag(tmp_path):
@@ -128,7 +141,7 @@ def test_sweep_with_criterion_fails_on_a_criterion_disagreement(tmp_path, monkey
     # The criterion claims every a_k is a PP: each k whose a_k is not one
     # gets a mismatch row, and the criterion verdict fails the sweep.
     monkeypatch.setattr(criterion, "pp_criterion", lambda fld, k: True)
-    code, report = run(tmp_path, "sweep", "--q", "9", "--with-criterion")
+    code, report, csv_rows = run_csv(tmp_path, "sweep", "--q", "9", "--with-criterion")
     assert code == 1
     sweep_rows = [r for r in report["rows"] if r["kind"] == "sweep"]
     mismatches = [r for r in report["rows"] if r["kind"] == "criterion_mismatch"]
@@ -137,7 +150,7 @@ def test_sweep_with_criterion_fails_on_a_criterion_disagreement(tmp_path, monkey
     assert bad == [2, 4, 5, 6, 7, 8]
     assert mismatches == [{"kind": "criterion_mismatch", "q": 9, "k": k,
                            "direct": False, "criterion": True} for k in bad]
-    assert all(r["criterion"] for r in sweep_rows)
+    assert [r["criterion"] for r in csv_rows] == ["true"] * 8
     sweep_verdict, criterion_verdict = report["verdicts"]
     assert sweep_verdict["passed"]
     assert criterion_verdict == {"section": "criterion", "q": 9, "checked": 8,
@@ -176,8 +189,12 @@ def test_sweep_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == CSV_COLUMNS
     assert len(rows) == 9
+    # k = 3 = p: coprime to 8, with k' = 3 (3*3 = 9 = 8 + 1), whose
+    # base-3 digits (0, 1) are binary.  k = 2 shares 2 with 8: no k'.
     k3 = next(r for r in rows[1:] if r[1] == "3")
     assert k3 == ["9", "3", "true", "true", "true", "", "3", "true", "", "true"]
+    k2 = next(r for r in rows[1:] if r[1] == "2")
+    assert k2 == ["9", "2", "false", "false", "false", "", "", "", "", "false"]
 
 
 def test_identities_q27(tmp_path):
@@ -379,7 +396,7 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
         raise GfppError("criterion broke at q = %d" % fld.q)
 
     monkeypatch.setattr(criterion, "pp_criterion", broken)
-    code, report = run(tmp_path, "verify-all", "--q-max", "9")
+    code, report, csv_rows = run_csv(tmp_path, "verify-all", "--q-max", "9")
     assert code == 1
     assert report["overall"] == "fail"
     qs = [3, 5, 7, 9]
@@ -389,7 +406,10 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
         kind for q in qs for kind in ["sweep"] * (q - 1) + ["error"]]
     assert [(r["q"], r["k"]) for r in sweep_rows] == [
         (q, k) for q in qs for k in range(1, q)]
-    assert all(r["criterion"] is None and r["girth_ge_8"] is None for r in sweep_rows)
+    assert all(r["girth_ge_8"] is None for r in sweep_rows)
+    # No criterion stage finished, so the CSV's criterion column is empty.
+    assert len(csv_rows) == len(sweep_rows)
+    assert all(r["criterion"] == "" and r["girth_class"] == "" for r in csv_rows)
     assert errors == [{"kind": "error", "q": q,
                        "error": "GfppError: criterion broke at q = %d" % q} for q in qs]
     job_verdicts = [v for v in report["verdicts"] if "q" in v]
@@ -418,29 +438,29 @@ def test_verify_all_deterministic(tmp_path):
 # the old body would go stale.
 GOLDEN_DIGESTS = {
     "sweep --q 729,1327 --which two":
-        "e7c0aaaa1481a8b07ee54f6bf9d7d196bbb568c1a3bff4d7c800f758709cdeb1",
+        "39fcd2080ae8a68d6cd5e622473d55195babd1495514b8c7da7a291aad4f5f22",
     "verify-all --q-max 27":
-        "82b23274a38c69820bbe8d70c1f5b119065cfdcbdbf86d32df2e637d28ae2455",
+        "ed3a9f1fe5ec7b075249ed630bd57f4621390e73276b9fde0dcd658dca21ddb7",
     "girth --q 9 --k 3":
         "81abc82839f585414415255a28557a2e29f91fefb3d7bdd7bd5d21a6c4aefb3c",
     "identities --q 27,243 --p 3,13":
         "0f095fb4985a232762293961968592993b7c9fe00b9fafa6c8841d0e3cd37d58",
     "sweep --q 5,9 --with-criterion --with-girth":
-        "5b4edf8b4f835ba41d10680a68349263ca5ca04f3387b62118ec1bf858a3c8be",
+        "f21a44bc96a80e97c71d2ccc4cf98f533a9b2111b2903048b88bc48b02a94723",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "858ce5f1a400f28efa728e69c9db6a1429d680b077df4a04568242b2156ff077",
+        "2557589d1bab3dfd18804c156f9036f613ce2de9115155698a6629a6b7e5a431",
     "girth --q 5 --exps 1,1,1,2":
         "5c90d0918cc8a5c6f7d139e561a260ef45c5208c7f9a5302db82a2fbf665a2a5",
     "field-info --q 9,27":
         "03db3b58ab4121212cb49929c5a4bf51a73abbb6d13f0ed6503fa9791afb38d9",
     "verify-all --q-max 81":
-        "f8eb12bb9921e1daa1b7e0c901ad980a70681e259ea3f52f456ae97b084d14dc",
+        "7a390da48a460237d4a4d21bbabceda186c4c8c3175a0c03d37126b5fd265ae6",
     "identities --q 9":
         "b6a4d1baf80f496e4df987079572d4a4ca9daf1b66dd0511e81f506a8f1ef454",
     "girth --q 5 --k 9":
         "018948fc8768a3e126206ac0d7932b768081330ed2199238147e04224515ce05",
     "sweep --q 19 --with-girth":
-        "84b3ec79168e528e220d2d02ba53c5f8eedc4a211f88c4afd5484761c9ef38aa",
+        "4a6eab1997d1139968250585a31dea7c9dff0761bb88acc16457db96a3a11b4c",
 }
 
 # SHA-256 of the emitted body text as written, everything before its
@@ -448,29 +468,29 @@ GOLDEN_DIGESTS = {
 # too; the digests above sort the keys away.
 GOLDEN_TEXT_DIGESTS = {
     "sweep --q 729,1327 --which two":
-        "446f859d7099000ce1e4aafe9ff94ef41b72da13b4ae634d29b1a6e1bdf2c5ff",
+        "35134c914d3ba840edf38bfd27e9237353ec43c5ba7debe19fb091974680563b",
     "verify-all --q-max 27":
-        "7c472effad3cce64fc81ddaa4c818d0ad4f6561ca0499cde9da96dd1f9300c74",
+        "ddcd329aad0d75d89e179a60564d1505a8c8d804a765daaa5cd7011e8cc13da5",
     "girth --q 9 --k 3":
         "b65301818c07365d366266d3f23541b09731162dbfaac5e026c3412c619da2c1",
     "identities --q 27,243 --p 3,13":
         "7cc811a94f3a9daa230279f8a8bf2f4149f0a6e4c7527ce323ed8b35ee2125ed",
     "sweep --q 5,9 --with-criterion --with-girth":
-        "a750b3ad4ae1f9a694e40b754123e3e36cf8888812551774a3fd0a69be7aaf42",
+        "6d46082d44165c9bad9b81f80a2d24640ac182339d36d951eb03e9fd09b0f189",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "c37edb612f66a27970657230b2518ad55585b6ce4b085e9b9a0a381c45cc1fbf",
+        "4c806fa8c2b0da9660bba1dc5a44fd69780226a7d0481e01d731d15b43b8a433",
     "girth --q 5 --exps 1,1,1,2":
         "209f9975a9632b571ceaac58db430448d0f238606c315d2aef4f36323c4297ea",
     "field-info --q 9,27":
         "2df71ab186d523dba3976a96510f33eaebbb42b20692ae8c2ff2f3e3f216453a",
     "verify-all --q-max 81":
-        "e6b0d7f01d41cb935a6a782ea6f729f34ce9866c16204106516f46bc6213201e",
+        "196001f9aac2047899f71c8d7d843232818592192d937929a34b543a25aeb082",
     "identities --q 9":
         "b755d5828e55eeb43bca674ade1711f87b5c640a5c1dc0749b6f0336b181fb3b",
     "girth --q 5 --k 9":
         "653e7a8fb79a43ce506c54afc1cf25e13e188db0c4688686489e35ed9281f6e2",
     "sweep --q 19 --with-girth":
-        "38d01b282030fdf9ea7a827c29b9103e81b219028b28af4d33ff9da72f5cb9d8",
+        "563640e26100d4b2925be3b65fc1b789c557e702cd482f2d9f43c463ccf43204",
 }
 
 # Golden commands whose report fails: q = 9 is above the girth cap of 5
@@ -495,6 +515,115 @@ def test_report_body_digest_is_golden(tmp_path, command):
         "report body of %r changed (sha256 %s, text %s): if the change is "
         "intended, bump cli.CACHE_SCHEMA and update both digest tables"
         % (command, got, got_text))
+
+
+# SHA-256 of the --csv file.  The CSV is a view: its gcd_ok, k_prime,
+# k_prime_binary, p_power and criterion columns are rebuilt from (q, k) and
+# the criterion verdicts, not read from the rows, and must not change when
+# the rows do.
+GOLDEN_CSV_DIGESTS = {
+    "verify-all --q-max 81":
+        "78b61872a3ff9ed5dc55d3be1d46538d2748690944c50fe6c9b31d93062148ac",
+    "sweep --q 5,9 --with-criterion --with-girth":
+        "817d97d78b5baca61e2efba27205c69d27cca771720f25b630c078808e3fcc39",
+    "sweep --q 729,1327 --which two":
+        "87accd7571a0bcc44d58615cc27aa88081c5eeb4cca4cb0c3a6da0bbaef69ecd",
+    "sweep --q 19 --with-girth":
+        "7dfe8b459abe67a8004dd18e38136273e481b70ce05f72a2e235c7a4247d75c7",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_CSV_DIGESTS)
+def test_csv_digest_is_golden(tmp_path, command):
+    argv = command.split() + ["--jobs", "1", "--cache", str(tmp_path / "cache"),
+                              "--json", str(tmp_path / "r.json")]
+    for cached in (None, True):
+        out = tmp_path / ("%s.csv" % cached)
+        assert main(argv + ["--csv", str(out)]) == GOLDEN_EXIT.get(command, 0)
+        assert json.loads((tmp_path / "r.json").read_text())["timing"].get("cached") is cached
+        got = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == GOLDEN_CSV_DIGESTS[command], (command, cached, got)
+
+
+SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp", "girth_ge_8")
+
+
+@pytest.mark.parametrize("argv", [["verify-all", "--q-max", "27"],
+                                  ["sweep", "--q", "5,9", "--with-criterion",
+                                   "--with-girth"]])
+def test_sweep_rows_carry_only_the_flags(tmp_path, argv):
+    # The stages that judge the sweep add no key to its rows but girth_ge_8,
+    # and the girth-scan rows carry the flag alone.
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    sweep_rows = [r for r in report["rows"] if r["kind"] == "sweep"]
+    girth_rows = [r for r in report["rows"] if r["kind"] == "girth"]
+    assert sweep_rows and girth_rows
+    assert all(tuple(r) == SWEEP_KEYS for r in sweep_rows)
+    assert all(tuple(r) == ("kind", "q", "k", "girth_ge_8") for r in girth_rows)
+    flags = {(r["q"], r["k"]): r["girth_ge_8"] for r in girth_rows}
+    assert {(r["q"], r["k"]): r["girth_ge_8"] for r in sweep_rows if r["q"] <= 17} == flags
+
+
+def _base_p_digits(n, p):
+    out = []
+    while n:
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("argv", [["verify-all", "--q-max", "81"],
+                                  ["sweep", "--q", "243,729"]],
+                         ids=["verify-all-81", "sweep-243-729"])
+def test_csv_derived_columns_match_independent_computations(tmp_path, argv):
+    # At every k of every q: gcd_ok, k_prime, k_prime_binary and p_power
+    # from math.gcd, pow(k, -1, q-1) and a plain base-p loop.  verify-all
+    # covers every odd q <= 81, and its criterion column is a_pp, as every
+    # criterion verdict passes; the sweep runs no criterion stage.  Up to
+    # q = 81 a unit k has binary digits iff its inverse does, so reading k
+    # for k' shows only at q = 243 and 729.
+    code, report, rows = run_csv(tmp_path, *argv)
+    assert code == 0
+    qs = [int(q) for q in report["modulus_by_q"]]
+    assert [(int(r["q"]), int(r["k"])) for r in rows] == [
+        (q, k) for q in qs for k in range(1, q)]
+    flags = {(r["q"], r["k"]): r for r in report["rows"] if r["kind"] == "sweep"}
+    cell = {True: "true", False: "false"}
+    judged = argv[0] == "verify-all"
+    for r in rows:
+        q, k = int(r["q"]), int(r["k"])
+        p, _ = factor_prime_power(q)
+        coprime = math.gcd(k, q - 1) == 1
+        kp = pow(k, -1, q - 1) if coprime else None
+        assert r["gcd_ok"] == cell[coprime], (q, k)
+        assert r["k_prime"] == ("" if kp is None else str(kp)), (q, k)
+        assert r["k_prime_binary"] == (
+            "" if kp is None else cell[set(_base_p_digits(kp, p)) <= {0, 1}]), (q, k)
+        assert r["p_power"] == cell[k in {p**i for i in range(q.bit_length())}], (q, k)
+        assert r["a_pp"] == cell[flags[q, k]["a_pp"]], (q, k)
+        assert r["criterion"] == (r["a_pp"] if judged else ""), (q, k)
+        assert r["b_pp"] == cell[flags[q, k]["b_pp"]], (q, k)
+        assert r["girth_class"] == ("" if q > 17 or not judged else
+                                    "ge8" if flags[q, k]["girth_ge_8"] else "lt8"), (q, k)
+
+
+def test_emit_is_timed_outside_the_body(tmp_path, capsys):
+    # timing.emit, the seconds of writing the body, is recorded on a miss
+    # and on a hit, to --json and to stdout; the body text before timing
+    # keeps its golden digest, and the hit finds the miss's entry.
+    command = "sweep --q 729,1327 --which two"
+    argv = command.split() + ["--jobs", "1", "--cache", str(tmp_path / "cache")]
+    out = tmp_path / "out.json"
+    for dest, cached in ((["--json", str(out)], None), (["--json", str(out)], True),
+                         ([], True)):
+        assert main(argv + dest) == 0
+        text = out.read_text() if dest else capsys.readouterr().out
+        timing = json.loads(text)["timing"]
+        assert timing.get("cached") is cached
+        assert isinstance(timing["emit"], float) and timing["emit"] >= 0
+        head = text[:text.index(',\n  "timing"')]
+        assert hashlib.sha256(head.encode()).hexdigest() == GOLDEN_TEXT_DIGESTS[command]
 
 
 def test_verify_all_enumerates_only_up_to_the_field_cap(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """The package imports nothing outside the standard library and itself,
 `import gfpp` loads only the field arithmetic, `import gfpp.cli` and a
-cache hit load no stage module, and the benchmark's tracer finds the
-functions it wraps."""
+cache hit load no stage module (and the cli no pathlib), and the
+benchmark's tracer finds the functions it wraps."""
 
 import ast
 import os
@@ -84,6 +84,16 @@ def test_import_cli_loads_no_stage_module():
     loaded = _loaded_after("import gfpp.cli")
     assert "gfpp.cli" in loaded
     assert not STAGE_MODULES & loaded
+
+
+def test_import_cli_leaves_pathlib_out():
+    # A cache hit imports gfpp.cli; its file work needs only os.path.  -S
+    # keeps out what the site module imports for .pth files.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import gfpp.cli, sys; print('pathlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_cache_hit_loads_no_stage_module(tmp_path):

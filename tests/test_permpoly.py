@@ -6,7 +6,7 @@ import pytest
 
 from gfpp import permpoly
 from gfpp.cli import factor_prime_power, odd_prime_powers
-from gfpp.digits import star_reduce
+from gfpp.digits import digits_binary, star_reduce
 from gfpp.field import Field
 from gfpp.permpoly import (a_collision, b_collision, conjecture_verdict,
                            eval_a, eval_b, p_powers, sweep, sweep_record)
@@ -168,19 +168,21 @@ def test_first_collision_matches_pointwise_oracle(p, e):
         assert_kernels_match_pointwise_scan(fld, k)
 
 
+SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp", "girth_ge_8")
+
+
 def test_sweep_record_q9_k3(f9):
-    r = sweep_record(f9, 3)
-    assert r["a_pp"] and r["b_pp"] and r["k_is_p_power"] and r["gcd_ok"]
-    assert r["k_prime"] == 3  # 3*3 = 9 = 8 + 1
-    assert r["k_prime_binary"] is True
-    assert r["criterion"] is None
+    # The row holds the flags and nothing that is a function of (q, k):
+    # the command line's CSV view rebuilds those columns.
+    assert sweep_record(f9, 3) == {"kind": "sweep", "q": 9, "k": 3, "a_pp": True,
+                                   "b_pp": True, "girth_ge_8": None}
+    assert tuple(sweep_record(f9, 3)) == SWEEP_KEYS
 
 
 def test_sweep_record_q9_k2(f9):
     r = sweep_record(f9, 2)
-    assert not r["gcd_ok"]
+    assert tuple(r) == SWEEP_KEYS
     assert not r["a_pp"]
-    assert r["k_prime"] is None and r["k_prime_binary"] is None
 
 
 def test_sweep_record_q27_k5(f27):
@@ -197,7 +199,7 @@ def test_frobenius_exponents_always_pp():
 
 def test_p_power_implies_both_pp(f27):
     for r in sweep(f27):
-        if r["k_is_p_power"]:
+        if 27 % r["k"] == 0:
             assert r["a_pp"] and r["b_pp"]
 
 
@@ -206,15 +208,15 @@ def test_pp_implies_coprime():
         fld = Field(*q_args)
         for r in sweep(fld):
             if r["a_pp"]:
-                assert r["gcd_ok"]
+                assert gcd(r["k"], fld.q - 1) == 1
             if r["b_pp"]:
-                assert r["gcd_ok"]
+                assert gcd(r["k"], fld.q - 1) == 1
 
 
 def test_pp_implies_binary_inverse_digits(f27):
     for r in sweep(f27):
         if r["a_pp"]:
-            assert r["k_prime_binary"] is True
+            assert digits_binary(pow(r["k"], -1, 26), 3, 3) is True
 
 
 def test_conjecture_verdicts():
