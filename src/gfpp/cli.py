@@ -1,8 +1,12 @@
 """Command-line runner: per-field stages, the report, the cache and the parser.
 
-A command is the list of stages it runs, in order, on the field of every
-q.  A stage makes one library call (permpoly, criterion, graphs), which
-returns report rows and verdicts as dicts, so the runner only
+Each command is declared once, in its parser block: the options it reads
+and no others (--csv only where it makes sweep rows, --girth-cap only
+where a stage reads it), its params, named in report order and read from
+those options, and the stages it runs, in order, on the field of every q.
+Every value comes from a flag or its default; no environment variable
+sets one.  A stage makes one library call (permpoly, criterion, graphs),
+which returns report rows and verdicts as dicts, so the runner only
 concatenates them; the girth-scan stage also fills in the girth_ge_8 flags
 of the sweep rows.  A stage that raises ends its field's job with an error
 row and a failing verdict in its own section.  The report itself is a dict
@@ -19,7 +23,8 @@ are the bytes emitted, with "timing" spliced in as its last key.  A cache
 hit checks its entry's digest and parses only the verdicts and what
 follows them, never the rows unless --csv asks.  The process pool is
 imported only when more than one worker runs, and the stage modules and
-csv only where a stage or --csv uses them, so a cache hit loads none.
+csv only where a stage or --csv uses them, so a cache hit loads none.  A
+job imports its stages' modules before it starts their clocks.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 import os
 import sys
 import time
+from importlib import import_module
 from itertools import compress
 
 from . import __version__
@@ -90,13 +96,14 @@ BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
 
 # -- per-field stages --------------------------------------------------------
 #
-# A stage is (name, run, tables, check).  run(fld, args, rows) makes the
-# stage's library call on one field, given the rows of the stages before
-# it, and returns the rows and verdicts it adds; `tables` names the Field
-# methods that build the tables it reads, which the runner calls first;
-# check(fld, args), or None, rejects arguments the stage cannot serve
-# before any table is built.  A command is the list of stages it runs on
-# each field.  Stage functions are top-level so that they pickle for the
+# A stage is (name, run, modules, tables, check).  run(fld, args, rows)
+# makes the stage's library call on one field, given the rows of the stages
+# before it, and returns the rows and verdicts it adds; `modules` names the
+# gfpp modules it imports and `tables` the Field methods that build the
+# tables it reads, both of which the runner loads first, outside the stage
+# clocks; check(fld, args), or None, rejects arguments the stage cannot
+# serve before any table is built.  A command is the list of stages it runs
+# on each field.  Stage functions are top-level so that they pickle for the
 # process pool.
 
 def _failure(section: str, key: str, n: int, exc: Exception) -> tuple[dict, dict]:
@@ -162,14 +169,6 @@ def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
     return girth_rows, [verdict]
 
 
-def _girth_exps(args) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(f_exps, g_exps) of the graph the girth command asks for."""
-    if args.k is not None:
-        return (1, 1), (args.k, 2 * args.k)
-    a, b, c, d = args.exps
-    return (a, b), (c, d)
-
-
 def _girth_check(fld: Field, args) -> None:
     """The girth command's k must lie in 1..q-1 and its q within the girth
     cap."""
@@ -186,11 +185,10 @@ def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
     from . import graphs, permpoly
 
     q, k = fld.q, args.k
-    f_exps, g_exps = _girth_exps(args)
-    value = graphs.girth(fld, f_exps, g_exps)
+    value = graphs.girth(fld, args.f_exps, args.g_exps)
     ge8 = value >= 8
     row = {"kind": "girth", "q": q, "k": k,
-           "f_exps": list(f_exps), "g_exps": list(g_exps),
+           "f_exps": args.f_exps, "g_exps": args.g_exps,
            "girth": None if value == math.inf else int(value),
            "girth_ge_8": ge8}
     if k is None:
@@ -209,27 +207,28 @@ def _field(fld: Field, args, rows: list) -> tuple[list, list]:
             [{"section": "field", "q": fld.q, "passed": True}])
 
 
-_SWEEP = ("sweep", _sweep, ("log_tables",), None)
-_CRITERION = ("criterion", _criterion, ("binom_tables",), None)
-_IDENTITIES = ("identities", _identities, (), None)
-_GIRTH_SCAN = ("girth", _girth_scan, ("log_tables",), None)
-_GIRTH = ("girth", _girth, ("log_tables",), _girth_check)
-_FIELD = ("field", _field, (), None)
+_SWEEP = ("sweep", _sweep, ("permpoly",), ("log_tables",), None)
+_CRITERION = ("criterion", _criterion, ("criterion",), ("binom_tables",), None)
+_IDENTITIES = ("identities", _identities, ("criterion",), (), None)
+_GIRTH_SCAN = ("girth", _girth_scan, ("graphs",), ("log_tables",), None)
+_GIRTH = ("girth", _girth, ("graphs", "permpoly"), ("log_tables",), _girth_check)
+_FIELD = ("field", _field, (), (), None)
 
 
 def _run_job(spec):
     """Build GF(q) and run the stages on it, in order.
 
-    Returns (modulus, rows, verdicts, seconds).  Building the field and the
-    tables its stages read is timed as stage "field", and each stage under
-    its name.  The modulus is recorded as soon as the field exists, and the
-    stages' checks run before any table is built.  A GfppError or
-    ValueError ends the job with one error row and one failing verdict, in
-    the section of the stage that raised it, or in `section` while the
-    field is built or checked; the stages that finished keep their rows,
-    verdicts and times.
+    Returns (modulus, rows, verdicts, seconds).  The stages' modules are
+    imported first, untimed.  Building the field and the tables its stages
+    read is timed as stage "field", and each stage under its name.  The
+    modulus is recorded as soon as the field exists, and the stages' checks
+    run before any table is built.  A GfppError or ValueError ends the job
+    with one error row and one failing verdict, in the section of the stage
+    that raised it, or of the first stage while the field is built or
+    checked; the stages that finished keep their rows, verdicts and times.
     """
-    stages, section, q, args = spec
+    stages, q, args = spec
+    section = stages[0][0]
     modulus, rows, verdicts, seconds = None, [], [], {}
     try:
         # Factoring a large q by trial division takes long: a q above the
@@ -237,17 +236,20 @@ def _run_job(spec):
         if q > args.field_cap:
             raise cap_error(q, args.field_cap, "field")
         p, e = factor_prime_power(q)
+        for _, _, modules, _, _ in stages:
+            for module in modules:
+                import_module("." + module, __package__)
         t = time.perf_counter()
         fld = Field(p, e, cap=args.field_cap)
         modulus = list(fld.modulus)
-        for _, _, _, check in stages:
+        for _, _, _, _, check in stages:
             if check is not None:
                 check(fld, args)
-        for _, _, tables, _ in stages:
+        for _, _, _, tables, _ in stages:
             for table in tables:
                 getattr(fld, table)()
         seconds["field"] = round(time.perf_counter() - t, 4)
-        for section, run, _, _ in stages:
+        for section, run, _, _, _ in stages:
             t = time.perf_counter()
             stage_rows, stage_verdicts = run(fld, args, rows)
             rows += stage_rows
@@ -260,7 +262,7 @@ def _run_job(spec):
     return modulus, rows, verdicts, seconds
 
 
-def _run_jobs(stages, section, qs, args) -> tuple[dict, list, list, dict]:
+def _run_jobs(stages, qs, args) -> tuple[dict, list, list, dict]:
     """Run `stages` on the field of every q in qs, fanned out to a process
     pool.
 
@@ -268,7 +270,7 @@ def _run_jobs(stages, section, qs, args) -> tuple[dict, list, list, dict]:
     of completion order.  Returns (modulus_by_q, rows, verdicts,
     seconds_by_q), the last keyed by str(q) for the timing entry.
     """
-    specs = [(stages, section, q, args) for q in qs]
+    specs = [(stages, q, args) for q in qs]
     # The pool starts every worker up front, so never ask for more than the
     # machine has cores, whatever --jobs says.
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
@@ -499,19 +501,26 @@ def _overall(verdicts) -> str:
     return "pass" if all(v.get("passed") for v in verdicts) else "fail"
 
 
-def _run_command(args, command, params, stages, qs, ps=(),
-                 p_cap=math.inf) -> tuple[dict, memoryview]:
-    """The report of `command` and a view of its body (see _with_cache): the
-    stages on the field of every q, then the upper-half grid of every p;
-    served from the cache when one is given.  A p above p_cap, or one that
-    is not an odd prime, gets one error row and a failing verdict instead
-    of its grid."""
-    # An error while a field is built names the command; field-info's
-    # keeps the section of its other verdicts.
-    section = "field" if command == "field-info" else command
+def _run_command(args) -> tuple[dict, memoryview]:
+    """The report of args.command and a view of its body (see _with_cache):
+    the command's stages on the field of every q, then the upper-half grid
+    of every p; served from the cache when one is given.  Its params are
+    the args that its parser block names, in that order.  A p of
+    identities above the field cap, or one that is not an odd prime, gets
+    one error row and a failing verdict instead of its grid."""
+    command = args.command
+    params = {name: getattr(args, name) for name in args.params}
+    # A stage that has a --with-NAME flag runs only under that flag.
+    stages = [s for s in args.stages if getattr(args, "with_" + s[0], True)]
+    if command == "verify-all":
+        qs = odd_prime_powers(min(args.q_max, args.field_cap))
+        ps, p_cap = args.upper_half_primes, math.inf
+    else:
+        qs = [args.q] if command == "girth" else args.q
+        ps, p_cap = getattr(args, "p", ()), args.field_cap
 
     def compute() -> dict:
-        modulus_by_q, rows, verdicts, seconds = _run_jobs(stages, section, qs, args)
+        modulus_by_q, rows, verdicts, seconds = _run_jobs(stages, qs, args)
         for p in ps:
             try:
                 if p > p_cap:
@@ -535,89 +544,65 @@ def _run_command(args, command, params, stages, qs, ps=(),
     return _with_cache(args, command, params, compute)
 
 
-# -- commands ---------------------------------------------------------------
-#
-# Each command is the list of stages it runs on every field.
-
-def cmd_sweep(args) -> tuple[dict, memoryview]:
-    qs = sorted(set(args.q))
-    params = {"q": qs, "which": args.which, "with_criterion": args.with_criterion,
-              "with_girth": args.with_girth, "field_cap": args.field_cap,
-              "girth_cap": args.girth_cap}
-    stages = [_SWEEP]
-    if args.with_criterion:
-        stages.append(_CRITERION)
-    if args.with_girth:
-        stages.append(_GIRTH_SCAN)
-    return _run_command(args, "sweep", params, stages, qs)
-
-
-def cmd_identities(args) -> tuple[dict, memoryview]:
-    qs = sorted(set(args.q or []))
-    ps = sorted(set(args.p or []))
-    params = {"q": qs, "p": ps, "field_cap": args.field_cap}
-    return _run_command(args, "identities", params, [_IDENTITIES], qs, ps,
-                        p_cap=args.field_cap)
-
-
-def cmd_girth(args) -> tuple[dict, memoryview]:
-    f_exps, g_exps = _girth_exps(args)
-    params = {"q": args.q, "k": args.k, "f_exps": list(f_exps),
-              "g_exps": list(g_exps), "field_cap": args.field_cap,
-              "girth_cap": args.girth_cap}
-    return _run_command(args, "girth", params, [_GIRTH], [args.q])
-
-
-def cmd_verify_all(args) -> tuple[dict, memoryview]:
-    qs = odd_prime_powers(min(args.q_max, args.field_cap))
-    params = {"q_max": args.q_max, "field_cap": args.field_cap,
-              "girth_cap": args.girth_cap,
-              "upper_half_primes": list(UPPER_HALF_PRIMES)}
-    return _run_command(args, "verify-all", params,
-                        [_SWEEP, _CRITERION, _IDENTITIES, _GIRTH_SCAN], qs,
-                        UPPER_HALF_PRIMES)
-
-
-def cmd_field_info(args) -> tuple[dict, memoryview]:
-    qs = sorted(set(args.q))
-    params = {"q": qs, "field_cap": args.field_cap}
-    return _run_command(args, "field-info", params, [_FIELD], qs)
-
-
 # -- argument parsing --------------------------------------------------------
 
-def _int_list(text: str) -> list[int]:
+def _ints(text: str) -> list[int]:
+    """The integers of a comma-separated list, or [] if one is malformed."""
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        values = []
+        return []
+
+
+def _int_list(text: str) -> list[int]:
+    """Q,Q,...: the sorted distinct values of a non-empty list."""
+    values = sorted(set(_ints(text)))
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers: %r" % text)
     return values
 
 
+def _exps(text: str) -> list[int]:
+    """A,B,C,D: four non-negative exponents, in the order given.  A negative
+    one is no monomial exponent: the log tables would read x^-1 as the
+    inverse and 0^-1 as 0."""
+    values = _ints(text)
+    if len(values) != 4 or min(values) < 0:
+        raise argparse.ArgumentTypeError(
+            "expected exactly four non-negative integers A,B,C,D: %r" % text)
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each command's parser block adds the options it reads and declares
+    its params and stages (see _run_command)."""
     parser = argparse.ArgumentParser(
         prog="gfpp",
         description="Exhaustive finite-field checks: permutation-polynomial "
                     "sweeps, binomial-sum identities, and monomial-graph girth.")
+    parser.set_defaults(csv=None)  # the emitter's view for a command without --csv
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def declare(sp, params, stages):
+        """Record the params, which name options in report order, and the
+        stages of `sp`, and add the options that every command reads, then
+        --csv where the stages make sweep rows and --girth-cap where it is
+        a param."""
+        sp.set_defaults(params=params, stages=stages)
         sp.add_argument("--json", metavar="PATH",
                         help="write the JSON report to PATH instead of stdout")
-        sp.add_argument("--csv", metavar="PATH",
-                        help="write sweep rows to PATH as CSV")
-        sp.add_argument("--jobs", type=int, default=None, metavar="N",
+        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
                         help="worker processes, at most one per core "
                              "(default: all cores)")
         sp.add_argument("--cache", metavar="DIR", help="result cache directory")
-        sp.add_argument("--field-cap", type=int, default=None, metavar="N",
-                        help="max field size (env GFPP_FIELD_CAP, default %d)"
-                             % DEFAULT_FIELD_CAP)
-        sp.add_argument("--girth-cap", type=int, default=None, metavar="N",
-                        help="max q for girth BFS (env GFPP_GIRTH_CAP, default %d)"
-                             % DEFAULT_GIRTH_CAP)
+        sp.add_argument("--field-cap", type=int, default=DEFAULT_FIELD_CAP, metavar="N",
+                        help="max field size (default %(default)s)")
+        if _SWEEP in stages:
+            sp.add_argument("--csv", metavar="PATH",
+                            help="write sweep rows to PATH as CSV")
+        if "girth_cap" in params:
+            sp.add_argument("--girth-cap", type=int, default=DEFAULT_GIRTH_CAP,
+                            metavar="N", help="max q for girth BFS (default %(default)s)")
 
     sp = sub.add_parser("sweep", help="per-(q, k) PP sweep with per-q verdicts")
     sp.add_argument("--q", type=_int_list, required=True, metavar="Q,Q,...")
@@ -627,69 +612,51 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also evaluate the binomial-sum criterion per k")
     sp.add_argument("--with-girth", action="store_true",
                     help="also test girth >= 8 of G_q(XY, X^kY^2k) per k")
-    add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
+    declare(sp, ("q", "which", "with_criterion", "with_girth", "field_cap", "girth_cap"),
+            (_SWEEP, _CRITERION, _GIRTH_SCAN))
 
     sp = sub.add_parser("identities",
                         help="support-identity grid per q (e >= 3) and the "
                              "upper-half sum grid per p")
-    sp.add_argument("--q", type=_int_list, default=None, metavar="Q,Q,...")
-    sp.add_argument("--p", type=_int_list, default=None, metavar="P,P,...")
-    add_common(sp)
-    sp.set_defaults(func=cmd_identities)
+    sp.add_argument("--q", type=_int_list, default=[], metavar="Q,Q,...")
+    sp.add_argument("--p", type=_int_list, default=[], metavar="P,P,...")
+    declare(sp, ("q", "p", "field_cap"), (_IDENTITIES,))
 
     sp = sub.add_parser("girth", help="exact girth of one monomial graph")
     sp.add_argument("--q", type=int, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, default=None,
                        help="use the family G_q(XY, X^kY^2k)")
-    group.add_argument("--exps", type=_int_list, default=None, metavar="A,B,C,D",
+    group.add_argument("--exps", type=_exps, default=None, metavar="A,B,C,D",
                        help="explicit exponents for f = X^AY^B, g = X^CY^D")
-    add_common(sp)
-    sp.set_defaults(func=cmd_girth)
+    declare(sp, ("q", "k", "f_exps", "g_exps", "field_cap", "girth_cap"), (_GIRTH,))
 
     sp = sub.add_parser("verify-all",
                         help="run every suite for all odd prime powers up to --q-max")
     sp.add_argument("--q-max", type=int, required=True, dest="q_max")
-    add_common(sp)
-    sp.set_defaults(func=cmd_verify_all)
+    sp.set_defaults(upper_half_primes=list(UPPER_HALF_PRIMES))
+    declare(sp, ("q_max", "field_cap", "girth_cap", "upper_half_primes"),
+            (_SWEEP, _CRITERION, _IDENTITIES, _GIRTH_SCAN))
 
     sp = sub.add_parser("field-info", help="modulus and parameters per field")
     sp.add_argument("--q", type=_int_list, required=True, metavar="Q,Q,...")
-    add_common(sp)
-    sp.set_defaults(func=cmd_field_info)
+    declare(sp, ("q", "field_cap"), (_FIELD,))
 
     return parser
-
-
-def _env_int(parser, name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        parser.error("%s must be an integer, got %r" % (name, text))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.field_cap is None:
-        args.field_cap = _env_int(parser, "GFPP_FIELD_CAP", DEFAULT_FIELD_CAP)
-    if args.girth_cap is None:
-        args.girth_cap = _env_int(parser, "GFPP_GIRTH_CAP", DEFAULT_GIRTH_CAP)
-    if args.jobs is None:
-        args.jobs = os.cpu_count() or 1
-    elif args.jobs < 1:
+    if args.jobs < 1:
         parser.error("--jobs must be at least 1, got %d" % args.jobs)
-    if args.command == "girth" and args.exps is not None and (
-            len(args.exps) != 4 or min(args.exps) < 0):
-        parser.error("--exps needs exactly four non-negative integers A,B,C,D")
-    if args.command == "identities" and args.q is None and args.p is None:
+    if args.command == "identities" and not (args.q or args.p):
         parser.error("identities needs --q or --p")
+    if args.command == "girth":
+        a, b, c, d = args.exps or (1, 1, args.k, 2 * args.k)
+        args.f_exps, args.g_exps = [a, b], [c, d]
     started = time.perf_counter()
-    report, body = args.func(args)
+    report, body = _run_command(args)
     report["timing"].setdefault("seconds", round(time.perf_counter() - started, 3))
     if not _emit(report, body, args):
         return 2

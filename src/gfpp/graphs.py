@@ -94,10 +94,12 @@ def _min_cycle_from(q, rows, stab, src, best):
     already counted when w was scanned, since u then had depth
     depth(w) + 1.  So a scan at depth d finds only walks of length 2d + 2:
     the first one is the answer, and the scan is needed only while
-    2d + 2 < best.  No parent is kept; `level` holds depth + 1 for each
-    vertex found and 0 for the rest.  Until a cycle closes, each depth
-    holds q - 1 times as many vertices as the one before, so depths stay
-    far below the byte's 255.
+    2d + 2 < best.  A vertex found at depth d + 1 is marked, so that an
+    edge to it closes a walk, but queued only if it will be scanned: the
+    last depth found, the largest, never enters the queue.  No parent is
+    kept; `level` holds depth + 1 for each vertex found and 0 for the rest.
+    Until a cycle closes, each depth holds q - 1 times as many vertices as
+    the one before, so depths stay far below the byte's 255.
     """
     q2 = q * q
     q3 = q2 * q
@@ -112,6 +114,7 @@ def _min_cycle_from(q, rows, stab, src, best):
         if 2 * lu >= best:
             break
         ln = lu + 1
+        scanned = 2 * ln < best  # whether a vertex found now is scanned
         row, r = divmod(u, q2)
         v2, v3 = divmod(r, q)
         frow, grow = rows[row]
@@ -121,7 +124,8 @@ def _min_cycle_from(q, rows, stab, src, best):
             lw = level[w]
             if not lw:
                 level[w] = ln
-                push(w)
+                if scanned:
+                    push(w)
             elif lw == ln:
                 return 2 * lu
     return best

@@ -1,5 +1,7 @@
-"""CLI commands: report shape, exit codes, CSV, cache, determinism, jobs."""
+"""CLI commands: report shape, exit codes, CSV, cache, determinism, jobs,
+and the options each command takes."""
 
+import argparse
 import concurrent.futures
 import csv
 import hashlib
@@ -79,7 +81,7 @@ def test_sweep_bad_q_is_item_error(tmp_path):
     errors = [r for r in report["rows"] if r["kind"] == "error"]
     assert len(errors) == 1
     assert "EvenPrime" in errors[0]["error"]
-    # no stage ran on q = 4, so its verdict keeps the command's section
+    # no stage ran on q = 4, so its verdict is in the first stage's section
     assert report["verdicts"][0] == {"section": "sweep", "q": 4,
                                      "error": errors[0]["error"], "passed": False}
     # the good q still ran
@@ -854,18 +856,6 @@ def test_stdout_carries_pure_json(tmp_path, capsys):
     assert "[PASS]" in captured.err
 
 
-def test_env_var_overrides_girth_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("GFPP_GIRTH_CAP", "3")
-    code, report = run(tmp_path, "girth", "--q", "5", "--k", "1")
-    assert code == 1
-    assert "CapExceeded" in report["rows"][0]["error"]
-    # an explicit flag wins over the environment
-    code, report = run(tmp_path, "girth", "--q", "5", "--k", "1",
-                       "--girth-cap", "5", name="flag.json")
-    assert code == 0
-    assert report["rows"][0]["girth"] == 8
-
-
 def test_q_above_the_field_cap_is_rejected_before_factoring(tmp_path):
     # Trial division of this q would take about 10^9 steps.
     q = 1000000000000000003
@@ -916,22 +906,6 @@ def test_unwritable_output_path_is_an_error_line(tmp_path, capsys, flag):
     assert json.loads(good.read_text())["timing"]["cached"] is True
 
 
-def test_env_var_overrides_field_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("GFPP_FIELD_CAP", "8")
-    code, report = run(tmp_path, "sweep", "--q", "9")
-    assert code == 1
-    assert "CapExceeded" in report["rows"][0]["error"]
-
-
-@pytest.mark.parametrize("var", ["GFPP_FIELD_CAP", "GFPP_GIRTH_CAP"])
-def test_env_var_cap_must_be_an_integer(tmp_path, monkeypatch, capsys, var):
-    monkeypatch.setenv(var, "ten")
-    with pytest.raises(SystemExit) as exc:
-        run(tmp_path, "sweep", "--q", "3")
-    assert exc.value.code == 2
-    assert var in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [["identities"], ["sweep", "--q", ","],
                                   ["field-info", "--q", ","],
                                   ["identities", "--p", " "]])
@@ -952,3 +926,64 @@ def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--jobs" in captured.err
+
+
+COMMON_OPTIONS = {"--json", "--jobs", "--cache", "--field-cap"}
+
+# Each command takes only the options it reads: --csv where it makes sweep
+# rows, --girth-cap where a girth stage reads it.  No environment variable
+# sets any value.
+COMMAND_OPTIONS = {
+    "sweep": {"--q", "--which", "--with-criterion", "--with-girth", "--csv",
+              "--girth-cap"},
+    "identities": {"--q", "--p"},
+    "girth": {"--q", "--k", "--exps", "--girth-cap"},
+    "verify-all": {"--q-max", "--csv", "--girth-cap"},
+    "field-info": {"--q"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {opt for action in sp._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help")}
+               for name, sp in sub.choices.items()}
+    assert options == {name: opts | COMMON_OPTIONS
+                       for name, opts in COMMAND_OPTIONS.items()}
+    assert sum(map(len, options.values())) == 36
+
+
+@pytest.mark.parametrize("argv", [["identities", "--q", "27", "--girth-cap", "3"],
+                                  ["field-info", "--q", "9", "--csv", "F"],
+                                  ["girth", "--q", "5", "--k", "1", "--csv", "F"]])
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                              monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+# The cache entry names of the benchmark's two commands.  A change here is
+# a change of the params or of the cache key: the entries of the version
+# before are no longer found.
+GOLDEN_ENTRY_NAMES = {
+    "verify-all --q-max 243 --jobs 1 --field-cap 1000000 --girth-cap 17":
+        "cf69fc74210903725f5b958109740af250982a16d3f5b21ad6d1a504a6d5307d.json",
+    "sweep --q 729,1327 --which two --jobs 1 --field-cap 1000000 --girth-cap 17":
+        "da4cd3d6de0d9744e257d3f0e959430c68c167e1a29305208fe1c4727435e166.json",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_ENTRY_NAMES)
+def test_cache_entry_name_is_golden(tmp_path, monkeypatch, command):
+    # The name depends on the params alone, so no field is computed.
+    monkeypatch.setattr(cli, "_run_jobs", lambda *_: ({}, [], [], {}))
+    cache = tmp_path / "cache"
+    main(command.split() + ["--cache", str(cache), "--json", str(tmp_path / "r.json")])
+    assert [p.name for p in cache.iterdir()] == [GOLDEN_ENTRY_NAMES[command]]

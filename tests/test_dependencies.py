@@ -1,9 +1,11 @@
 """The package imports nothing outside the standard library and itself,
 `import gfpp` loads only the field arithmetic, `import gfpp.cli` and a
-cache hit load no stage module (and the cli no pathlib), and the
-benchmark's tracer finds the functions it wraps."""
+cache hit load no stage module (and the cli no pathlib), a plain sweep
+loads neither criterion nor graphs, no stage clock times an import, and
+the benchmark's tracer finds the functions it wraps."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -102,6 +104,35 @@ def test_cache_hit_loads_no_stage_module(tmp_path):
            % (str(tmp_path / "cache"), str(tmp_path / "out.json")))
     assert STAGE_MODULES <= _loaded_after(run)  # the miss computes
     assert not STAGE_MODULES & _loaded_after(run)  # the hit does not
+
+
+def test_sweep_alone_loads_neither_criterion_nor_graphs(tmp_path):
+    run = ("import gfpp.cli; gfpp.cli.main(['sweep', '--q', '9', '--jobs', '1', "
+           "'--json', %r])" % str(tmp_path / "out.json"))
+    loaded = _loaded_after(run)
+    assert "gfpp.permpoly" in loaded
+    assert not {"gfpp.criterion", "gfpp.graphs"} & loaded
+
+
+def test_stage_clocks_leave_module_imports_out(tmp_path):
+    # An import hook makes each stage module take 0.2 s to import.  The
+    # stages at q = 3, the first field, still take well under 0.1 s, as
+    # the modules are imported before their clocks start.
+    code = ("import json, sys, time\n"
+            "class Slow:\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name in %r:\n"
+            "            time.sleep(0.2)\n"
+            "sys.meta_path.insert(0, Slow())\n"
+            "import gfpp.cli\n"
+            "gfpp.cli.main(['verify-all', '--q-max', '5', '--jobs', '1', '--json', %r])\n"
+            % (sorted(STAGE_MODULES), str(tmp_path / "out.json")))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+    stages = json.loads((tmp_path / "out.json").read_text())["timing"]["stages"]
+    assert set(stages) == {"3", "5"}
+    assert set(stages["3"]) == {"field", "sweep", "criterion", "identities", "girth"}
+    assert max(t for secs in stages.values() for t in secs.values()) < 0.1, stages
 
 
 def test_tracer_targets_resolve():
