@@ -37,11 +37,11 @@ import os
 import sys
 import time
 from importlib import import_module
-from itertools import compress
 
 from . import __version__
-from .errors import CapExceededError, GfppError, NotPrimeError
-from .field import DEFAULT_FIELD_CAP, Field, cap_error, least_factor, poly_str
+from .errors import CapExceededError, GfppError
+from .field import (DEFAULT_FIELD_CAP, Field, cap_error, factor_prime_power,
+                    odd_prime_powers, poly_str)
 
 # The largest q whose girth the girth stage checks by default: a BFS per k
 # costs up to about q^3 steps.
@@ -55,37 +55,6 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
 CACHE_SCHEMA = 6
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, e) with p prime and q = p^e; raises NotPrimeError
-    when q is not a prime power."""
-    if q < 2:
-        raise NotPrimeError("q = %d is not a prime power" % q)
-    p = least_factor(q)
-    n, e = q, 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise NotPrimeError("q = %d is not a prime power" % q)
-    return p, e
-
-
-def odd_prime_powers(limit: int) -> list[int]:
-    """All q = p^e <= limit with p an odd prime, ascending: the odd primes
-    from a sieve, and p^2, p^3, ... for each p <= sqrt(limit)."""
-    prime = bytearray([1]) * (limit + 1)
-    out = []
-    for p in range(3, math.isqrt(max(limit, 0)) + 1, 2):
-        if prime[p]:  # odd multiples below p^2 have a smaller factor
-            prime[p * p::2 * p] = bytes(len(range(p * p, limit + 1, 2 * p)))
-            q = p * p
-            while q <= limit:
-                out.append(q)
-                q *= p
-    out += compress(range(3, limit + 1, 2), prime[3::2])
-    return sorted(out)
 
 
 # The deterministic part of a report, keys in the order they are written.
@@ -507,19 +476,20 @@ def _run_command(args) -> tuple[dict, memoryview]:
     of every p; served from the cache when one is given.  Its params are
     the args that its parser block names, in that order.  A p of
     identities above the field cap, or one that is not an odd prime, gets
-    one error row and a failing verdict instead of its grid."""
+    one error row and a failing verdict instead of its grid.  A cache hit
+    enumerates no q and no p."""
     command = args.command
     params = {name: getattr(args, name) for name in args.params}
-    # A stage that has a --with-NAME flag runs only under that flag.
-    stages = [s for s in args.stages if getattr(args, "with_" + s[0], True)]
-    if command == "verify-all":
-        qs = odd_prime_powers(min(args.q_max, args.field_cap))
-        ps, p_cap = args.upper_half_primes, math.inf
-    else:
-        qs = [args.q] if command == "girth" else args.q
-        ps, p_cap = getattr(args, "p", ()), args.field_cap
 
     def compute() -> dict:
+        # A stage that has a --with-NAME flag runs only under that flag.
+        stages = [s for s in args.stages if getattr(args, "with_" + s[0], True)]
+        if command == "verify-all":
+            qs = odd_prime_powers(min(args.q_max, args.field_cap))
+            ps, p_cap = args.upper_half_primes, math.inf
+        else:
+            qs = [args.q] if command == "girth" else args.q
+            ps, p_cap = getattr(args, "p", ()), args.field_cap
         modulus_by_q, rows, verdicts, seconds = _run_jobs(stages, qs, args)
         for p in ps:
             try:

@@ -1,4 +1,7 @@
-"""Arithmetic in GF(p^e) for odd primes p.
+"""Arithmetic in GF(p^e) for odd primes p, and the integer helpers that
+name a field: `least_factor` (the one trial division), `is_prime`,
+`factor_prime_power` (q to (p, e)) and `odd_prime_powers` (the odd prime
+powers up to a limit).
 
 An element is identified by its index in the canonical enumeration: the
 element with coefficient vector (c0, ..., c_{e-1}) over Z_p (low degree
@@ -14,7 +17,11 @@ binomial coefficient C(m, n) mod p with m, n < q into three lookups (Lucas
 and Kummer).  These builders, and the difference table of `gfpp.graphs`,
 build each entry from an earlier one and one digit, in O(1), not O(e).
 
-The modulus is always the lexicographically smallest monic irreducible
+The pointwise arithmetic builds those tables and is the oracle of the code
+that reads them.  Its one polynomial reduction, `_poly_mod`, is long
+division by a monic polynomial over Z_p: `mul` reduces a product by the
+modulus with it, and the modulus search tests divisibility with it.  The
+modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e (coefficients compared low-degree-first), which
 makes every element-dependent value reproducible across runs and machines.
 """
@@ -22,6 +29,7 @@ makes every element-dependent value reproducible across runs and machines.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import CapExceededError, EvenPrimeError, NotPrimeError
 
@@ -45,18 +53,35 @@ def is_prime(n: int) -> bool:
     return n >= 2 and least_factor(n) == n
 
 
-def _poly_divides(den: tuple[int, ...], num: tuple[int, ...], p: int) -> bool:
-    """Whether the monic polynomial den divides num over Z_p (coeffs low first)."""
-    rem = list(num)
-    dd = len(den) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            off = i - dd
-            for j in range(dd):
-                rem[off + j] = (rem[off + j] - c * den[j]) % p
-            rem[i] = 0
-    return not any(rem[:dd])
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """Split q into (p, e) with p prime and q = p^e; raises NotPrimeError
+    when q is not a prime power."""
+    if q < 2:
+        raise NotPrimeError("q = %d is not a prime power" % q)
+    p = least_factor(q)
+    n, e = q, 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    if n != 1:
+        raise NotPrimeError("q = %d is not a prime power" % q)
+    return p, e
+
+
+def odd_prime_powers(limit: int) -> list[int]:
+    """All q = p^e <= limit with p an odd prime, ascending: the odd primes
+    from a sieve, and p^2, p^3, ... for each p <= sqrt(limit)."""
+    prime = bytearray([1]) * (limit + 1)
+    out = []
+    for p in range(3, math.isqrt(max(limit, 0)) + 1, 2):
+        if prime[p]:  # odd multiples below p^2 have a smaller factor
+            prime[p * p::2 * p] = bytes(len(range(p * p, limit + 1, 2 * p)))
+            q = p * p
+            while q <= limit:
+                out.append(q)
+                q *= p
+    out += itertools.compress(range(3, limit + 1, 2), prime[3::2])
+    return sorted(out)
 
 
 def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -73,7 +98,7 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     ]
     for tail in itertools.product(range(p), repeat=e):
         cand = tail + (1,)
-        if all(not _poly_divides(den, cand, p) for den in divisors):
+        if all(_poly_mod(cand, den, p) for den in divisors):
             return cand
     raise AssertionError("no monic irreducible of degree %d over Z_%d" % (e, p))
 
@@ -93,6 +118,23 @@ def from_digits(digits, p: int) -> int:
     for d in reversed(digits):
         n = n * p + d % p
     return n
+
+
+def _poly_mod(coeffs, monic, p: int) -> int:
+    """The remainder of the polynomial `coeffs` on division by the monic
+    polynomial `monic` over Z_p, both low degree first, by long division
+    from the top coefficient down.  It is returned as the index of its
+    coefficients (see from_digits): the element it is when `monic` is a
+    field's modulus, and 0 iff `monic` divides `coeffs`."""
+    rem = list(coeffs)
+    d = len(monic) - 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] % p
+        if c:  # subtract c * X^(i-d) * monic, which clears rem[i] mod p
+            for j, m in enumerate(monic, i - d):
+                if m:
+                    rem[j] -= c * m
+    return from_digits(rem[:d], p)
 
 
 def cap_error(q: int, cap: int, name: str) -> CapExceededError:
@@ -136,7 +178,6 @@ class Field:
         self.e = e
         self.q = q
         self.modulus = smallest_irreducible(p, e)
-        self._xpow = self._reduction_rows()
         self._logs = None
         self._binoms = None
 
@@ -171,6 +212,8 @@ class Field:
         return from_digits([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))], self.p)
 
     def mul(self, a: int, b: int) -> int:
+        """a * b: the product of the coefficient vectors, reduced by the
+        modulus with `_poly_mod`; over a prime field, a * b mod p."""
         p, e = self.p, self.e
         if e == 1:
             return a * b % p
@@ -182,13 +225,7 @@ class Field:
                 for j, y in enumerate(cb):
                     if y:
                         acc[i + j] += x * y
-        for j in range(e, 2 * e - 1):
-            c = acc[j] % p
-            if c:
-                row = self._xpow[j - e]
-                for i in range(e):
-                    acc[i] += c * row[i]
-        return from_digits(acc[:e], p)
+        return _poly_mod(acc, self.modulus, p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -211,24 +248,6 @@ class Field:
                 base = self.mul(base, base)
         return result
 
-    def _reduction_rows(self):
-        # X^j mod modulus for e <= j <= 2e-2, as coefficient tuples.
-        p, e = self.p, self.e
-        if e == 1:
-            return ()
-        base = tuple(-self.modulus[i] % p for i in range(e))
-        rows = [base]
-        cur = base
-        for _ in range(e - 2):
-            shifted = (0,) + cur[:-1]
-            c = cur[-1]
-            if c:
-                cur = tuple((shifted[i] + c * base[i]) % p for i in range(e))
-            else:
-                cur = shifted
-            rows.append(cur)
-        return tuple(rows)
-
     # -- log tables ---------------------------------------------------------
 
     def log_tables(self) -> tuple[list[int], list, list]:
@@ -249,7 +268,9 @@ class Field:
                      if all(self.pow(g, m // r) != 1 for r in primes))
             exp = [1] * m
             for n in range(1, m):
-                exp[n] = self.mul(exp[n - 1], g)
+                # g first: mul runs its inner loop once per nonzero digit
+                # of its first factor, and a small index has few.
+                exp[n] = self.mul(g, exp[n - 1])
             log = [None] * q
             for n, x in enumerate(exp):
                 log[x] = n

@@ -11,8 +11,8 @@ from math import comb, gcd
 import pytest
 
 from gfpp import criterion, digits, graphs, permpoly
-from gfpp.cli import factor_prime_power, main
-from gfpp.field import Field
+from gfpp.cli import main
+from gfpp.field import Field, factor_prime_power
 from lucas import lucas_binom
 
 CONJECTURE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 243, 343, 729)

@@ -12,8 +12,9 @@ import time
 import pytest
 
 from gfpp import cli, criterion, graphs
-from gfpp.cli import CSV_COLUMNS, factor_prime_power, main, odd_prime_powers
-from gfpp.errors import GfppError, NotPrimeError
+from gfpp.cli import CSV_COLUMNS, main
+from gfpp.errors import GfppError
+from gfpp.field import factor_prime_power
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -29,35 +30,6 @@ def run_csv(tmp_path, *argv):
     with out.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     return code, report, rows
-
-
-def test_factor_prime_power():
-    assert factor_prime_power(27) == (3, 3)
-    assert factor_prime_power(121) == (11, 2)
-    assert factor_prime_power(7) == (7, 1)
-    assert factor_prime_power(4) == (2, 2)
-    with pytest.raises(NotPrimeError):
-        factor_prime_power(15)
-    with pytest.raises(NotPrimeError):
-        factor_prime_power(1)
-
-
-def test_odd_prime_powers():
-    assert odd_prime_powers(27) == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27]
-
-
-def test_odd_prime_powers_equal_the_factoring_filter():
-    # The sieve against factor_prime_power on every q, at every limit.
-    expected = []
-    for q in range(3, 5001):
-        try:
-            p, _ = factor_prime_power(q)
-        except NotPrimeError:
-            continue
-        if p != 2:
-            expected.append(q)
-    for limit in range(-2, 5001):
-        assert odd_prime_powers(limit) == [q for q in expected if q <= limit], limit
 
 
 def test_sweep_report_shape(tmp_path):
@@ -676,6 +648,26 @@ def test_cache_round_trip(tmp_path):
     fresh.pop("timing")
     cached.pop("timing")
     assert fresh == cached
+
+
+def test_cache_hit_enumerates_no_field(tmp_path, monkeypatch):
+    # A hit is served from its entry alone: the sieve that lists
+    # verify-all's q, and every stage, run only on a miss.
+    argv = ["verify-all", "--q-max", "27", "--jobs", "1",
+            "--cache", str(tmp_path / "cache"), "--json", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    fresh = json.loads((tmp_path / "r.json").read_text())
+
+    def refuse(*args):
+        raise AssertionError("a cache hit enumerated the fields")
+
+    monkeypatch.setattr(cli, "odd_prime_powers", refuse)
+    monkeypatch.setattr(cli, "_run_jobs", refuse)
+    assert main(argv) == 0
+    hit = json.loads((tmp_path / "r.json").read_text())
+    assert hit.pop("timing")["cached"] is True
+    fresh.pop("timing")
+    assert hit == fresh
 
 
 def _entry(body: str) -> str:

@@ -14,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfpp import criterion
-from gfpp.cli import factor_prime_power
 from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
                             pp_criterion, support_identity_lhs,
                             support_identity_rhs, upper_half_grid,
                             upper_half_sum, xy_params)
 from gfpp.digits import mod_inverse, star_reduce
 from gfpp.errors import NotCoprimeError, NotPrimeError, ParamDomainError
-from gfpp.field import Field, is_prime
+from gfpp.field import Field, factor_prime_power, is_prime
 from gfpp.permpoly import eval_a, p_powers, sweep
 from lucas import lucas_binom
 

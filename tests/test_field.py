@@ -1,13 +1,17 @@
-"""Field construction and arithmetic, exhaustively at small q."""
+"""Field construction and arithmetic, exhaustively at small q, and the
+integer helpers that name a field."""
 
+import hashlib
+import json
+import random
 from math import comb
 
 import pytest
 from sympy import Poly, symbols
 
 from gfpp.errors import CapExceededError, EvenPrimeError, NotPrimeError
-from gfpp.field import (Field, is_prime, least_factor, poly_str,
-                        smallest_irreducible)
+from gfpp.field import (Field, factor_prime_power, is_prime, least_factor,
+                        odd_prime_powers, poly_str, smallest_irreducible)
 from lucas import lucas_binom
 
 
@@ -115,28 +119,42 @@ def test_field_axioms_exhaustive(p, e):
                 assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
 
 
-@pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (5, 2), (3, 3), (3, 4),
+                                 (5, 4), (3, 6), (7, 4), (5, 5)])
 def test_pointwise_arithmetic_matches_sympy_polynomials(p, e):
     # The axioms hold under any relabelling of the elements that fixes 0 and
     # 1, such as swapping two digits above the lowest in both decoder and
     # encoder; this oracle pins the canonical index sum(c_i * p^i) of every
-    # result.
+    # result: of every pair up to q = 81, and of a fixed sample of 500 pairs
+    # above it.  The modulus search and mul share one reduction, and a wrong
+    # one can pick a reducible modulus under which it is exact (run
+    # bottom-up, it is exact for X^e + 1), so the modulus must be
+    # irreducible.
     fld = Field(p, e)
+    q = fld.q
     X = symbols("X")
     modulus = Poly(fld.modulus[::-1], X, modulus=p)
-    polys = [Poly([a // p**i % p for i in reversed(range(e))], X, modulus=p)
-             for a in range(fld.q)]
+    assert modulus.is_irreducible, fld.modulus
+
+    def poly(a):
+        return Poly([a // p**i % p for i in reversed(range(e))], X, modulus=p)
 
     def index(f):
         # sympy keeps symmetric residues, -p/2 < c < p/2
         coeffs = f.rem(modulus).all_coeffs()[::-1]
         return sum(int(c) % p * p**i for i, c in enumerate(coeffs))
 
-    for a, fa in enumerate(polys):
-        for b, fb in enumerate(polys):
-            assert fld.add(a, b) == index(fa + fb), (a, b)
-            assert fld.sub(a, b) == index(fa - fb), (a, b)
-            assert fld.mul(a, b) == index(fa * fb), (a, b)
+    if q <= 81:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(500)]
+    polys = {a: poly(a) for pair in pairs for a in pair}
+    for a, b in pairs:
+        fa, fb = polys[a], polys[b]
+        assert fld.add(a, b) == index(fa + fb), (a, b)
+        assert fld.sub(a, b) == index(fa - fb), (a, b)
+        assert fld.mul(a, b) == index(fa * fb), (a, b)
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 1)])
@@ -224,6 +242,22 @@ def test_log_tables(p, e):
     assert log[0] is None and zech[m // 2] is None
 
 
+# SHA-256 of json.dumps(Field(p, e).log_tables()): pins g and every product
+# that builds exp, so a changed reduction or a changed g fails here.
+GOLDEN_LOG_TABLE_DIGESTS = {
+    (3, 6): "f4981a582b2c103f562b517a6df50fd29c95b95624bcc144848c382a8cfcfe70",
+    (3, 7): "b3d9bd29b5f22105a93238e9d9656991d62437db00990ce3f25cfc958b981a8d",
+    (5, 5): "0c18ad7823c9cc293bdd1cb068573676034171f541436d0134a6c83d1e60ce0d",
+    (3, 8): "4aad1cf394fbb43e740648a738fc579a89be9272ef48d4231ef3b008d7f895d8",
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(GOLDEN_LOG_TABLE_DIGESTS))
+def test_log_tables_golden_digests(p, e):
+    tables = json.dumps(Field(p, e).log_tables()).encode()
+    assert hashlib.sha256(tables).hexdigest() == GOLDEN_LOG_TABLE_DIGESTS[p, e]
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
 def test_binom_tables(p, e):
     fld = Field(p, e)
@@ -249,12 +283,40 @@ def test_is_prime():
 
 
 def test_least_factor_is_the_least_divisor():
-    # the trial division that is_prime and cli.factor_prime_power share
+    # the trial division that is_prime and factor_prime_power share
     for n in range(2, 3000):
         assert least_factor(n) == next(f for f in range(2, n + 1) if n % f == 0), n
     assert least_factor(7 ** 5) == 7
     assert least_factor(1009 * 1013) == 1009
 
+
+def test_factor_prime_power():
+    assert factor_prime_power(27) == (3, 3)
+    assert factor_prime_power(121) == (11, 2)
+    assert factor_prime_power(7) == (7, 1)
+    assert factor_prime_power(4) == (2, 2)
+    with pytest.raises(NotPrimeError):
+        factor_prime_power(15)
+    with pytest.raises(NotPrimeError):
+        factor_prime_power(1)
+
+
+def test_odd_prime_powers():
+    assert odd_prime_powers(27) == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27]
+
+
+def test_odd_prime_powers_equal_the_factoring_filter():
+    # The sieve against factor_prime_power on every q, at every limit.
+    expected = []
+    for q in range(3, 5001):
+        try:
+            p, _ = factor_prime_power(q)
+        except NotPrimeError:
+            continue
+        if p != 2:
+            expected.append(q)
+    for limit in range(-2, 5001):
+        assert odd_prime_powers(limit) == [q for q in expected if q <= limit], limit
 
 def test_smallest_irreducible_has_no_small_factor():
     # degree 4 over Z_3: root-freeness alone is not enough, so also divide

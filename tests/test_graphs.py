@@ -9,9 +9,8 @@ import networkx as nx
 import pytest
 
 from gfpp import graphs, permpoly
-from gfpp.cli import factor_prime_power
 from gfpp.digits import star_reduce
-from gfpp.field import Field
+from gfpp.field import Field, factor_prime_power
 from gfpp.graphs import _difference_table, _monomial_table, girth, girth_at_least, girth_scan
 
 XY_XY2 = ((1, 1), (1, 2))

@@ -5,9 +5,8 @@ from math import gcd
 import pytest
 
 from gfpp import permpoly
-from gfpp.cli import factor_prime_power, odd_prime_powers
 from gfpp.digits import digits_binary, star_reduce
-from gfpp.field import Field
+from gfpp.field import Field, factor_prime_power, odd_prime_powers
 from gfpp.permpoly import (a_collision, b_collision, conjecture_verdict,
                            eval_a, eval_b, p_powers, sweep, sweep_record)
 
