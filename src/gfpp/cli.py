@@ -5,31 +5,33 @@ and no others (--csv only where it makes sweep rows, --girth-cap only
 where a stage reads it), its params, named in report order and read from
 those options, and the stages it runs, in order, on the field of every q.
 Every value comes from a flag or its default; no environment variable
-sets one.  A stage makes one library call (permpoly, criterion, graphs),
-which returns report rows and verdicts as dicts, so the runner only
-concatenates them; the girth-scan stage also fills in the girth_ge_8 flags
-of the sweep rows.  A stage that raises ends its field's job with an error
-row and a failing verdict in its own section.  The report itself is a dict
-of BODY_KEYS plus "timing"; the runner records the seconds of building the
-field and its tables, and of each stage, in the report's timing.stages,
-keyed by q.  Commands emit a single JSON report on the data stream
-(stdout, or --json PATH) and human-readable verdict lines on stderr.
-Reports are deterministic apart from the top-level "timing" entry; the
-exit status is 0 iff every verdict passes.  --csv is a view of the sweep
-rows that rebuilds the columns a row does not carry (see _write_csv).
+sets one.  A stage calls the library modules it names (permpoly,
+criterion, graphs), or none, and returns report rows and verdicts as
+dicts, so the runner only concatenates them; the girth-scan stage also
+fills in the girth_ge_8 flags of the sweep rows.  One of _JOB_ERRORS
+raised by a stage ends its field's job with an error row and a failing
+verdict in its own section, as it ends the upper-half grid of a p.  The
+report itself is a dict of BODY_KEYS plus "timing"; the runner records
+the seconds of building the field and its tables, and of each stage, in
+the report's timing.stages, keyed by q.  Commands emit a single JSON
+report on the data stream (stdout, or --json PATH) and verdict lines on
+stderr.  Reports are deterministic apart from the top-level "timing"
+entry; the exit status is 0 iff every verdict passes.  --csv is a view
+of the sweep rows that rebuilds the columns a row does not carry.
 
 A report body is encoded once: the bytes the cache stores, or would store,
 are the bytes emitted, with "timing" spliced in as its last key.  A cache
 hit checks its entry's digest and parses only the verdicts and what
-follows them, never the rows unless --csv asks.  The process pool is
-imported only when more than one worker runs, and the stage modules and
-csv only where a stage or --csv uses them, so a cache hit loads none.  A
-job imports its stages' modules before it starts their clocks.
+follows them; only the --csv view decodes a hit's rows.  The process
+pool is imported only when more than one worker runs, and the stage
+modules and csv only where a stage or --csv uses them, so a cache hit
+loads none.  A job imports its stages' modules before their clocks start.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -39,7 +41,7 @@ import time
 from importlib import import_module
 
 from . import __version__
-from .errors import CapExceededError, GfppError
+from .errors import GfppError
 from .field import (DEFAULT_FIELD_CAP, Field, cap_error, factor_prime_power,
                     odd_prime_powers, poly_str)
 
@@ -74,6 +76,11 @@ BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
 # serve before any table is built.  A command is the list of stages it runs
 # on each field.  Stage functions are top-level so that they pickle for the
 # process pool.
+
+# What ends a unit of work, a field's job or a p's upper-half grid, with an
+# error row and a failing verdict instead of a traceback.
+_JOB_ERRORS = (GfppError, ValueError)
+
 
 def _failure(section: str, key: str, n: int, exc: Exception) -> tuple[dict, dict]:
     """The error row and the failing verdict that report exc for q = n or
@@ -128,7 +135,7 @@ def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
     if fld.q > args.girth_cap:
         if args.command == "verify-all":
             return [], []
-        raise cap_error(fld.q, args.girth_cap, "girth")
+        raise cap_error("q", fld.q, "girth", args.girth_cap)
     from . import graphs
 
     records = _sweep_rows(rows)
@@ -145,7 +152,7 @@ def _girth_check(fld: Field, args) -> None:
     if k is not None and not 1 <= k <= q - 1:
         raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
     if q > args.girth_cap:
-        raise cap_error(q, args.girth_cap, "girth")
+        raise cap_error("q", q, "girth", args.girth_cap)
 
 
 def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
@@ -191,7 +198,7 @@ def _run_job(spec):
     imported first, untimed.  Building the field and the tables its stages
     read is timed as stage "field", and each stage under its name.  The
     modulus is recorded as soon as the field exists, and the stages' checks
-    run before any table is built.  A GfppError or ValueError ends the job
+    run before any table is built.  One of _JOB_ERRORS ends the job
     with one error row and one failing verdict, in the section of the stage
     that raised it, or of the first stage while the field is built or
     checked; the stages that finished keep their rows, verdicts and times.
@@ -203,7 +210,7 @@ def _run_job(spec):
         # Factoring a large q by trial division takes long: a q above the
         # field cap is rejected first, as Field would reject it.
         if q > args.field_cap:
-            raise cap_error(q, args.field_cap, "field")
+            raise cap_error("q", q, "field", args.field_cap)
         p, e = factor_prime_power(q)
         for _, _, modules, _, _ in stages:
             for module in modules:
@@ -224,7 +231,7 @@ def _run_job(spec):
             rows += stage_rows
             verdicts += stage_verdicts
             seconds[section] = round(time.perf_counter() - t, 4)
-    except (GfppError, ValueError) as exc:
+    except _JOB_ERRORS as exc:
         row, verdict = _failure(section, "q", q, exc)
         rows.append(row)
         verdicts.append(verdict)
@@ -267,9 +274,9 @@ def _bool_cell(v) -> str:
     return "" if v is None else ("true" if v else "false")
 
 
-def _write_csv(report: dict, path) -> None:
+def _write_csv(report: dict, body: memoryview, path) -> None:
     """The sweep rows as flat CSV with a fixed column order; other row
-    kinds are JSON-only.
+    kinds are JSON-only, and a cache hit's rows are decoded from `body`.
 
     A sweep row carries q, k, a_pp, b_pp and girth_ge_8; the other columns
     are rebuilt here.  gcd_ok, k_prime (k^(-1) mod q-1), k_prime_binary
@@ -281,13 +288,14 @@ def _write_csv(report: dict, path) -> None:
 
     from .digits import digits_binary, mod_inverse
 
+    rows = report["rows"] if "rows" in report else json.loads(bytes(body))["rows"]
     mismatch_ks = {v["q"]: set(v["mismatch_ks"]) for v in report["verdicts"]
                    if v.get("section") == "criterion" and "mismatch_ks" in v}
     factors = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in report["rows"]:
+        for r in rows:
             if r.get("kind") != "sweep":
                 continue
             q, k, a_pp = r["q"], r["k"], r["a_pp"]
@@ -336,7 +344,7 @@ def _emit(report: dict, body: memoryview, args) -> bool:
                 fh.write(_timing_tail(report["timing"], t).encode())
         path = args.csv
         if path:
-            _write_csv(report, path)
+            _write_csv(report, body, path)
     except OSError as exc:
         print("[gfpp] cannot write %s: %s" % (path, exc.strerror or exc),
               file=sys.stderr)
@@ -353,8 +361,7 @@ def _emit(report: dict, body: memoryview, args) -> bool:
         print("[%s] %s%s%s%s" % (status, v.get("section", report["command"]),
                                  where, extra, skipped), file=sys.stderr)
     print("[gfpp] %s: %s in %ss" % (report["command"], report["overall"],
-                                    report["timing"].get("seconds", "?")),
-          file=sys.stderr)
+                                    report["timing"]["seconds"]), file=sys.stderr)
     return True
 
 
@@ -392,15 +399,14 @@ _TAIL_KEY = b'\n  "verdicts": '
 _TAIL_KEYS = BODY_KEYS[BODY_KEYS.index("verdicts"):]
 
 
-def _read_entry(path: str, command: str,
-                want_rows: bool) -> tuple[dict, memoryview] | None:
+def _read_entry(path: str, command: str) -> tuple[dict, memoryview] | None:
     """The report of the cache entry at `path` and a view of its body, or
     None when the entry cannot be read or fails a check.
 
     An entry is the SHA-256 hex digest of the body, a newline, and the
     body.  The body must match its digest, begin and end as _body_text lays
     out a body of `command`, and end in the keys _TAIL_KEYS; only that
-    tail is parsed, and the rows only when `want_rows` asks for them.
+    tail is parsed.
     """
     try:
         with open(path, "rb") as fh:
@@ -417,11 +423,9 @@ def _read_entry(path: str, command: str,
         return None
     try:
         report = json.loads(b"{" + data[tail:])
-        if tuple(report) != _TAIL_KEYS:
-            return None
-        if want_rows:
-            report["rows"] = json.loads(bytes(body))["rows"]
     except ValueError:
+        return None
+    if tuple(report) != _TAIL_KEYS:
         return None
     report.update(command=command, timing={"cached": True})
     return report, body
@@ -433,11 +437,11 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
     Returns the report and a view of its body's bytes, json.dumps(body,
     indent=2) plus a newline.  A hit's body is the entry's, checked by its
     digest (see _read_entry); its report holds the command, the verdicts,
-    overall and version, and the rows only under --csv.  An entry that
-    fails a check is treated as a miss: recomputed and rewritten.  An entry
-    is written to a temp file in the cache directory and renamed into
-    place, so it is never seen half-written; when it cannot be written, the
-    report is still returned and stderr says why.  A miss records the
+    overall and version, and no rows.  An entry that fails a check is
+    treated as a miss: recomputed and rewritten.  An entry is written to a
+    temp file in the cache directory and renamed into place, so it is never
+    seen half-written; when it cannot be written, the temp file is removed,
+    the report is still returned and stderr says why.  A miss records the
     seconds of encoding the body in the report's timing.encode.
     """
     path = None
@@ -446,7 +450,7 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
                "params": params}
         digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
         path = os.path.join(args.cache, "%s.json" % digest)
-        hit = _read_entry(path, command, bool(args.csv))
+        hit = _read_entry(path, command)
         if hit is not None:
             return hit
     report = compute()
@@ -454,20 +458,18 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
     body = _body_text({k: report[k] for k in BODY_KEYS}).encode()
     report["timing"]["encode"] = round(time.perf_counter() - t, 4)
     if path is not None:
+        tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             os.makedirs(args.cache, exist_ok=True)
-            tmp = "%s.%d.tmp" % (path, os.getpid())
             with open(tmp, "wb") as fh:
                 fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
                 fh.write(body)
             os.replace(tmp, path)
         except OSError as exc:
             print("[gfpp] cache not written: %s" % exc, file=sys.stderr)
+            with contextlib.suppress(OSError):  # never created
+                os.remove(tmp)
     return report, memoryview(body)
-
-
-def _overall(verdicts) -> str:
-    return "pass" if all(v.get("passed") for v in verdicts) else "fail"
 
 
 def _run_command(args) -> tuple[dict, memoryview]:
@@ -496,19 +498,19 @@ def _run_command(args) -> tuple[dict, memoryview]:
                 if p > p_cap:
                     # The grid first tests p for primality by trial
                     # division, which takes long for a huge p.
-                    raise CapExceededError("p = %d exceeds the field cap %d"
-                                           % (p, p_cap))
+                    raise cap_error("p", p, "field", p_cap)
                 from . import criterion
 
                 uh_rows, uh_verdict = criterion.upper_half_grid(p)
-            except GfppError as exc:
+            except _JOB_ERRORS as exc:
                 row, uh_verdict = _failure("upper_half", "p", p, exc)
                 uh_rows = [row]
             rows.extend(uh_rows)
             verdicts.append(uh_verdict)
+        overall = "pass" if all(v.get("passed") for v in verdicts) else "fail"
         return {"command": command, "params": params,
                 "modulus_by_q": modulus_by_q, "rows": rows, "verdicts": verdicts,
-                "overall": _overall(verdicts), "version": __version__,
+                "overall": overall, "version": __version__,
                 "timing": {"stages": seconds}}
 
     return _with_cache(args, command, params, compute)
@@ -622,20 +624,18 @@ def main(argv=None) -> int:
         parser.error("--jobs must be at least 1, got %d" % args.jobs)
     if args.command == "identities" and not (args.q or args.p):
         parser.error("identities needs --q or --p")
+    if args.command == "verify-all" and min(args.q_max, args.field_cap) < 3:
+        parser.error("verify-all needs --q-max and --field-cap of at least 3")
     if args.command == "girth":
         a, b, c, d = args.exps or (1, 1, args.k, 2 * args.k)
         args.f_exps, args.g_exps = [a, b], [c, d]
     started = time.perf_counter()
     report, body = _run_command(args)
-    report["timing"].setdefault("seconds", round(time.perf_counter() - started, 3))
+    report["timing"]["seconds"] = round(time.perf_counter() - started, 3)
     if not _emit(report, body, args):
         return 2
     return 0 if report["overall"] == "pass" else 1
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -137,9 +137,9 @@ def _poly_mod(coeffs, monic, p: int) -> int:
     return from_digits(rem[:d], p)
 
 
-def cap_error(q: int, cap: int, name: str) -> CapExceededError:
-    """The error for a q above the `name` cap ("field" or "girth")."""
-    return CapExceededError("q = %d exceeds the %s cap %d" % (q, name, cap))
+def cap_error(key: str, n: int, name: str, cap: int) -> CapExceededError:
+    """The error for a `key` (q or p) of n above the `name` cap ("field" or "girth")."""
+    return CapExceededError("%s = %d exceeds the %s cap %d" % (key, n, name, cap))
 
 
 def poly_str(coeffs) -> str:
@@ -173,7 +173,7 @@ class Field:
             raise ValueError("extension degree must be >= 1, got %d" % e)
         q = p**e
         if q > cap:
-            raise cap_error(q, cap, "field")
+            raise cap_error("q", q, "field", cap)
         self.p = p
         self.e = e
         self.q = q

@@ -95,9 +95,10 @@ def _min_cycle_from(q, rows, stab, src, best):
     depth(w) + 1.  So a scan at depth d finds only walks of length 2d + 2:
     the first one is the answer, and the scan is needed only while
     2d + 2 < best.  A vertex found at depth d + 1 is marked, so that an
-    edge to it closes a walk, but queued only if it will be scanned: the
-    last depth found, the largest, never enters the queue.  No parent is
-    kept; `level` holds depth + 1 for each vertex found and 0 for the rest.
+    edge to it closes a walk, but queued only if that rule will scan it,
+    and this push rule is the only depth limit: the source's own scan
+    closes nothing, as its q neighbors are distinct.  No parent is kept;
+    `level` holds depth + 1 for each vertex found and 0 for the rest.
     Until a cycle closes, each depth holds q - 1 times as many vertices as
     the one before, so depths stay far below the byte's 255.
     """
@@ -111,8 +112,6 @@ def _min_cycle_from(q, rows, stab, src, best):
     while queue:
         u = pop()
         lu = level[u]  # d + 1
-        if 2 * lu >= best:
-            break
         ln = lu + 1
         scanned = 2 * ln < best  # whether a vertex found now is scanned
         row, r = divmod(u, q2)
@@ -134,7 +133,7 @@ def _min_cycle_from(q, rows, stab, src, best):
 def girth(field, f_exps, g_exps, *, bound=math.inf):
     """Length of a shortest cycle of G_q(X^a Y^b, X^c Y^d), or `bound`
     when no cycle is shorter: BFS from (1, 0, 0), whose orbit every cycle
-    meets, scans only the depths d with 2d + 2 < bound."""
+    meets, queues only the vertices at depths d with 2d + 2 < bound."""
     ftab, gtab = (_monomial_table(field, *exps) for exps in (f_exps, g_exps))
     rows = list(zip(ftab, gtab)) + list(zip(zip(*ftab), zip(*gtab)))
     q = field.q

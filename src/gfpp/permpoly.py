@@ -190,18 +190,16 @@ def sweep(field) -> list[dict]:
     return [r if r["k"] == k else dict(r, k=k) for k, r in enumerate(leaders, 1)]
 
 
-def conjecture_verdict(field, which: str, records=None) -> dict:
+def conjecture_verdict(field, which: str, records: list[dict]) -> dict:
     """Exhaustive per-q check of a PP-exponent conjecture over the sweep
-    rows `records`, as the sweep section's verdict: the witness set of PP
-    exponents against the p-powers.
+    rows `records`, the field's sweep, as the sweep section's verdict: the
+    witness set of PP exponents against the p-powers.
 
     which = "A" or "B" asserts the witness set equals the p-powers exactly;
     which = "two" asserts every exponent with both maps PP is a p-power.
     """
     if which not in ("A", "B", "two"):
         raise ValueError("which must be 'A', 'B' or 'two', got %r" % (which,))
-    if records is None:
-        records = sweep(field)
     if which == "A":
         witnesses = [r["k"] for r in records if r["a_pp"]]
     elif which == "B":

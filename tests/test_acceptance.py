@@ -45,7 +45,8 @@ def report(num, label, ok, detail=""):
 def test_01_a_family_pp_exponents_are_exactly_p_powers(field_for):
     bad = []
     for q in CONJECTURE_QS:
-        v = permpoly.conjecture_verdict(field_for(q), "A")
+        fld = field_for(q)
+        v = permpoly.conjecture_verdict(fld, "A", permpoly.sweep(fld))
         if v["witnesses"] != v["expected"]:
             bad.append((q, v["witnesses"], v["expected"]))
     report(1, "A-family witness sets", not bad, repr(bad))
@@ -54,7 +55,8 @@ def test_01_a_family_pp_exponents_are_exactly_p_powers(field_for):
 def test_02_b_family_pp_exponents_are_exactly_p_powers(field_for):
     bad = []
     for q in CONJECTURE_QS:
-        v = permpoly.conjecture_verdict(field_for(q), "B")
+        fld = field_for(q)
+        v = permpoly.conjecture_verdict(fld, "B", permpoly.sweep(fld))
         if v["witnesses"] != v["expected"]:
             bad.append((q, v["witnesses"], v["expected"]))
     report(2, "B-family witness sets", not bad, repr(bad))

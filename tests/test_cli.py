@@ -309,10 +309,10 @@ def test_girth_cap(tmp_path):
     assert report["rows"][0]["girth"] == 8
 
 
-@pytest.mark.parametrize("exps", ["-1,1,1,2", "1,1,1,-2"])
+@pytest.mark.parametrize("exps", ["-1,1,1,2", "1,1,1,-2", "1,x,1,2"])
 def test_negative_exponent_is_a_usage_error(tmp_path, capsys, exps):
     # x^-1 is not a monomial exponent: the log tables would read it as the
-    # inverse and 0^-1 as 0.
+    # inverse and 0^-1 as 0.  Nor is a token that is no integer.
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "girth", "--q", "5", "--exps=" + exps)
     assert exc.value.code == 2
@@ -346,11 +346,11 @@ def test_verify_all_small(tmp_path):
     sections = {v["section"] for v in report["verdicts"]}
     assert sections == {"sweep", "criterion", "girth", "upper_half"}
     assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
-    # No odd prime power is <= 2, but the upper-half grids still run.
-    code, report = run(tmp_path, "verify-all", "--q-max", "2", name="q2.json")
+    # q-max 3 is the least that covers a field; below it verify-all is a
+    # usage error (test_nothing_to_check_is_a_usage_error).
+    code, report = run(tmp_path, "verify-all", "--q-max", "3", name="q3.json")
     assert code == 0
-    assert report["modulus_by_q"] == {}
-    assert {v["section"] for v in report["verdicts"]} == {"upper_half"}
+    assert report["modulus_by_q"] == {"3": [0, 1]}
 
 
 def test_verify_all_q_max_243_passes(tmp_path):
@@ -689,6 +689,8 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
     del short["overall"]
     edited = body.replace('"a_pp": false', '"a_pp": true', 1)
     assert edited != body
+    unquoted = body.replace('\n  "overall": "pass"', '\n  "overall": pass', 1)
+    assert unquoted != body
     for damaged in (
             # Under a valid digest: truncated; parseable but not in the
             # writer's layout; and in the writer's layout, with its head
@@ -696,6 +698,9 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
             _entry(body[: len(body) // 2]),
             _entry(json.dumps(json.loads(body), separators=(",", ":"))),
             _entry(json.dumps(short, indent=2) + "\n"),
+            # In the writer's layout, with its head and end, but a tail
+            # that is not JSON.
+            _entry(unquoted),
             # One value edited inside a row, still valid JSON in the
             # writer's layout, under the digest of the unedited body.
             digest + "\n" + edited,
@@ -753,6 +758,24 @@ def test_unwritable_cache_still_emits_the_report(tmp_path, capsys):
     (line,) = [l for l in captured.err.splitlines() if "cache" in l]
     assert line.startswith("[gfpp] cache not written: ")
     assert cache.read_text() == "not a directory"
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    # The temp file is written, but renaming it into place fails: the
+    # report is emitted all the same, and the temp file is removed.
+    cache = tmp_path / "cache"
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code = main(["field-info", "--q", "9", "--jobs", "1", "--cache", str(cache)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["rows"][0]["modulus"] == [1, 0, 1]
+    (line,) = [l for l in captured.err.splitlines() if "cache" in l]
+    assert line == "[gfpp] cache not written: rename refused"
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["verify-all", "--q-max", "27"],
@@ -900,7 +923,10 @@ def test_unwritable_output_path_is_an_error_line(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("argv", [["identities"], ["sweep", "--q", ","],
                                   ["field-info", "--q", ","],
-                                  ["identities", "--p", " "]])
+                                  ["identities", "--p", " "],
+                                  ["verify-all", "--q-max", "0"],
+                                  ["verify-all", "--q-max", "2"],
+                                  ["verify-all", "--q-max", "27", "--field-cap", "2"]])
 def test_nothing_to_check_is_a_usage_error(tmp_path, capsys, argv):
     """A command that would check nothing must not report a pass."""
     with pytest.raises(SystemExit) as exc:

@@ -153,7 +153,7 @@ def test_mod_inverse():
         mod_inverse(2, 8)
 
 
-def test_is_p_power():
+def test_p_powers():
     assert p_powers(Field(3, 2)) == [1, 3]
     f27 = Field(3, 3)
     assert [k for k in range(1, 27) if k in p_powers(f27)] == [1, 3, 9]

@@ -36,6 +36,11 @@ def test_modulus_quadratic_oracle(p):
     assert Field(p, 2).modulus == brute_smallest_irreducible_quadratic(p)
 
 
+def test_repr_names_the_modulus():
+    assert repr(Field(3, 2)) == "Field(p=3, e=2, modulus=X^2 + 1)"
+    assert repr(Field(5, 1)) == "Field(p=5, e=1, modulus=X)"
+
+
 def test_prime_field_modulus_is_x():
     fld = Field(3, 1)
     assert fld.modulus == (0, 1)

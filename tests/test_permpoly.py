@@ -76,7 +76,7 @@ def assert_kernels_match_pointwise_scan(fld, k):
             fld.q, k, kernel.__name__)
 
 
-def test_value_tables_match_pointwise_eval(f9):
+def test_scan_value_formulas_match_pointwise_eval(f9):
     # The value identities the kernels read, checked at every x = g^n != -1
     # against the pointwise maps: a_k(x) from 2kn + h + zech[k(z-n) + h],
     # b_k(x) + 2 from h + zech[2kz + h] - kn.  In GF(3) only x = 1 takes
@@ -99,7 +99,7 @@ def test_value_tables_match_pointwise_eval(f9):
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (3, 4), (4099, 1)], ids=["q27", "q81", "q4099"])
-def test_value_tables_match_pointwise_eval_q27_sample(p, e):
+def test_collisions_match_pointwise_scan_at_sampled_k(p, e):
     fld = Field(p, e)
     m = fld.q - 1
     for k in sorted({1, 3, 5, 7, 13, m // 2, m - 1, m}):
@@ -218,20 +218,32 @@ def test_pp_implies_binary_inverse_digits(f27):
             assert digits_binary(pow(r["k"], -1, 26), 3, 3) is True
 
 
+def verdict_of(fld, which):
+    return conjecture_verdict(fld, which, sweep(fld))
+
+
 def test_conjecture_verdicts():
-    assert conjecture_verdict(Field(3, 1), "A")["witnesses"] == [1]
-    assert conjecture_verdict(Field(3, 1), "A")["passed"]
-    v = conjecture_verdict(Field(3, 2), "A")
+    v = verdict_of(Field(3, 1), "A")
+    assert v["witnesses"] == [1] and v["passed"]
+    v = verdict_of(Field(3, 2), "A")
     assert v["witnesses"] == [1, 3] and v["passed"]
-    v = conjecture_verdict(Field(3, 3), "two")
+    v = verdict_of(Field(3, 3), "two")
     assert v["witnesses"] == [1, 3, 9] and v["passed"]
-    v = conjecture_verdict(Field(5, 2), "B")
+    v = verdict_of(Field(5, 2), "B")
     assert v["witnesses"] == [1, 5] and v["passed"]
+
+
+def test_conjecture_verdict_judges_the_records_it_is_given(f9):
+    # The verdict reads the rows it is passed and runs no sweep of its own.
+    records = sweep(f9)
+    v = conjecture_verdict(f9, "A", [dict(r, a_pp=True) for r in records])
+    assert v["witnesses"] == list(range(1, 9)) and not v["passed"]
+    assert conjecture_verdict(f9, "B", [])["witnesses"] == []
 
 
 def test_conjecture_verdict_rejects_unknown_which(f9):
     with pytest.raises(ValueError):
-        conjecture_verdict(f9, "both")
+        conjecture_verdict(f9, "both", sweep(f9))
 
 
 # Extension fields at which k and p*k are compared.
