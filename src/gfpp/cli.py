@@ -8,16 +8,19 @@ Every value comes from a flag or its default; no environment variable
 sets one.  A stage calls the library modules it names (permpoly,
 criterion, graphs), or none, and returns report rows and verdicts as
 dicts, so the runner only concatenates them; the girth-scan stage also
-fills in the girth_ge_8 flags of the sweep rows.  One of _JOB_ERRORS
-raised by a stage ends its field's job with an error row and a failing
-verdict in its own section, as it ends the upper-half grid of a p.  The
-report itself is a dict of BODY_KEYS plus "timing"; the runner records
-the seconds of building the field and its tables, and of each stage, in
-the report's timing.stages, keyed by q.  Commands emit a single JSON
-report on the data stream (stdout, or --json PATH) and verdict lines on
-stderr.  Reports are deterministic apart from the top-level "timing"
-entry; the exit status is 0 iff every verdict passes.  --csv is a view
-of the sweep rows that rebuilds the columns a row does not carry.
+adds its girth_ge_8 flags to the sweep rows.  Every row is a flat dict of
+scalars, with no list that the params or modulus_by_q hold and no key
+that its other keys determine but an identity row's wrap.  One of _JOB_ERRORS raised by a stage ends
+its field's job with an error row and a failing verdict in its own
+section, as it ends the upper-half grid of a p.  The report itself is a
+dict of BODY_KEYS plus "timing"; the runner records the seconds of
+building the field and its tables, and of each stage, in the report's
+timing.stages, keyed by q, and the seconds of each upper-half grid in
+timing.upper_half, keyed by p.  Commands emit a single JSON report on the
+data stream (stdout, or --json PATH) and verdict lines on stderr.
+Reports are deterministic apart from the top-level "timing" entry; the
+exit status is 0 iff every verdict passes.  --csv is a view of the sweep
+rows that rebuilds the columns a row does not carry.
 
 A report body is encoded once: the bytes the cache stores, or would store,
 are the bytes emitted, with "timing" spliced in as its last key.  A cache
@@ -56,7 +59,7 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
-CACHE_SCHEMA = 6
+CACHE_SCHEMA = 7
 
 
 # The deterministic part of a report, keys in the order they are written.
@@ -130,8 +133,8 @@ def _identities(fld: Field, args, rows: list) -> tuple[list, list]:
 
 def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
     """The girth of G_q(XY, X^kY^2k) for every k against the sweep rows,
-    whose girth_ge_8 flags it fills.  Above --girth-cap verify-all adds
-    nothing, and a command that names q fails."""
+    to each of which it adds its girth_ge_8 flag as the last key.  Above
+    --girth-cap verify-all adds nothing, and a command that names q fails."""
     if fld.q > args.girth_cap:
         if args.command == "verify-all":
             return [], []
@@ -162,30 +165,26 @@ def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
 
     q, k = fld.q, args.k
     value = graphs.girth(fld, args.f_exps, args.g_exps)
-    ge8 = value >= 8
-    row = {"kind": "girth", "q": q, "k": k,
-           "f_exps": args.f_exps, "g_exps": args.g_exps,
-           "girth": None if value == math.inf else int(value),
-           "girth_ge_8": ge8}
+    girth = None if value == math.inf else int(value)
+    row = {"kind": "girth", "q": q, "k": k, "girth": girth}
     if k is None:
-        return [row], [{"section": "girth", "q": q, "girth": row["girth"],
-                        "passed": True}]
+        return [row], [{"section": "girth", "q": q, "girth": girth, "passed": True}]
     rec = permpoly.sweep_record(fld, k)
-    row.update({"a_pp": rec["a_pp"], "b_pp": rec["b_pp"], "p_power": q % k == 0})
-    implication_ok = (not ge8) or (rec["a_pp"] and rec["b_pp"])
-    return [row], [{"section": "girth", "q": q, "k": k, "girth": row["girth"],
+    row.update(a_pp=rec["a_pp"], b_pp=rec["b_pp"])
+    implication_ok = value < 8 or (rec["a_pp"] and rec["b_pp"])
+    return [row], [{"section": "girth", "q": q, "k": k, "girth": girth,
                     "implication_ok": implication_ok, "passed": implication_ok}]
 
 
 def _field(fld: Field, args, rows: list) -> tuple[list, list]:
     return ([{"kind": "field", "q": fld.q, "p": fld.p, "e": fld.e,
-              "modulus": list(fld.modulus), "modulus_str": poly_str(fld.modulus)}],
+              "modulus_str": poly_str(fld.modulus)}],
             [{"section": "field", "q": fld.q, "passed": True}])
 
 
 _SWEEP = ("sweep", _sweep, ("permpoly",), ("log_tables",), None)
 _CRITERION = ("criterion", _criterion, ("criterion",), ("binom_tables",), None)
-_IDENTITIES = ("identities", _identities, ("criterion",), (), None)
+_IDENTITIES = ("identities", _identities, ("criterion",), ("binom_tables",), None)
 _GIRTH_SCAN = ("girth", _girth_scan, ("graphs",), ("log_tables",), None)
 _GIRTH = ("girth", _girth, ("graphs", "permpoly"), ("log_tables",), _girth_check)
 _FIELD = ("field", _field, (), (), None)
@@ -298,7 +297,7 @@ def _write_csv(report: dict, body: memoryview, path) -> None:
         for r in rows:
             if r.get("kind") != "sweep":
                 continue
-            q, k, a_pp = r["q"], r["k"], r["a_pp"]
+            q, k, a_pp, ge8 = r["q"], r["k"], r["a_pp"], r.get("girth_ge_8")
             if q not in factors:
                 factors[q] = factor_prime_power(q)
             kp = mod_inverse(k, q - 1) if math.gcd(k, q - 1) == 1 else None
@@ -309,7 +308,7 @@ def _write_csv(report: dict, body: memoryview, path) -> None:
                 "" if bad is None else _bool_cell(a_pp != (k in bad)),
                 "" if kp is None else kp,
                 "" if kp is None else _bool_cell(digits_binary(kp, *factors[q])),
-                "" if r["girth_ge_8"] is None else ("ge8" if r["girth_ge_8"] else "lt8"),
+                "" if ge8 is None else ("ge8" if ge8 else "lt8"),
                 _bool_cell(q % k == 0),
             ])
 
@@ -367,29 +366,24 @@ def _emit(report: dict, body: memoryview, args) -> bool:
 
 # -- result cache ----------------------------------------------------------
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
 def _body_text(body: dict) -> str:
-    """json.dumps(body, indent=2) plus a newline.
+    """json.dumps(body, indent=2) plus a newline, for a body whose rows are
+    flat dicts of scalars, as every command's are.
 
-    An indent makes json.dumps use its pure-Python encoder, so when every
-    row is a non-empty dict of scalars the rows are encoded in one call of
-    the C encoder instead, with the separators of the indented layout
-    between keys and between rows, and spliced into the indented dump of
-    the rest of the body.  JSON text holds no raw newline inside a string,
-    so "},\n      {" can only be the seam between two rows.
+    An indent makes json.dumps use its pure-Python encoder, so the rows are
+    encoded in one call of the C encoder instead, with the separators of
+    the indented layout between keys and between rows, and spliced into
+    the indented dump of the rest of the body.  JSON text holds no raw
+    newline inside a string, so "},\n      {" can only be the seam between
+    two rows.
     """
-    rows = body["rows"]
-    if not rows or not all(type(r) is dict and r
-                           and _SCALARS.issuperset(map(type, r.values()))
-                           for r in rows):
-        return json.dumps(body, indent=2) + "\n"
-    flat = json.dumps(rows, separators=(",\n      ", ": "))
-    flat = flat[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
     text = json.dumps(dict(body, rows=[]), indent=2)
-    return text.replace('\n  "rows": []',
-                        '\n  "rows": [\n    {\n      %s\n    }\n  ]' % flat, 1) + "\n"
+    if body["rows"]:
+        flat = json.dumps(body["rows"], separators=(",\n      ", ": "))
+        flat = flat[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        text = text.replace('\n  "rows": []',
+                            '\n  "rows": [\n    {\n      %s\n    }\n  ]' % flat, 1)
+    return text + "\n"
 
 
 # The top-level key after "rows" as _body_text lays it out.  A string holds
@@ -493,25 +487,28 @@ def _run_command(args) -> tuple[dict, memoryview]:
             qs = [args.q] if command == "girth" else args.q
             ps, p_cap = getattr(args, "p", ()), args.field_cap
         modulus_by_q, rows, verdicts, seconds = _run_jobs(stages, qs, args)
+        uh_seconds = {}
         for p in ps:
+            from . import criterion  # before the grid's clock starts
+
+            t = time.perf_counter()
             try:
                 if p > p_cap:
                     # The grid first tests p for primality by trial
                     # division, which takes long for a huge p.
                     raise cap_error("p", p, "field", p_cap)
-                from . import criterion
-
                 uh_rows, uh_verdict = criterion.upper_half_grid(p)
             except _JOB_ERRORS as exc:
                 row, uh_verdict = _failure("upper_half", "p", p, exc)
                 uh_rows = [row]
             rows.extend(uh_rows)
             verdicts.append(uh_verdict)
+            uh_seconds[str(p)] = round(time.perf_counter() - t, 4)
         overall = "pass" if all(v.get("passed") for v in verdicts) else "fail"
         return {"command": command, "params": params,
                 "modulus_by_q": modulus_by_q, "rows": rows, "verdicts": verdicts,
                 "overall": overall, "version": __version__,
-                "timing": {"stages": seconds}}
+                "timing": {"stages": seconds, "upper_half": uh_seconds}}
 
     return _with_cache(args, command, params, compute)
 

@@ -127,7 +127,8 @@ def pp_criterion(field, k: int) -> bool:
 
 def cross_check(field, records) -> tuple[list[dict], dict]:
     """The criterion against the direct a_pp flag of every sweep row: one
-    row per k where the two disagree, and the field's verdict.
+    row per k where the two disagree, which carries the direct flag (the
+    criterion's is its negation), and the field's verdict.
 
     The criterion runs once per Frobenius orbit k -> p*k mod q-1, through
     digits.per_orbit and this module's attribute: k -> p*k rotates the
@@ -136,8 +137,7 @@ def cross_check(field, records) -> tuple[list[dict], dict]:
     """
     q = field.q
     flags = per_orbit(field.p, field.e, lambda k: pp_criterion(field, k))
-    rows = [{"kind": "criterion_mismatch", "q": q, "k": r["k"],
-             "direct": r["a_pp"], "criterion": flags[r["k"] - 1]}
+    rows = [{"kind": "criterion_mismatch", "q": q, "k": r["k"], "direct": r["a_pp"]}
             for r in records if r["a_pp"] != flags[r["k"] - 1]]
     mismatch_ks = [row["k"] for row in rows]
     return rows, {"section": "criterion", "q": q, "checked": q - 1,
@@ -203,6 +203,10 @@ def support_identity_rhs(p: int, x: int, y: int, u: int, v: int) -> int:
 def identity_grid(field) -> tuple[list[dict], dict]:
     """All (l, t, u, v) grid points of the support identity for one field.
 
+    A row is {kind, q, l, t, u, v, lhs, rhs, wrap}; s = (q-1)/2 - (u + v*p^t)
+    and the support split (x, y) = xy_params(l, t, p, e) are functions of
+    those keys, and whether a point matches is lhs == rhs.
+
     The u = v = 0 corner makes 2s = q-1, which empties the row sum (every
     C(i, 2s) with i <= q-2 vanishes) while the closed form's single
     a = b = 0 term is 1, so the displayed congruence cannot extend there.
@@ -228,16 +232,14 @@ def identity_grid(field) -> tuple[list[dict], dict]:
             x, y = xy_params(l, t, p, e)
             for u in range(h + 1):
                 for v in range(h + 1):
-                    lhs = support_identity_lhs(field, l, t, u, v)
-                    rhs = support_identity_rhs(p, x, y, u, v)
                     rows.append({"kind": "identity", "q": q, "l": l, "t": t,
                                  "u": u, "v": v,
-                                 "s": (q - 1) // 2 - (u + v * p**t),
-                                 "x": x, "y": y, "lhs": lhs, "rhs": rhs,
-                                 "match": lhs == rhs, "wrap": u == 0 and v == 0})
+                                 "lhs": support_identity_lhs(field, l, t, u, v),
+                                 "rhs": support_identity_rhs(p, x, y, u, v),
+                                 "wrap": u == 0 and v == 0})
     wrap_rows = [r for r in rows if r["wrap"]]
     wrap_as_analyzed = all((r["lhs"], r["rhs"]) == (0, 1) for r in wrap_rows)
-    mismatches = sum(not r["match"] for r in rows if not r["wrap"])
+    mismatches = sum(r["lhs"] != r["rhs"] for r in rows if not r["wrap"])
     verdict = {"section": "identities", "q": q, "points": len(rows),
                "wrap_points": len(wrap_rows), "wrap_as_analyzed": wrap_as_analyzed,
                "mismatches": mismatches,
@@ -281,13 +283,10 @@ def upper_half_grid(p: int) -> tuple[list[dict], dict]:
     raises NotPrimeError when p is not an odd prime."""
     if not is_prime(p) or p == 2:
         raise NotPrimeError("p = %d is not an odd prime" % p)
-    rows = []
-    for x in UPPER_HALF_X_RANGE:
-        for y in UPPER_HALF_Y_RANGE:
-            val = upper_half_sum(p, x, y)
-            rows.append({"kind": "upper_half", "p": p, "x": x, "y": y,
-                         "value": val, "match": val == 1})
-    mismatches = sum(not r["match"] for r in rows)
+    rows = [{"kind": "upper_half", "p": p, "x": x, "y": y,
+             "value": upper_half_sum(p, x, y)}
+            for x in UPPER_HALF_X_RANGE for y in UPPER_HALF_Y_RANGE]
+    mismatches = sum(r["value"] != 1 for r in rows)
     verdict = {"section": "upper_half", "p": p, "points": len(rows),
                "mismatches": mismatches, "passed": mismatches == 0}
     return rows, verdict

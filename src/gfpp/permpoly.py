@@ -10,8 +10,8 @@ scans both maps over the field in one fixed order, x = 0, x = -1, then
 x = g^n in log order, and stops at the first collision, two inputs with
 one value: a map permutes GF(q) iff it has none.  A non-permutation
 usually collides after about sqrt(q) inputs, so only the permutations
-cost O(q).  A sweep row, a report dict, holds the two flags of one k and
-nothing that is a function of (q, k) alone.
+cost O(q).  A sweep row is a flat report dict, {kind, q, k, a_pp, b_pp}:
+the two flags of one k and nothing that is a function of (q, k) alone.
 
 The scans (a_collision, b_collision) work in the log domain of
 Field.log_tables (Lidl-Niederreiter, ch. 2): with m = q-1, h = m/2
@@ -166,8 +166,7 @@ def sweep_record(field, k: int) -> dict:
     """The sweep row of one exponent: its direct PP flags.
 
     A map whose built pair collides is no PP; any other is scanned to its
-    first collision.  girth_ge_8 is None here; the command line's girth
-    stage fills it in.
+    first collision.
     """
     return {
         "kind": "sweep",
@@ -175,7 +174,6 @@ def sweep_record(field, k: int) -> dict:
         "k": k,
         "a_pp": _a_pair(field, k) is None and a_collision(field, k) is None,
         "b_pp": _b_pair(field, k) is None and b_collision(field, k) is None,
-        "girth_ge_8": None,
     }
 
 

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -30,6 +31,10 @@ def run_csv(tmp_path, *argv):
     with out.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     return code, report, rows
+
+
+# A sweep row's keys, in order, where no girth scan ran.
+SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp")
 
 
 def test_sweep_report_shape(tmp_path):
@@ -90,10 +95,10 @@ def test_sweep_with_girth_flag(tmp_path):
     assert [(v["section"], v["passed"]) for v in report["verdicts"]] == [
         ("sweep", True), ("girth", True)]
     assert report["verdicts"][1]["witnesses"] == [1]
-    # without the flag the girth column stays empty
+    # without the flag the sweep rows carry no girth key
     code, report = run(tmp_path, "sweep", "--q", "3", name="plain.json")
     assert code == 0
-    assert [r["girth_ge_8"] for r in report["rows"]] == [None, None]
+    assert [tuple(r) for r in report["rows"]] == [SWEEP_KEYS] * 2
 
 
 def test_sweep_with_girth_fails_on_a_girth_disagreement(tmp_path, monkeypatch):
@@ -123,7 +128,7 @@ def test_sweep_with_criterion_fails_on_a_criterion_disagreement(tmp_path, monkey
     bad = [r["k"] for r in sweep_rows if not r["a_pp"]]
     assert bad == [2, 4, 5, 6, 7, 8]
     assert mismatches == [{"kind": "criterion_mismatch", "q": 9, "k": k,
-                           "direct": False, "criterion": True} for k in bad]
+                           "direct": False} for k in bad]
     assert [r["criterion"] for r in csv_rows] == ["true"] * 8
     sweep_verdict, criterion_verdict = report["verdicts"]
     assert sweep_verdict["passed"]
@@ -145,7 +150,7 @@ def test_sweep_girth_cap_error_keeps_modulus(tmp_path):
     assert code == 1
     *sweep_rows, row = report["rows"]
     assert [r["k"] for r in sweep_rows] == list(range(1, 19))
-    assert all(r["kind"] == "sweep" and r["girth_ge_8"] is None for r in sweep_rows)
+    assert all(tuple(r) == SWEEP_KEYS for r in sweep_rows)
     assert row["kind"] == "error" and "CapExceeded" in row["error"]
     sweep_verdict, girth_verdict = report["verdicts"]
     assert sweep_verdict["section"] == "sweep" and sweep_verdict["passed"]
@@ -182,7 +187,9 @@ def test_identities_q27(tmp_path):
     wrap_rows = [r for r in report["rows"] if r["wrap"]]
     assert len(wrap_rows) == 12
     assert all((r["lhs"], r["rhs"]) == (0, 1) for r in wrap_rows)
-    assert all(r["match"] for r in report["rows"] if not r["wrap"])
+    assert all(r["lhs"] == r["rhs"] for r in report["rows"] if not r["wrap"])
+    assert all(tuple(r) == ("kind", "q", "l", "t", "u", "v", "lhs", "rhs", "wrap")
+               for r in report["rows"])
 
 
 def test_identities_small_e_is_skipped(tmp_path):
@@ -230,11 +237,12 @@ def test_girth_command(tmp_path):
     code, report = run(tmp_path, "girth", "--q", "5", "--k", "1")
     assert code == 0
     (row,) = report["rows"]
-    assert row["girth"] == 8 and row["girth_ge_8"]
+    assert row == {"kind": "girth", "q": 5, "k": 1, "girth": 8, "a_pp": True,
+                   "b_pp": True}
     code, report = run(tmp_path, "girth", "--q", "3", "--k", "2")
     assert code == 0
     (row,) = report["rows"]
-    assert row["girth"] < 8 and not row["girth_ge_8"]
+    assert row["girth"] < 8
     assert not row["a_pp"]
 
 
@@ -257,6 +265,59 @@ def test_girth_stages_find_the_log_tables_built(tmp_path, monkeypatch, argv, tar
     code, report = run(tmp_path, *argv)
     assert code == 0
     assert built and all(built)
+
+
+# Each Field table method and the attribute that caches its tables.
+TABLES = {"log_tables": "_logs", "binom_tables": "_binoms"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--q", "9,27", "--with-criterion", "--with-girth", "--girth-cap", "27"),
+    ("identities", "--q", "27", "--p", "3"),
+    ("girth", "--q", "9", "--k", "3"),
+    ("girth", "--q", "9", "--exps", "1,1,1,2"),
+    ("verify-all", "--q-max", "27"),
+    ("field-info", "--q", "27"),
+], ids=lambda argv: argv[0] + ("-exps" if "--exps" in argv else ""))
+def test_no_table_is_first_built_inside_a_stage_clock(tmp_path, monkeypatch, argv):
+    # Every table a stage reads is declared, so the runner builds it under
+    # "field" and no stage's seconds include building it.
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    stage_code = {stage[1].__code__: stage[0] for sp in sub.choices.values()
+                  for stage in sp.get_default("stages")}
+    late = []
+    for method, attr in TABLES.items():
+        real = getattr(cli.Field, method)
+
+        def spy(fld, real=real, method=method, attr=attr):
+            frame = sys._getframe(1)
+            while getattr(fld, attr) is None and frame is not None:
+                if frame.f_code in stage_code:
+                    late.append((stage_code[frame.f_code], fld.q, method))
+                    break
+                frame = frame.f_back
+            return real(fld)
+
+        monkeypatch.setattr(cli.Field, method, spy)
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    assert late == []
+
+
+def test_upper_half_grids_are_timed_outside_the_body(tmp_path):
+    # Each p's grid, an error included, is timed under timing.upper_half,
+    # keyed by str(p); a cache hit runs no grid and records none.
+    argv = ["identities", "--p", "3,4,211", "--cache", str(tmp_path / "cache")]
+    code, report = run(tmp_path, *argv)
+    assert code == 1
+    timing = report["timing"]
+    assert timing["stages"] == {}
+    assert list(timing["upper_half"]) == ["3", "4", "211"]
+    assert all(isinstance(v, float) and v >= 0 for v in timing["upper_half"].values())
+    code, report = run(tmp_path, *argv)
+    assert code == 1
+    assert report["timing"]["cached"] is True and "upper_half" not in report["timing"]
 
 
 @pytest.mark.parametrize("q,k,error", [
@@ -284,7 +345,8 @@ def test_girth_arguments_are_checked_before_any_table(tmp_path, monkeypatch,
 def test_girth_command_exps(tmp_path):
     code, report = run(tmp_path, "girth", "--q", "3", "--exps", "1,1,1,2")
     assert code == 0
-    assert report["rows"][0]["girth"] == 8
+    assert report["rows"] == [{"kind": "girth", "q": 3, "k": None, "girth": 8}]
+    assert report["params"]["f_exps"] == [1, 1] and report["params"]["g_exps"] == [1, 2]
 
 
 def test_girth_command_cap(tmp_path):
@@ -334,9 +396,10 @@ def test_field_info(tmp_path):
     code, report = run(tmp_path, "field-info", "--q", "27,9")
     assert code == 0
     rows = report["rows"]
+    assert rows[0] == {"kind": "field", "q": 9, "p": 3, "e": 2,
+                       "modulus_str": "X^2 + 1"}
     assert [r["q"] for r in rows] == [9, 27]
-    assert rows[0]["modulus"] == [1, 0, 1]
-    assert rows[0]["modulus_str"] == "X^2 + 1"
+    assert report["modulus_by_q"]["9"] == [1, 0, 1]
 
 
 def test_verify_all_small(tmp_path):
@@ -380,7 +443,7 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
         kind for q in qs for kind in ["sweep"] * (q - 1) + ["error"]]
     assert [(r["q"], r["k"]) for r in sweep_rows] == [
         (q, k) for q in qs for k in range(1, q)]
-    assert all(r["girth_ge_8"] is None for r in sweep_rows)
+    assert all(tuple(r) == SWEEP_KEYS for r in sweep_rows)
     # No criterion stage finished, so the CSV's criterion column is empty.
     assert len(csv_rows) == len(sweep_rows)
     assert all(r["criterion"] == "" and r["girth_class"] == "" for r in csv_rows)
@@ -412,29 +475,29 @@ def test_verify_all_deterministic(tmp_path):
 # the old body would go stale.
 GOLDEN_DIGESTS = {
     "sweep --q 729,1327 --which two":
-        "39fcd2080ae8a68d6cd5e622473d55195babd1495514b8c7da7a291aad4f5f22",
+        "2e9a61438beac1c484cb86a56606bb94901c6f4a2cfcda48848b4757f7d1b183",
     "verify-all --q-max 27":
-        "ed3a9f1fe5ec7b075249ed630bd57f4621390e73276b9fde0dcd658dca21ddb7",
+        "ab4951cbff55f035439c79d994cbcb2a65e7d0d1a6a5c34f22174bfff03186e9",
     "girth --q 9 --k 3":
-        "81abc82839f585414415255a28557a2e29f91fefb3d7bdd7bd5d21a6c4aefb3c",
+        "b9d9715affe9aaf9b91996af4df234790ef6366068b759b6868837f9fcc48f08",
     "identities --q 27,243 --p 3,13":
-        "0f095fb4985a232762293961968592993b7c9fe00b9fafa6c8841d0e3cd37d58",
+        "48c6cbf0de6398eacd0fbd9f6f66e39a28a165c6bcf5e8eb28baa5214578e287",
     "sweep --q 5,9 --with-criterion --with-girth":
         "f21a44bc96a80e97c71d2ccc4cf98f533a9b2111b2903048b88bc48b02a94723",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "2557589d1bab3dfd18804c156f9036f613ce2de9115155698a6629a6b7e5a431",
+        "125c7099a437ab24ca94374248161c315f4d4f44d8758c038add61af5e78082b",
     "girth --q 5 --exps 1,1,1,2":
-        "5c90d0918cc8a5c6f7d139e561a260ef45c5208c7f9a5302db82a2fbf665a2a5",
+        "d2305fc28df368b76be5723287aae2ff5a0c1dc81f0cb739f9be6080ed5f11de",
     "field-info --q 9,27":
-        "03db3b58ab4121212cb49929c5a4bf51a73abbb6d13f0ed6503fa9791afb38d9",
+        "78d7c3851a4eddd49e2408637b12780134bed87c5e3f216c2cac22ec4612ce02",
     "verify-all --q-max 81":
-        "7a390da48a460237d4a4d21bbabceda186c4c8c3175a0c03d37126b5fd265ae6",
+        "a5c51b30e168834059b51ab85da4cd4784e5c142d0473e900e939e864f9dee94",
     "identities --q 9":
         "b6a4d1baf80f496e4df987079572d4a4ca9daf1b66dd0511e81f506a8f1ef454",
     "girth --q 5 --k 9":
         "018948fc8768a3e126206ac0d7932b768081330ed2199238147e04224515ce05",
     "sweep --q 19 --with-girth":
-        "4a6eab1997d1139968250585a31dea7c9dff0761bb88acc16457db96a3a11b4c",
+        "4dbbb57861d0e0cb85e6264dd07bd7854d6a7d6969c5f100dad5a10e5b6c5a1f",
 }
 
 # SHA-256 of the emitted body text as written, everything before its
@@ -442,29 +505,29 @@ GOLDEN_DIGESTS = {
 # too; the digests above sort the keys away.
 GOLDEN_TEXT_DIGESTS = {
     "sweep --q 729,1327 --which two":
-        "35134c914d3ba840edf38bfd27e9237353ec43c5ba7debe19fb091974680563b",
+        "96ff9eee49cd37cef8dcd2a0babeddb51a2531c33f64542d1cae0273caacbddf",
     "verify-all --q-max 27":
-        "ddcd329aad0d75d89e179a60564d1505a8c8d804a765daaa5cd7011e8cc13da5",
+        "85576681c846dfd41e2340bd2327bcf3e95afb5cabf37c829d5739acd006716f",
     "girth --q 9 --k 3":
-        "b65301818c07365d366266d3f23541b09731162dbfaac5e026c3412c619da2c1",
+        "482aaa8459e103741238d212ca96690d560bed6b07072a0a6413a54f1cfdf831",
     "identities --q 27,243 --p 3,13":
-        "7cc811a94f3a9daa230279f8a8bf2f4149f0a6e4c7527ce323ed8b35ee2125ed",
+        "ea3e02e071aef1da66ca8669bce64fe84a9bac51473d7845ee157f8f80c91194",
     "sweep --q 5,9 --with-criterion --with-girth":
         "6d46082d44165c9bad9b81f80a2d24640ac182339d36d951eb03e9fd09b0f189",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "4c806fa8c2b0da9660bba1dc5a44fd69780226a7d0481e01d731d15b43b8a433",
+        "6fc6d1e24ad07d7ea63e758d9a54d2c791a982a0c2223afa84fdbba3a66a0edf",
     "girth --q 5 --exps 1,1,1,2":
-        "209f9975a9632b571ceaac58db430448d0f238606c315d2aef4f36323c4297ea",
+        "75d34da084110d623af80aa32bc9f5e77eb543230e633b6357620c710d3c38c4",
     "field-info --q 9,27":
-        "2df71ab186d523dba3976a96510f33eaebbb42b20692ae8c2ff2f3e3f216453a",
+        "d6754e5d2a14e2180fe76c8f1ef0a840e5fa00c2d53f300a9fb93aa4861a6ee0",
     "verify-all --q-max 81":
-        "196001f9aac2047899f71c8d7d843232818592192d937929a34b543a25aeb082",
+        "af7d4cde0eea9664a1fc9af3c5a29cb0debde145e7d959a7a0728a082f584337",
     "identities --q 9":
         "b755d5828e55eeb43bca674ade1711f87b5c640a5c1dc0749b6f0336b181fb3b",
     "girth --q 5 --k 9":
         "653e7a8fb79a43ce506c54afc1cf25e13e188db0c4688686489e35ed9281f6e2",
     "sweep --q 19 --with-girth":
-        "563640e26100d4b2925be3b65fc1b789c557e702cd482f2d9f43c463ccf43204",
+        "17628d41932d4fedeed660943e2a758b43146fba938bd40b617317356c9e9196",
 }
 
 # Golden commands whose report fails: q = 9 is above the girth cap of 5
@@ -519,21 +582,20 @@ def test_csv_digest_is_golden(tmp_path, command):
         assert got == GOLDEN_CSV_DIGESTS[command], (command, cached, got)
 
 
-SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp", "girth_ge_8")
-
-
 @pytest.mark.parametrize("argv", [["verify-all", "--q-max", "27"],
                                   ["sweep", "--q", "5,9", "--with-criterion",
                                    "--with-girth"]])
 def test_sweep_rows_carry_only_the_flags(tmp_path, argv):
     # The stages that judge the sweep add no key to its rows but girth_ge_8,
-    # and the girth-scan rows carry the flag alone.
+    # last, where the girth scan ran, and the girth-scan rows carry the
+    # flag alone.
     code, report = run(tmp_path, *argv)
     assert code == 0
     sweep_rows = [r for r in report["rows"] if r["kind"] == "sweep"]
     girth_rows = [r for r in report["rows"] if r["kind"] == "girth"]
     assert sweep_rows and girth_rows
-    assert all(tuple(r) == SWEEP_KEYS for r in sweep_rows)
+    assert all(tuple(r) == SWEEP_KEYS + (("girth_ge_8",) if r["q"] <= 17 else ())
+               for r in sweep_rows)
     assert all(tuple(r) == ("kind", "q", "k", "girth_ge_8") for r in girth_rows)
     flags = {(r["q"], r["k"]): r["girth_ge_8"] for r in girth_rows}
     assert {(r["q"], r["k"]): r["girth_ge_8"] for r in sweep_rows if r["q"] <= 17} == flags
@@ -754,7 +816,7 @@ def test_unwritable_cache_still_emits_the_report(tmp_path, capsys):
     code = main(["field-info", "--q", "9", "--jobs", "1", "--cache", str(cache)])
     assert code == 0
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["rows"][0]["modulus"] == [1, 0, 1]
+    assert json.loads(captured.out)["modulus_by_q"] == {"9": [1, 0, 1]}
     (line,) = [l for l in captured.err.splitlines() if "cache" in l]
     assert line.startswith("[gfpp] cache not written: ")
     assert cache.read_text() == "not a directory"
@@ -772,19 +834,21 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     code = main(["field-info", "--q", "9", "--jobs", "1", "--cache", str(cache)])
     assert code == 0
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["rows"][0]["modulus"] == [1, 0, 1]
+    assert json.loads(captured.out)["modulus_by_q"] == {"9": [1, 0, 1]}
     (line,) = [l for l in captured.err.splitlines() if "cache" in l]
     assert line == "[gfpp] cache not written: rename refused"
     assert list(cache.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [["verify-all", "--q-max", "27"],
-                                  ["sweep", "--q", "9"],
-                                  ["field-info", "--q", "9"]])
+SCALARS = (str, int, bool, type(None))
+
+
+@pytest.mark.parametrize("argv", [c.split() for c in GOLDEN_DIGESTS])
 def test_emitted_text_is_the_indented_dump(tmp_path, capsys, argv):
     """Cold and cached, to --json and to stdout, the report is spliced from
     the stored body text yet reads exactly as json.dumps(report, indent=2)
-    writes it."""
+    writes it, and every row, of every kind and of the error and skipped
+    cases, is a flat dict of scalars, as _body_text's one path needs."""
     out = tmp_path / "out.json"
     for dest in (["--json", str(out)], []):
         cache = tmp_path / ("cache%d" % len(dest))
@@ -792,7 +856,10 @@ def test_emitted_text_is_the_indented_dump(tmp_path, capsys, argv):
             main(argv + ["--jobs", "1", "--cache", str(cache)] + dest)
             text = out.read_text() if dest else capsys.readouterr().out
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
-            assert json.loads(text)["timing"].get("cached") is cached
+            report = json.loads(text)
+            assert report["timing"].get("cached") is cached
+            assert all(type(r) is dict and r and all(type(v) in SCALARS for v in r.values())
+                       for r in report["rows"])
 
 
 def _body(rows):
@@ -812,11 +879,7 @@ ERROR_TEXT = 'say "hi" \\ back\nslash},\n      {"q": 1} \u00e9\u2264 },'
     [{"kind": "error", "q": 9, "error": ERROR_TEXT},
      {"kind": "error", "q": 11, "error": "},"}, {"kind": "ratio", "x": 0.5}],
     [{"kind": "sweep", "k": 1, "flag": False}, {"kind": "sweep", "k": None}],
-    [{"kind": "sweep", "k": 1}, {"kind": "field", "modulus": [1, 0, 1]}],
-    [{"kind": "girth", "exps": {"f": [1, 1]}}],
-    [{"kind": "sweep", "k": 1}, {}],
-], ids=["empty", "one-row", "error-strings", "none-and-bool", "list-value",
-        "dict-value", "empty-row"])
+], ids=["empty", "one-row", "error-strings", "none-and-bool"])
 def test_body_text_is_the_indented_dump(rows):
     body = _body(rows)
     assert cli._body_text(body) == json.dumps(body, indent=2) + "\n"
@@ -992,9 +1055,9 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
 # before are no longer found.
 GOLDEN_ENTRY_NAMES = {
     "verify-all --q-max 243 --jobs 1 --field-cap 1000000 --girth-cap 17":
-        "cf69fc74210903725f5b958109740af250982a16d3f5b21ad6d1a504a6d5307d.json",
+        "381e1530b7565b9b7f5f2787198ed506d4858b7575bb8252d575677d6ad98a7b.json",
     "sweep --q 729,1327 --which two --jobs 1 --field-cap 1000000 --girth-cap 17":
-        "da4cd3d6de0d9744e257d3f0e959430c68c167e1a29305208fe1c4727435e166.json",
+        "0ab7cf6b7e3d302633e0c294a08cdea1546db54a2006d98e831b729c47e286bb.json",
 }
 
 

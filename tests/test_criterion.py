@@ -282,9 +282,10 @@ def test_support_identity_lhs_equals_the_exact_oracle_q81():
     q, h = fld.q, (fld.q - 1) // 2
     rows, _ = identity_grid(fld)
     for r in rows:
-        top = star_reduce(r["l"] * (r["s"] + h), q)
-        assert r["lhs"] == _exact_row_sum(fld, r["l"], top, 2 * r["s"]), r
-    bad = [(r["lhs"], r["rhs"]) for r in rows if not r["wrap"] and not r["match"]]
+        s = h - (r["u"] + r["v"] * fld.p ** r["t"])
+        top = star_reduce(r["l"] * (s + h), q)
+        assert r["lhs"] == _exact_row_sum(fld, r["l"], top, 2 * s), r
+    bad = [(r["lhs"], r["rhs"]) for r in rows if not r["wrap"] and r["lhs"] != r["rhs"]]
     assert bad == []
 
 
@@ -348,8 +349,7 @@ def test_cross_check_reports_each_disagreeing_k(f9, monkeypatch):
     monkeypatch.setattr(criterion, "pp_criterion", lambda fld, k: k == 2)
     rows, verdict = cross_check(f9, records)
     assert rows == [
-        {"kind": "criterion_mismatch", "q": 9, "k": k, "direct": k in (1, 3),
-         "criterion": k in (2, 6)}
+        {"kind": "criterion_mismatch", "q": 9, "k": k, "direct": k in (1, 3)}
         for k in (1, 2, 3, 6)]
     assert verdict == {"section": "criterion", "q": 9, "checked": 8,
                        "mismatch_ks": [1, 2, 3, 6], "passed": False}
@@ -527,10 +527,11 @@ def test_identity_grid_even_e_matches_off_the_u0v0_corner(p, e, corner):
     h = (p - 1) // 2
     rows, verdict = identity_grid(Field(p, e))
     assert [(r["lhs"], r["rhs"]) for r in rows
-            if (r["x"], r["y"]) == (e // 2, 0) and r["u"] == r["v"] == h] == corner
+            if xy_params(r["l"], r["t"], p, e) == (e // 2, 0) and r["u"] == r["v"] == h
+            ] == corner
     wrap_rows = [r for r in rows if r["wrap"]]
     assert wrap_rows and all((r["lhs"], r["rhs"]) == (0, 1) for r in wrap_rows)
-    assert [r for r in rows if not r["wrap"] and not r["match"]] == []
+    assert [r for r in rows if not r["wrap"] and r["lhs"] != r["rhs"]] == []
     assert verdict == {"section": "identities", "q": p**e, "points": len(rows),
                        "wrap_points": len(wrap_rows), "wrap_as_analyzed": True,
                        "mismatches": 0, "passed": True}

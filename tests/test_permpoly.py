@@ -123,7 +123,7 @@ def test_a3_is_pp_of_f9(f9):
     assert a_collision(f9, 3) is None
 
 
-def test_first_collision_basics():
+def test_a_b_collision_hand_worked_pairs():
     # Pairs worked by hand.  GF(3): a_2(1) = 1 * (2^2 - 1) = 0 = a_2(0);
     # b_1 is the identity.  GF(5): a_2(x) = 2x^3 + x^2, and in the scan order
     # 0, 4, 1, 2, 3 (g = 2) a_2 takes 0, 4, 3, 0, so the pair is (0, 2).
@@ -143,7 +143,7 @@ class CountingList(list):
             yield item
 
 
-def test_first_collision_stops_reading_at_the_collision(monkeypatch):
+def test_a_b_collision_stop_reading_at_the_collision(monkeypatch):
     # A scan reads zech in log order up to its second colliding input and
     # no further: x2 = g^n is the (n+1)-th item read.  A PP (k = 5 at
     # q = 25) reads all q-1 items.
@@ -161,20 +161,20 @@ def test_first_collision_stops_reading_at_the_collision(monkeypatch):
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)],
                          ids=["q3", "q5", "q7", "q9", "q25", "q27", "q81"])
-def test_first_collision_matches_pointwise_oracle(p, e):
+def test_a_b_collision_match_pointwise_scan_at_every_k(p, e):
     fld = Field(p, e)
     for k in range(1, fld.q):
         assert_kernels_match_pointwise_scan(fld, k)
 
 
-SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp", "girth_ge_8")
+SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp")
 
 
 def test_sweep_record_q9_k3(f9):
     # The row holds the flags and nothing that is a function of (q, k):
     # the command line's CSV view rebuilds those columns.
     assert sweep_record(f9, 3) == {"kind": "sweep", "q": 9, "k": 3, "a_pp": True,
-                                   "b_pp": True, "girth_ge_8": None}
+                                   "b_pp": True}
     assert tuple(sweep_record(f9, 3)) == SWEEP_KEYS
 
 
