@@ -10,17 +10,19 @@ criterion, graphs), or none, and returns report rows and verdicts as
 dicts, so the runner only concatenates them; the girth-scan stage also
 adds its girth_ge_8 flags to the sweep rows.  Every row is a flat dict of
 scalars, with no list that the params or modulus_by_q hold and no key
-that its other keys determine but an identity row's wrap.  One of _JOB_ERRORS raised by a stage ends
-its field's job with an error row and a failing verdict in its own
-section, as it ends the upper-half grid of a p.  The report itself is a
-dict of BODY_KEYS plus "timing"; the runner records the seconds of
-building the field and its tables, and of each stage, in the report's
-timing.stages, keyed by q, and the seconds of each upper-half grid in
-timing.upper_half, keyed by p.  Commands emit a single JSON report on the
-data stream (stdout, or --json PATH) and verdict lines on stderr.
-Reports are deterministic apart from the top-level "timing" entry; the
-exit status is 0 iff every verdict passes.  --csv is a view of the sweep
-rows that rebuilds the columns a row does not carry.
+that its other keys determine but an identity row's wrap.  A stage's
+check says, before any table is built, whether the stage serves a field;
+the runner alone decides what a skip reports.  One of _JOB_ERRORS raised
+by a stage ends its field's job with an error row and a failing verdict
+in its own section, as it ends the upper-half grid of a p.  The report
+itself is a dict of BODY_KEYS plus "timing"; the runner records the
+seconds of building the field and its tables, and of each stage that
+runs, in the report's timing.stages, keyed by q, and the seconds of each
+upper-half grid in timing.upper_half, keyed by p.  Commands emit a single
+JSON report on the data stream (stdout, or --json PATH) and verdict lines
+on stderr.  Reports are deterministic apart from the top-level "timing"
+entry; the exit status is 0 iff every verdict passes.  --csv is a view
+of the sweep rows that rebuilds the columns a row does not carry.
 
 A report body is encoded once: the bytes the cache stores, or would store,
 are the bytes emitted, with "timing" spliced in as its last key.  A cache
@@ -59,7 +61,7 @@ CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
 
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
-CACHE_SCHEMA = 7
+CACHE_SCHEMA = 8
 
 
 # The deterministic part of a report, keys in the order they are written.
@@ -75,10 +77,11 @@ BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
 # before it, and returns the rows and verdicts it adds; `modules` names the
 # gfpp modules it imports and `tables` the Field methods that build the
 # tables it reads, both of which the runner loads first, outside the stage
-# clocks; check(fld, args), or None, rejects arguments the stage cannot
-# serve before any table is built.  A command is the list of stages it runs
-# on each field.  Stage functions are top-level so that they pickle for the
-# process pool.
+# clocks.  check(fld, args), or None, runs before any table is built: it
+# raises for arguments the stage cannot take, and returns why the stage
+# does not serve this field, or None when it does.  A command is the list
+# of stages it runs on each field.  Stage functions are top-level so that
+# they pickle for the process pool.
 
 # What ends a unit of work, a field's job or a p's upper-half grid, with an
 # error row and a failing verdict instead of a traceback.
@@ -98,14 +101,12 @@ def _sweep_rows(rows: list) -> list:
 
 
 def _sweep(fld: Field, args, rows: list) -> tuple[list, list]:
-    """Every exponent's sweep row, judged for --which, or for each family
-    under verify-all."""
+    """Every exponent's sweep row, judged for each of args.families."""
     from . import permpoly
 
     records = permpoly.sweep(fld)
-    families = ("A", "B", "two") if args.command == "verify-all" else (args.which,)
     return records, [permpoly.conjecture_verdict(fld, w, records=records)
-                     for w in families]
+                     for w in args.families]
 
 
 def _criterion(fld: Field, args, rows: list) -> tuple[list, list]:
@@ -117,28 +118,28 @@ def _criterion(fld: Field, args, rows: list) -> tuple[list, list]:
     return cc_rows, [verdict]
 
 
+def _identities_check(fld: Field, args) -> str | None:
+    """The support-identity grid is defined for e >= 3."""
+    return "ParamDomain: e = %d < 3" % fld.e if fld.e < 3 else None
+
+
 def _identities(fld: Field, args, rows: list) -> tuple[list, list]:
-    """The support-identity grid, defined for e >= 3: for a smaller e,
-    verify-all adds nothing and a command that names q a skipped verdict."""
-    if fld.e < 3:
-        if args.command == "verify-all":
-            return [], []
-        return [], [{"section": "identities", "q": fld.q,
-                     "skipped": "ParamDomain: e = %d < 3" % fld.e, "passed": True}]
+    """The support-identity grid and its verdict."""
     from . import criterion
 
     id_rows, verdict = criterion.identity_grid(fld)
     return id_rows, [verdict]
 
 
+def _girth_scan_check(fld: Field, args) -> str | None:
+    """The girth scan serves a q within --girth-cap."""
+    if fld.q > args.girth_cap:
+        return "CapExceeded: %s" % cap_error("q", fld.q, "girth", args.girth_cap)
+
+
 def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
     """The girth of G_q(XY, X^kY^2k) for every k against the sweep rows,
-    to each of which it adds its girth_ge_8 flag as the last key.  Above
-    --girth-cap verify-all adds nothing, and a command that names q fails."""
-    if fld.q > args.girth_cap:
-        if args.command == "verify-all":
-            return [], []
-        raise cap_error("q", fld.q, "girth", args.girth_cap)
+    to each of which it adds its girth_ge_8 flag as the last key."""
     from . import graphs
 
     records = _sweep_rows(rows)
@@ -150,7 +151,7 @@ def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
 
 def _girth_check(fld: Field, args) -> None:
     """The girth command's k must lie in 1..q-1 and its q within the girth
-    cap."""
+    cap: it names one graph, so a skip would answer nothing."""
     q, k = fld.q, args.k
     if k is not None and not 1 <= k <= q - 1:
         raise ValueError("k must be in 1..%d, got %d" % (q - 1, k))
@@ -184,8 +185,9 @@ def _field(fld: Field, args, rows: list) -> tuple[list, list]:
 
 _SWEEP = ("sweep", _sweep, ("permpoly",), ("log_tables",), None)
 _CRITERION = ("criterion", _criterion, ("criterion",), ("binom_tables",), None)
-_IDENTITIES = ("identities", _identities, ("criterion",), ("binom_tables",), None)
-_GIRTH_SCAN = ("girth", _girth_scan, ("graphs",), ("log_tables",), None)
+_IDENTITIES = ("identities", _identities, ("criterion",), ("binom_tables",),
+               _identities_check)
+_GIRTH_SCAN = ("girth", _girth_scan, ("graphs",), ("log_tables",), _girth_scan_check)
 _GIRTH = ("girth", _girth, ("graphs", "permpoly"), ("log_tables",), _girth_check)
 _FIELD = ("field", _field, (), (), None)
 
@@ -194,13 +196,16 @@ def _run_job(spec):
     """Build GF(q) and run the stages on it, in order.
 
     Returns (modulus, rows, verdicts, seconds).  The stages' modules are
-    imported first, untimed.  Building the field and the tables its stages
-    read is timed as stage "field", and each stage under its name.  The
-    modulus is recorded as soon as the field exists, and the stages' checks
-    run before any table is built.  One of _JOB_ERRORS ends the job
-    with one error row and one failing verdict, in the section of the stage
-    that raised it, or of the first stage while the field is built or
-    checked; the stages that finished keep their rows, verdicts and times.
+    imported first, untimed.  The modulus is recorded as soon as the field
+    exists, and every stage's check runs before any table is built.
+    Building the field and the tables of the stages that serve it is timed
+    as stage "field", and each stage that runs under its name.  A skipped
+    stage adds nothing under verify-all, which covers every q, and a
+    passing verdict that says why under a command that names q.  One of
+    _JOB_ERRORS ends the job with one error row and one failing verdict, in
+    the section of the stage that raised it, or of the first stage while
+    the field is built or checked; the stages that finished keep their
+    rows, verdicts and times.
     """
     stages, q, args = spec
     section = stages[0][0]
@@ -217,14 +222,17 @@ def _run_job(spec):
         t = time.perf_counter()
         fld = Field(p, e, cap=args.field_cap)
         modulus = list(fld.modulus)
-        for _, _, _, _, check in stages:
-            if check is not None:
-                check(fld, args)
-        for _, _, _, tables, _ in stages:
-            for table in tables:
+        skips = [check and check(fld, args) for _, _, _, _, check in stages]
+        for (_, _, _, tables, _), skip in zip(stages, skips):
+            for table in () if skip else tables:
                 getattr(fld, table)()
         seconds["field"] = round(time.perf_counter() - t, 4)
-        for section, run, _, _, _ in stages:
+        for (section, run, _, _, _), skip in zip(stages, skips):
+            if skip:
+                if args.command != "verify-all":
+                    verdicts.append({"section": section, "q": q, "skipped": skip,
+                                     "passed": True})
+                continue
             t = time.perf_counter()
             stage_rows, stage_verdicts = run(fld, args, rows)
             rows += stage_rows
@@ -313,54 +321,42 @@ def _write_csv(report: dict, body: memoryview, path) -> None:
             ])
 
 
-def _timing_tail(timing: dict, started: float) -> str:
-    """The text that closes an emitted report: timing as its last key, with
-    the seconds since `started` recorded as timing.emit.  JSON text holds no
-    raw newline inside a string, so indenting the timing's lines by two
-    spaces nests it exactly as json.dumps(..., indent=2) of the whole report
-    would."""
-    timing["emit"] = round(time.perf_counter() - started, 4)
-    return ',\n  "timing": ' + json.dumps(timing, indent=2).replace("\n", "\n  ") + "\n}\n"
-
-
 def _emit(report: dict, body: memoryview, args) -> bool:
     """Write the report: `body` views its body's bytes as _with_cache lays
     them out, ending in b"\n}\n", and timing goes in as the last key, with
-    the seconds of writing the body as timing.emit.  Returns False, after
-    one line on stderr that names the path, when --json or --csv cannot be
-    written."""
-    head = body[:-3]
-    if not args.json:
-        t = time.perf_counter()
-        sys.stdout.write(str(head, "utf-8"))
-        sys.stdout.write(_timing_tail(report["timing"], t))
-    path = args.json
+    the seconds of writing the body as timing.emit.  JSON text holds no raw
+    newline inside a string, so indenting the timing's lines by two spaces
+    nests it exactly as json.dumps(..., indent=2) of the whole report
+    would.  Returns False, after one line on stderr that names the path,
+    when stdout, --json or --csv cannot be written, as when the reader of
+    stdout has gone."""
+    timing, path = report["timing"], args.json
     try:
-        if path:
-            t = time.perf_counter()
-            with open(path, "wb") as fh:
-                fh.write(head)
-                fh.write(_timing_tail(report["timing"], t).encode())
+        t = time.perf_counter()
+        with open(path, "wb") if path else contextlib.nullcontext(sys.stdout.buffer) as fh:
+            fh.write(body[:-3])
+            timing["emit"] = round(time.perf_counter() - t, 4)
+            tail = json.dumps(timing, indent=2).replace("\n", "\n  ")
+            fh.write(b',\n  "timing": %s\n}\n' % tail.encode())
+            fh.flush()
         path = args.csv
         if path:
             _write_csv(report, body, path)
     except OSError as exc:
-        print("[gfpp] cannot write %s: %s" % (path, exc.strerror or exc),
+        if path is None:
+            # What stdout's buffer still holds would fail again when the
+            # interpreter flushes it at exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("[gfpp] cannot write %s: %s" % (path or "stdout", exc.strerror or exc),
               file=sys.stderr)
         return False
     for v in report["verdicts"]:
-        status = "PASS" if v.get("passed") else "FAIL"
-        where = ""
-        if "q" in v:
-            where = " q=%s" % v["q"]
-        elif "p" in v:
-            where = " p=%s" % v["p"]
-        extra = " which=%s" % v["which"] if "which" in v else ""
-        skipped = " (skipped: %s)" % v["skipped"] if v.get("skipped") else ""
-        print("[%s] %s%s%s%s" % (status, v.get("section", report["command"]),
-                                 where, extra, skipped), file=sys.stderr)
+        where = "".join(" %s=%s" % (key, v[key]) for key in ("q", "p", "which") if key in v)
+        skipped = " (skipped: %s)" % v["skipped"] if "skipped" in v else ""
+        print("[%s] %s%s%s" % ("PASS" if v["passed"] else "FAIL", v["section"], where,
+                               skipped), file=sys.stderr)
     print("[gfpp] %s: %s in %ss" % (report["command"], report["overall"],
-                                    report["timing"]["seconds"]), file=sys.stderr)
+                                    timing["seconds"]), file=sys.stderr)
     return True
 
 
@@ -603,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-all",
                         help="run every suite for all odd prime powers up to --q-max")
     sp.add_argument("--q-max", type=int, required=True, dest="q_max")
-    sp.set_defaults(upper_half_primes=list(UPPER_HALF_PRIMES))
+    sp.set_defaults(upper_half_primes=list(UPPER_HALF_PRIMES), families=("A", "B", "two"))
     declare(sp, ("q_max", "field_cap", "girth_cap", "upper_half_primes"),
             (_SWEEP, _CRITERION, _IDENTITIES, _GIRTH_SCAN))
 
@@ -623,6 +619,8 @@ def main(argv=None) -> int:
         parser.error("identities needs --q or --p")
     if args.command == "verify-all" and min(args.q_max, args.field_cap) < 3:
         parser.error("verify-all needs --q-max and --field-cap of at least 3")
+    if args.command == "sweep":
+        args.families = (args.which,)
     if args.command == "girth":
         a, b, c, d = args.exps or (1, 1, args.k, 2 * args.k)
         args.f_exps, args.g_exps = [a, b], [c, d]

@@ -7,8 +7,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -145,18 +148,20 @@ def test_sweep_with_criterion_times_the_criterion_stage(tmp_path):
 
 def test_sweep_girth_cap_error_keeps_modulus(tmp_path):
     # Above the girth cap the q keeps its sweep rows, with no girth flag,
-    # and its sweep verdict; the girth stage adds an error row and fails.
+    # and its sweep verdict; the girth stage is skipped, untimed, with a
+    # passing verdict that names the cap.
     code, report = run(tmp_path, "sweep", "--q", "19", "--with-girth")
-    assert code == 1
-    *sweep_rows, row = report["rows"]
+    assert code == 0
+    sweep_rows = report["rows"]
     assert [r["k"] for r in sweep_rows] == list(range(1, 19))
     assert all(tuple(r) == SWEEP_KEYS for r in sweep_rows)
-    assert row["kind"] == "error" and "CapExceeded" in row["error"]
     sweep_verdict, girth_verdict = report["verdicts"]
     assert sweep_verdict["section"] == "sweep" and sweep_verdict["passed"]
-    assert girth_verdict == {"section": "girth", "q": 19, "error": row["error"],
-                             "passed": False}
+    assert girth_verdict == {"section": "girth", "q": 19, "skipped":
+                             "CapExceeded: q = 19 exceeds the girth cap 17",
+                             "passed": True}
     assert report["modulus_by_q"] == {"19": [0, 1]}
+    assert set(report["timing"]["stages"]["19"]) == {"field", "sweep"}
 
 
 def test_sweep_csv(tmp_path):
@@ -246,25 +251,37 @@ def test_girth_command(tmp_path):
     assert not row["a_pp"]
 
 
-@pytest.mark.parametrize("argv,target", [
-    (("girth", "--q", "9", "--k", "3"), "girth"),
-    (("girth", "--q", "9", "--exps", "1,1,1,2"), "girth"),
-    (("sweep", "--q", "9", "--with-girth"), "girth_at_least"),
-])
-def test_girth_stages_find_the_log_tables_built(tmp_path, monkeypatch, argv, target):
-    # A stage declares the tables it reads, and the runner builds them
-    # under "field" before it times the stage.
-    built = []
-    real = getattr(graphs, target)
+def _declared_stages():
+    """Every stage that some command's parser block declares."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {stage for sp in sub.choices.values() for stage in sp.get_default("stages")}
 
-    def spy(fld, *args, **kwargs):
-        built.append(fld._logs is not None)
-        return real(fld, *args, **kwargs)
 
-    monkeypatch.setattr(graphs, target, spy)
-    code, report = run(tmp_path, *argv)
+def test_no_stage_reads_the_command():
+    # Whether a stage serves a field is its check's answer, and what a skip
+    # reports is the runner's, so no stage body branches on the command.
+    stages = _declared_stages()
+    assert {name for name, *_ in stages} == {"sweep", "criterion", "identities",
+                                             "girth", "field"}
+    assert [name for name, run, *_ in stages if "command" in run.__code__.co_names] == []
+
+
+def test_a_skipped_stage_builds_no_table(tmp_path, monkeypatch):
+    # The identity grid does not serve e < 3, and its check says so before
+    # any table is built: no Lucas table, no identities clock.
+    def no_tables(fld):
+        raise AssertionError("Lucas tables built for GF(%d)" % fld.q)
+
+    monkeypatch.setattr(cli.Field, "binom_tables", no_tables)
+    code, report = run(tmp_path, "identities", "--q", "5,25")
     assert code == 0
-    assert built and all(built)
+    assert report["rows"] == []
+    assert report["verdicts"] == [
+        {"section": "identities", "q": q, "skipped": "ParamDomain: e = %d < 3" % e,
+         "passed": True} for q, e in ((5, 1), (25, 2))]
+    assert {q: set(secs) for q, secs in report["timing"]["stages"].items()} == {
+        "5": {"field"}, "25": {"field"}}
 
 
 # Each Field table method and the attribute that caches its tables.
@@ -278,14 +295,12 @@ TABLES = {"log_tables": "_logs", "binom_tables": "_binoms"}
     ("girth", "--q", "9", "--exps", "1,1,1,2"),
     ("verify-all", "--q-max", "27"),
     ("field-info", "--q", "27"),
+    pytest.param(("sweep", "--q", "9", "--with-girth"), id="sweep-with-girth"),
 ], ids=lambda argv: argv[0] + ("-exps" if "--exps" in argv else ""))
 def test_no_table_is_first_built_inside_a_stage_clock(tmp_path, monkeypatch, argv):
     # Every table a stage reads is declared, so the runner builds it under
     # "field" and no stage's seconds include building it.
-    parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    stage_code = {stage[1].__code__: stage[0] for sp in sub.choices.values()
-                  for stage in sp.get_default("stages")}
+    stage_code = {stage[1].__code__: stage[0] for stage in _declared_stages()}
     late = []
     for method, attr in TABLES.items():
         real = getattr(cli.Field, method)
@@ -485,7 +500,7 @@ GOLDEN_DIGESTS = {
     "sweep --q 5,9 --with-criterion --with-girth":
         "f21a44bc96a80e97c71d2ccc4cf98f533a9b2111b2903048b88bc48b02a94723",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "125c7099a437ab24ca94374248161c315f4d4f44d8758c038add61af5e78082b",
+        "adb1f7c6666cbd25f9a3b1ea7fc12e42275623b8a3b57c86d4674d78f71cad95",
     "girth --q 5 --exps 1,1,1,2":
         "d2305fc28df368b76be5723287aae2ff5a0c1dc81f0cb739f9be6080ed5f11de",
     "field-info --q 9,27":
@@ -497,7 +512,7 @@ GOLDEN_DIGESTS = {
     "girth --q 5 --k 9":
         "018948fc8768a3e126206ac0d7932b768081330ed2199238147e04224515ce05",
     "sweep --q 19 --with-girth":
-        "4dbbb57861d0e0cb85e6264dd07bd7854d6a7d6969c5f100dad5a10e5b6c5a1f",
+        "a39710cb8277fb31f206aaaf5fe82a2f61eaab8954a5d434817556ffb552f364",
 }
 
 # SHA-256 of the emitted body text as written, everything before its
@@ -515,7 +530,7 @@ GOLDEN_TEXT_DIGESTS = {
     "sweep --q 5,9 --with-criterion --with-girth":
         "6d46082d44165c9bad9b81f80a2d24640ac182339d36d951eb03e9fd09b0f189",
     "sweep --q 9 --which A --with-girth --girth-cap 5":
-        "6fc6d1e24ad07d7ea63e758d9a54d2c791a982a0c2223afa84fdbba3a66a0edf",
+        "fba727b5e911fd8c3e1d2103daaebef99810c867cd1dd12d9d9488627320e1e8",
     "girth --q 5 --exps 1,1,1,2":
         "75d34da084110d623af80aa32bc9f5e77eb543230e633b6357620c710d3c38c4",
     "field-info --q 9,27":
@@ -527,14 +542,12 @@ GOLDEN_TEXT_DIGESTS = {
     "girth --q 5 --k 9":
         "653e7a8fb79a43ce506c54afc1cf25e13e188db0c4688686489e35ed9281f6e2",
     "sweep --q 19 --with-girth":
-        "17628d41932d4fedeed660943e2a758b43146fba938bd40b617317356c9e9196",
+        "32010fdc66d4ca6ac005392bc4a63efde6a20e5e2f4867dcce3d6cce166a4b41",
 }
 
-# Golden commands whose report fails: q = 9 is above the girth cap of 5
-# and q = 19 above the default cap of 17, and k = 9 is out of range for
-# q = 5.
-GOLDEN_EXIT = {"sweep --q 9 --which A --with-girth --girth-cap 5": 1,
-               "sweep --q 19 --with-girth": 1, "girth --q 5 --k 9": 1}
+# Golden commands whose report fails: k = 9 is out of range for q = 5.
+# A sweep above its girth cap passes, with a skipped girth verdict.
+GOLDEN_EXIT = {"girth --q 5 --k 9": 1}
 
 
 @pytest.mark.parametrize("command", GOLDEN_DIGESTS)
@@ -682,12 +695,17 @@ def test_verify_all_enumerates_only_up_to_the_field_cap(tmp_path, monkeypatch):
 def test_verify_all_times_each_stage_per_q(tmp_path):
     code, report = run(tmp_path, "verify-all", "--q-max", "27")
     assert code == 0
+    # A stage that does not serve q, the identity grid for e < 3 or the
+    # girth scan above the girth cap of 17, is not timed.
     stages = report["timing"]["stages"]
     assert set(stages) == set(report["modulus_by_q"])
     for q, secs in stages.items():
-        assert set(secs) == {"field", "sweep", "criterion", "identities",
-                             "girth"}, q
+        e = factor_prime_power(int(q))[1]
+        assert set(secs) == {"field", "sweep", "criterion"} | (
+            {"identities"} if e >= 3 else set()) | (
+            {"girth"} if int(q) <= 17 else set()), q
         assert all(isinstance(v, float) and v >= 0 for v in secs.values()), q
+    assert set(stages["27"]) == {"field", "sweep", "criterion", "identities"}
 
 
 def test_cache_round_trip(tmp_path):
@@ -984,6 +1002,20 @@ def test_unwritable_output_path_is_an_error_line(tmp_path, capsys, flag):
     assert json.loads(good.read_text())["timing"]["cached"] is True
 
 
+def test_a_closed_stdout_is_an_error_line():
+    # A reader that is gone before the report is written, as `| head -c 20`
+    # may be, gets the rule of an unwritable --json path: one stderr line
+    # and exit 2, with no traceback and nothing left to fail at exit.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "gfpp.cli", "sweep", "--q", "9",
+                             "--jobs", "1"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err.splitlines() == ["[gfpp] cannot write stdout: Broken pipe"]
+
+
 @pytest.mark.parametrize("argv", [["identities"], ["sweep", "--q", ","],
                                   ["field-info", "--q", ","],
                                   ["identities", "--p", " "],
@@ -1055,9 +1087,9 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
 # before are no longer found.
 GOLDEN_ENTRY_NAMES = {
     "verify-all --q-max 243 --jobs 1 --field-cap 1000000 --girth-cap 17":
-        "381e1530b7565b9b7f5f2787198ed506d4858b7575bb8252d575677d6ad98a7b.json",
+        "1c23c784d847abef756bde8a0fde62684e639ef983ea565bd39415a0e095bece.json",
     "sweep --q 729,1327 --which two --jobs 1 --field-cap 1000000 --girth-cap 17":
-        "0ab7cf6b7e3d302633e0c294a08cdea1546db54a2006d98e831b729c47e286bb.json",
+        "9f8cab046cfd98ef7ce3cf5e792a7a932bf709c40ca623055297656030868fd9.json",
 }
 
 

@@ -53,7 +53,7 @@ def test_digit_vector_examples():
             assert digit_vector(a, p, e) == fld.coeffs(a), (p, e, a)
 
 
-def test_shift_class_examples():
+def test_digit_vector_shift_examples():
     # the shift class of l by t is the class of p^t * l
     assert digit_vector(4 * 3, 3, 3) == (0, 1, 1)
     assert digit_vector(26 * 3, 3, 3) == (2, 2, 2)  # all-(p-1) fixed point
@@ -62,7 +62,7 @@ def test_shift_class_examples():
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (5, 3)])
-def test_shift_class_is_rotation(p, e):
+def test_digit_vector_is_rotation(p, e):
     # digit_vector(l * p^t) rotates digit_vector(l), position i to i+t mod
     # e, for every class l, the all-(p-1) class q-1 and 0 included
     q = p**e
@@ -92,7 +92,7 @@ def _orbits(p, e):
 
 
 @pytest.mark.parametrize("p,e", ORBIT_CASES)
-def test_orbit_representatives_equal_the_closure(p, e):
+def test_per_orbit_equals_the_closure(p, e):
     # per_orbit with decide = identity gives member k the least member of
     # its orbit.
     orbit_of = _orbits(p, e)
@@ -104,7 +104,7 @@ def test_orbit_representatives_equal_the_closure(p, e):
         assert values == list(range(1, p))
 
 
-def test_orbit_representatives_examples():
+def test_per_orbit_examples():
     # q = 9: orbits {1, 3}, {2, 6}, {4}, {5, 7}, {8}
     assert per_orbit(3, 2, lambda k: k) == [1, 2, 1, 4, 5, 2, 5, 8]
 
