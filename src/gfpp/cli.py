@@ -1,36 +1,35 @@
 """Command-line runner: per-field stages, the report, the cache and the parser.
 
 Each command is declared once, in its parser block: the options it reads
-and no others (--csv only where it makes sweep rows, --girth-cap only
-where a stage reads it), its params, named in report order and read from
-those options, and the stages it runs, in order, on the field of every q.
-Every value comes from a flag or its default; no environment variable
-sets one.  A stage calls the library modules it names (permpoly,
-criterion, graphs), or none, and returns report rows and verdicts as
-dicts, so the runner only concatenates them; the girth-scan stage also
-adds its girth_ge_8 flags to the sweep rows.  Every row is a flat dict of
-scalars, with no list that the params or modulus_by_q hold and no key
-that its other keys determine but an identity row's wrap.  A stage's
-check says, before any table is built, whether the stage serves a field;
-the runner alone decides what a skip reports.  One of _JOB_ERRORS raised
-by a stage ends its field's job with an error row and a failing verdict
-in its own section, as it ends the upper-half grid of a p.  The report
-itself is a dict of BODY_KEYS plus "timing"; the runner records the
-seconds of building the field and its tables, and of each stage that
-runs, in the report's timing.stages, keyed by q, and the seconds of each
-upper-half grid in timing.upper_half, keyed by p.  Commands emit a single
-JSON report on the data stream (stdout, or --json PATH) and verdict lines
-on stderr.  Reports are deterministic apart from the top-level "timing"
-entry; the exit status is 0 iff every verdict passes.  --csv is a view
-of the sweep rows that rebuilds the columns a row does not carry.
+and no others (--girth-cap only where a stage reads it), its params,
+named in report order and read from those options, and the stages it
+runs, in order, on the field of every q.  Every value comes from a flag
+or its default; no environment variable sets one.  A stage calls the
+library modules it names (permpoly, criterion, graphs), or none, and
+returns report rows and verdicts as dicts, so the runner only
+concatenates them; the girth-scan stage also adds its girth_ge_8 flags
+to the sweep rows.  Every row is a flat dict of scalars, with no list
+that the params or modulus_by_q hold and no key that its other keys
+determine but an identity row's wrap.  A stage's check says, before any
+table is built, whether the stage serves a field; the runner alone
+decides what a skip reports.  One of _JOB_ERRORS raised by a stage ends
+its field's job with an error row and a failing verdict in its own
+section, as it ends the upper-half grid of a p.  The report itself is a
+dict of BODY_KEYS plus "timing"; the runner records the seconds of
+building the field and its tables, and of each stage that runs, in the
+report's timing.stages, keyed by q, and the seconds of each upper-half
+grid in timing.upper_half, keyed by p.  Commands emit a single JSON
+report on the data stream (stdout, or --json PATH) and verdict lines on
+stderr.  Reports are deterministic apart from the top-level "timing"
+entry; the exit status is 0 iff every verdict passes.
 
 A report body is encoded once: the bytes the cache stores, or would store,
 are the bytes emitted, with "timing" spliced in as its last key.  A cache
 hit checks its entry's digest and parses only the verdicts and what
-follows them; only the --csv view decodes a hit's rows.  The process
-pool is imported only when more than one worker runs, and the stage
-modules and csv only where a stage or --csv uses them, so a cache hit
-loads none.  A job imports its stages' modules before their clocks start.
+follows them, and no path decodes a body's rows.  The process pool is
+imported only when more than one worker runs, and a stage's modules only
+where the stage serves a field, so a cache hit loads none.  A job
+imports them before the stage clocks start.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ DEFAULT_GIRTH_CAP = 17
 
 UPPER_HALF_PRIMES = (3, 5, 7, 11, 13)
 
-CSV_COLUMNS = ("q", "k", "gcd_ok", "a_pp", "b_pp", "criterion", "k_prime",
-               "k_prime_binary", "girth_class", "p_power")
-
 # Part of every cache key: bump it whenever a change alters what a command
 # reports for the same params, so that stale entries are never served.
 CACHE_SCHEMA = 8
@@ -76,8 +72,8 @@ BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
 # makes the stage's library call on one field, given the rows of the stages
 # before it, and returns the rows and verdicts it adds; `modules` names the
 # gfpp modules it imports and `tables` the Field methods that build the
-# tables it reads, both of which the runner loads first, outside the stage
-# clocks.  check(fld, args), or None, runs before any table is built: it
+# tables it reads, both of which the runner loads first, the modules
+# outside every clock.  check(fld, args), or None, runs before either: it
 # raises for arguments the stage cannot take, and returns why the stage
 # does not serve this field, or None when it does.  A command is the list
 # of stages it runs on each field.  Stage functions are top-level so that
@@ -195,11 +191,12 @@ _FIELD = ("field", _field, (), (), None)
 def _run_job(spec):
     """Build GF(q) and run the stages on it, in order.
 
-    Returns (modulus, rows, verdicts, seconds).  The stages' modules are
-    imported first, untimed.  The modulus is recorded as soon as the field
-    exists, and every stage's check runs before any table is built.
-    Building the field and the tables of the stages that serve it is timed
-    as stage "field", and each stage that runs under its name.  A skipped
+    Returns (modulus, rows, verdicts, seconds).  The modulus is recorded
+    as soon as the field exists, and every stage's check runs before any
+    module is imported or table built.  Building the field and the tables
+    of the stages that serve it is timed as stage "field", and each stage
+    that runs under its name; the modules of the stages that serve it are
+    imported between the two, untimed.  A skipped
     stage adds nothing under verify-all, which covers every q, and a
     passing verdict that says why under a command that names q.  One of
     _JOB_ERRORS ends the job with one error row and one failing verdict, in
@@ -216,17 +213,19 @@ def _run_job(spec):
         if q > args.field_cap:
             raise cap_error("q", q, "field", args.field_cap)
         p, e = factor_prime_power(q)
-        for _, _, modules, _, _ in stages:
-            for module in modules:
-                import_module("." + module, __package__)
         t = time.perf_counter()
         fld = Field(p, e, cap=args.field_cap)
         modulus = list(fld.modulus)
         skips = [check and check(fld, args) for _, _, _, _, check in stages]
+        built = time.perf_counter() - t
+        for (_, _, modules, _, _), skip in zip(stages, skips):
+            for module in () if skip else modules:
+                import_module("." + module, __package__)
+        t = time.perf_counter()
         for (_, _, _, tables, _), skip in zip(stages, skips):
             for table in () if skip else tables:
                 getattr(fld, table)()
-        seconds["field"] = round(time.perf_counter() - t, 4)
+        seconds["field"] = round(built + time.perf_counter() - t, 4)
         for (section, run, _, _, _), skip in zip(stages, skips):
             if skip:
                 if args.command != "verify-all":
@@ -277,59 +276,25 @@ def _run_jobs(stages, qs, args) -> tuple[dict, list, list, dict]:
 
 # -- output ---------------------------------------------------------------
 
-def _bool_cell(v) -> str:
-    return "" if v is None else ("true" if v else "false")
+def _drop(stream) -> None:
+    """Point `stream`'s file descriptor at os.devnull, so that what its
+    buffer still holds does not fail again when the interpreter flushes it
+    at exit."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
-def _write_csv(report: dict, body: memoryview, path) -> None:
-    """The sweep rows as flat CSV with a fixed column order; other row
-    kinds are JSON-only, and a cache hit's rows are decoded from `body`.
+def _emit(report: dict, body: memoryview, args) -> int:
+    """Write the report, then the verdict lines on stderr, and return the
+    exit status: 0 iff every verdict passes, and 2, with no traceback, when
+    stdout, --json or stderr cannot be written, as when a reader has gone.
+    An unwritable stdout or --json gets one line on stderr that names it
+    instead of the verdict lines.
 
-    A sweep row carries q, k, a_pp, b_pp and girth_ge_8; the other columns
-    are rebuilt here.  gcd_ok, k_prime (k^(-1) mod q-1), k_prime_binary
-    and p_power are functions of (q, k).  criterion is the criterion's own
-    flag, a_pp negated at the mismatch_ks of the q's criterion verdict, and
-    empty where no criterion stage finished.
-    """
-    import csv
-
-    from .digits import digits_binary, mod_inverse
-
-    rows = report["rows"] if "rows" in report else json.loads(bytes(body))["rows"]
-    mismatch_ks = {v["q"]: set(v["mismatch_ks"]) for v in report["verdicts"]
-                   if v.get("section") == "criterion" and "mismatch_ks" in v}
-    factors = {}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            if r.get("kind") != "sweep":
-                continue
-            q, k, a_pp, ge8 = r["q"], r["k"], r["a_pp"], r.get("girth_ge_8")
-            if q not in factors:
-                factors[q] = factor_prime_power(q)
-            kp = mod_inverse(k, q - 1) if math.gcd(k, q - 1) == 1 else None
-            bad = mismatch_ks.get(q)
-            writer.writerow([
-                q, k, _bool_cell(kp is not None), _bool_cell(a_pp),
-                _bool_cell(r["b_pp"]),
-                "" if bad is None else _bool_cell(a_pp != (k in bad)),
-                "" if kp is None else kp,
-                "" if kp is None else _bool_cell(digits_binary(kp, *factors[q])),
-                "" if ge8 is None else ("ge8" if ge8 else "lt8"),
-                _bool_cell(q % k == 0),
-            ])
-
-
-def _emit(report: dict, body: memoryview, args) -> bool:
-    """Write the report: `body` views its body's bytes as _with_cache lays
-    them out, ending in b"\n}\n", and timing goes in as the last key, with
-    the seconds of writing the body as timing.emit.  JSON text holds no raw
-    newline inside a string, so indenting the timing's lines by two spaces
-    nests it exactly as json.dumps(..., indent=2) of the whole report
-    would.  Returns False, after one line on stderr that names the path,
-    when stdout, --json or --csv cannot be written, as when the reader of
-    stdout has gone."""
+    `body` views the body's bytes as _with_cache lays them out, ending in
+    b"\n}\n", and timing goes in as the last key, with the seconds of
+    writing the body as timing.emit.  JSON text holds no raw newline
+    inside a string, so indenting the timing's lines by two spaces nests
+    it exactly as json.dumps(..., indent=2) of the whole report would."""
     timing, path = report["timing"], args.json
     try:
         t = time.perf_counter()
@@ -339,25 +304,27 @@ def _emit(report: dict, body: memoryview, args) -> bool:
             tail = json.dumps(timing, indent=2).replace("\n", "\n  ")
             fh.write(b',\n  "timing": %s\n}\n' % tail.encode())
             fh.flush()
-        path = args.csv
-        if path:
-            _write_csv(report, body, path)
     except OSError as exc:
         if path is None:
-            # What stdout's buffer still holds would fail again when the
-            # interpreter flushes it at exit.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("[gfpp] cannot write %s: %s" % (path or "stdout", exc.strerror or exc),
-              file=sys.stderr)
-        return False
-    for v in report["verdicts"]:
-        where = "".join(" %s=%s" % (key, v[key]) for key in ("q", "p", "which") if key in v)
-        skipped = " (skipped: %s)" % v["skipped"] if "skipped" in v else ""
-        print("[%s] %s%s%s" % ("PASS" if v["passed"] else "FAIL", v["section"], where,
-                               skipped), file=sys.stderr)
-    print("[gfpp] %s: %s in %ss" % (report["command"], report["overall"],
-                                    timing["seconds"]), file=sys.stderr)
-    return True
+            _drop(sys.stdout)
+        status = 2
+        lines = ["[gfpp] cannot write %s: %s" % (path or "stdout", exc.strerror or exc)]
+    else:
+        status = 0 if report["overall"] == "pass" else 1
+        lines = []
+        for v in report["verdicts"]:
+            where = "".join(" %s=%s" % (key, v[key]) for key in ("q", "p", "which") if key in v)
+            skipped = " (skipped: %s)" % v["skipped"] if "skipped" in v else ""
+            lines.append("[%s] %s%s%s" % ("PASS" if v["passed"] else "FAIL", v["section"],
+                                          where, skipped))
+        lines.append("[gfpp] %s: %s in %ss" % (report["command"], report["overall"],
+                                              timing["seconds"]))
+    try:
+        print("\n".join(lines), file=sys.stderr, flush=True)
+    except OSError:
+        _drop(sys.stderr)
+        return 2
+    return status
 
 
 # -- result cache ----------------------------------------------------------
@@ -424,15 +391,16 @@ def _read_entry(path: str, command: str) -> tuple[dict, memoryview] | None:
 def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
     """JSON result cache keyed by (CACHE_SCHEMA, version, command, params).
 
-    Returns the report and a view of its body's bytes, json.dumps(body,
-    indent=2) plus a newline.  A hit's body is the entry's, checked by its
-    digest (see _read_entry); its report holds the command, the verdicts,
-    overall and version, and no rows.  An entry that fails a check is
-    treated as a miss: recomputed and rewritten.  An entry is written to a
-    temp file in the cache directory and renamed into place, so it is never
-    seen half-written; when it cannot be written, the temp file is removed,
-    the report is still returned and stderr says why.  A miss records the
-    seconds of encoding the body in the report's timing.encode.
+    Returns a view of the body's bytes, json.dumps(body, indent=2) plus a
+    newline, and what the emitter reads of the report: the command, the
+    verdicts, overall, version and timing, and no rows, on a hit and on a
+    miss alike.  A hit's body is the entry's, checked by its digest (see
+    _read_entry).  An entry that fails a check is treated as a miss:
+    recomputed and rewritten.  An entry is written to a temp file in the
+    cache directory and renamed into place, so it is never seen
+    half-written; when it cannot be written, the temp file is removed, the
+    report is still returned and stderr says why.  A miss records the
+    seconds of encoding the body in timing.encode.
     """
     path = None
     if args.cache:
@@ -447,6 +415,7 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
     t = time.perf_counter()
     body = _body_text({k: report[k] for k in BODY_KEYS}).encode()
     report["timing"]["encode"] = round(time.perf_counter() - t, 4)
+    report = {k: report[k] for k in _TAIL_KEYS + ("command", "timing")}
     if path is not None:
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
@@ -456,7 +425,8 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
                 fh.write(body)
             os.replace(tmp, path)
         except OSError as exc:
-            print("[gfpp] cache not written: %s" % exc, file=sys.stderr)
+            with contextlib.suppress(OSError):  # a closed stderr fails _emit
+                print("[gfpp] cache not written: %s" % exc, file=sys.stderr)
             with contextlib.suppress(OSError):  # never created
                 os.remove(tmp)
     return report, memoryview(body)
@@ -545,14 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gfpp",
         description="Exhaustive finite-field checks: permutation-polynomial "
                     "sweeps, binomial-sum identities, and monomial-graph girth.")
-    parser.set_defaults(csv=None)  # the emitter's view for a command without --csv
     sub = parser.add_subparsers(dest="command", required=True)
 
     def declare(sp, params, stages):
         """Record the params, which name options in report order, and the
         stages of `sp`, and add the options that every command reads, then
-        --csv where the stages make sweep rows and --girth-cap where it is
-        a param."""
+        --girth-cap where it is a param."""
         sp.set_defaults(params=params, stages=stages)
         sp.add_argument("--json", metavar="PATH",
                         help="write the JSON report to PATH instead of stdout")
@@ -562,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache", metavar="DIR", help="result cache directory")
         sp.add_argument("--field-cap", type=int, default=DEFAULT_FIELD_CAP, metavar="N",
                         help="max field size (default %(default)s)")
-        if _SWEEP in stages:
-            sp.add_argument("--csv", metavar="PATH",
-                            help="write sweep rows to PATH as CSV")
         if "girth_cap" in params:
             sp.add_argument("--girth-cap", type=int, default=DEFAULT_GIRTH_CAP,
                             metavar="N", help="max q for girth BFS (default %(default)s)")
@@ -627,9 +592,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     report, body = _run_command(args)
     report["timing"]["seconds"] = round(time.perf_counter() - started, 3)
-    if not _emit(report, body, args):
-        return 2
-    return 0 if report["overall"] == "pass" else 1
+    return _emit(report, body, args)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,10 @@
-"""CLI commands: report shape, exit codes, CSV, cache, determinism, jobs,
-and the options each command takes."""
+"""CLI commands: report shape, exit codes, cache, determinism, jobs, the
+options each command takes, and the README's command examples."""
 
 import argparse
 import concurrent.futures
-import csv
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -16,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from gfpp import cli, criterion, graphs
-from gfpp.cli import CSV_COLUMNS, main
+from gfpp.cli import main
 from gfpp.errors import GfppError
 from gfpp.field import factor_prime_power
 
@@ -25,15 +23,6 @@ def run(tmp_path, *argv, name="out.json"):
     out = tmp_path / name
     code = main(list(argv) + ["--json", str(out), "--jobs", "1"])
     return code, json.loads(out.read_text())
-
-
-def run_csv(tmp_path, *argv):
-    """run, plus the --csv view's rows as dicts keyed by CSV_COLUMNS."""
-    out = tmp_path / "rows.csv"
-    code, report = run(tmp_path, *argv, "--csv", str(out))
-    with out.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return code, report, rows
 
 
 # A sweep row's keys, in order, where no girth scan ran.
@@ -76,13 +65,15 @@ def test_sweep_multiple_q_two(tmp_path):
 
 
 def test_sweep_with_criterion_rows(tmp_path):
-    # No mismatch: every row is a sweep row, and the CSV's criterion
-    # column equals its a_pp column.
-    code, report, rows = run_csv(tmp_path, "sweep", "--q", "9", "--with-criterion")
+    # No mismatch: every row is a sweep row, so the criterion's own flag,
+    # a_pp negated at the verdict's mismatch_ks, is a_pp at every k, both
+    # PPs and non-PPs.
+    code, report = run(tmp_path, "sweep", "--q", "9", "--with-criterion")
     assert code == 0
     assert [r["kind"] for r in report["rows"]] == ["sweep"] * 8
-    assert [r["criterion"] for r in rows] == [r["a_pp"] for r in rows]
-    assert {r["criterion"] for r in rows} == {"true", "false"}
+    assert {r["a_pp"] for r in report["rows"]} == {True, False}
+    assert report["verdicts"][-1] == {"section": "criterion", "q": 9, "checked": 8,
+                                      "mismatch_ks": [], "passed": True}
 
 
 def test_sweep_with_girth_flag(tmp_path):
@@ -123,7 +114,7 @@ def test_sweep_with_criterion_fails_on_a_criterion_disagreement(tmp_path, monkey
     # The criterion claims every a_k is a PP: each k whose a_k is not one
     # gets a mismatch row, and the criterion verdict fails the sweep.
     monkeypatch.setattr(criterion, "pp_criterion", lambda fld, k: True)
-    code, report, csv_rows = run_csv(tmp_path, "sweep", "--q", "9", "--with-criterion")
+    code, report = run(tmp_path, "sweep", "--q", "9", "--with-criterion")
     assert code == 1
     sweep_rows = [r for r in report["rows"] if r["kind"] == "sweep"]
     mismatches = [r for r in report["rows"] if r["kind"] == "criterion_mismatch"]
@@ -132,11 +123,12 @@ def test_sweep_with_criterion_fails_on_a_criterion_disagreement(tmp_path, monkey
     assert bad == [2, 4, 5, 6, 7, 8]
     assert mismatches == [{"kind": "criterion_mismatch", "q": 9, "k": k,
                            "direct": False} for k in bad]
-    assert [r["criterion"] for r in csv_rows] == ["true"] * 8
     sweep_verdict, criterion_verdict = report["verdicts"]
     assert sweep_verdict["passed"]
     assert criterion_verdict == {"section": "criterion", "q": 9, "checked": 8,
                                  "mismatch_ks": bad, "passed": False}
+    # the criterion's own flag, a_pp negated at mismatch_ks, is true at every k
+    assert all(r["a_pp"] != (r["k"] in bad) for r in sweep_rows)
 
 
 def test_sweep_with_criterion_times_the_criterion_stage(tmp_path):
@@ -146,7 +138,7 @@ def test_sweep_with_criterion_times_the_criterion_stage(tmp_path):
     assert report["verdicts"][-1]["section"] == "criterion"
 
 
-def test_sweep_girth_cap_error_keeps_modulus(tmp_path):
+def test_sweep_above_the_girth_cap_skips_the_girth_scan(tmp_path):
     # Above the girth cap the q keeps its sweep rows, with no girth flag,
     # and its sweep verdict; the girth stage is skipped, untimed, with a
     # passing verdict that names the cap.
@@ -162,23 +154,6 @@ def test_sweep_girth_cap_error_keeps_modulus(tmp_path):
                              "passed": True}
     assert report["modulus_by_q"] == {"19": [0, 1]}
     assert set(report["timing"]["stages"]["19"]) == {"field", "sweep"}
-
-
-def test_sweep_csv(tmp_path):
-    out_csv = tmp_path / "rows.csv"
-    code = main(["sweep", "--q", "9", "--jobs", "1",
-                 "--json", str(tmp_path / "r.json"), "--csv", str(out_csv)])
-    assert code == 0
-    with out_csv.open() as fh:
-        rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == CSV_COLUMNS
-    assert len(rows) == 9
-    # k = 3 = p: coprime to 8, with k' = 3 (3*3 = 9 = 8 + 1), whose
-    # base-3 digits (0, 1) are binary.  k = 2 shares 2 with 8: no k'.
-    k3 = next(r for r in rows[1:] if r[1] == "3")
-    assert k3 == ["9", "3", "true", "true", "true", "", "3", "true", "", "true"]
-    k2 = next(r for r in rows[1:] if r[1] == "2")
-    assert k2 == ["9", "2", "false", "false", "false", "", "", "", "", "false"]
 
 
 def test_identities_q27(tmp_path):
@@ -469,7 +444,7 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
         raise GfppError("criterion broke at q = %d" % fld.q)
 
     monkeypatch.setattr(criterion, "pp_criterion", broken)
-    code, report, csv_rows = run_csv(tmp_path, "verify-all", "--q-max", "9")
+    code, report = run(tmp_path, "verify-all", "--q-max", "9")
     assert code == 1
     assert report["overall"] == "fail"
     qs = [3, 5, 7, 9]
@@ -480,9 +455,6 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
     assert [(r["q"], r["k"]) for r in sweep_rows] == [
         (q, k) for q in qs for k in range(1, q)]
     assert all(tuple(r) == SWEEP_KEYS for r in sweep_rows)
-    # No criterion stage finished, so the CSV's criterion column is empty.
-    assert len(csv_rows) == len(sweep_rows)
-    assert all(r["criterion"] == "" and r["girth_class"] == "" for r in csv_rows)
     assert errors == [{"kind": "error", "q": q,
                        "error": "GfppError: criterion broke at q = %d" % q} for q in qs]
     job_verdicts = [v for v in report["verdicts"] if "q" in v]
@@ -490,9 +462,12 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
         (section, q, which) for q in qs for section, which in
         [("sweep", "A"), ("sweep", "B"), ("sweep", "two"), ("criterion", None)]]
     assert all(v["passed"] for v in job_verdicts if v["section"] == "sweep")
+    # No criterion stage finished, so no verdict lists mismatch_ks: each
+    # q's criterion verdict is its error.
     assert [v for v in job_verdicts if v["section"] == "criterion"] == [
         {"section": "criterion", "q": q, "error": r["error"], "passed": False}
         for q, r in zip(qs, errors)]
+    assert not any("mismatch_ks" in v for v in report["verdicts"])
     assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
     for q in qs:
         assert set(report["timing"]["stages"][str(q)]) == {"field", "sweep"}
@@ -588,34 +563,6 @@ def test_report_body_digest_is_golden(tmp_path, command):
         % (command, got, got_text))
 
 
-# SHA-256 of the --csv file.  The CSV is a view: its gcd_ok, k_prime,
-# k_prime_binary, p_power and criterion columns are rebuilt from (q, k) and
-# the criterion verdicts, not read from the rows, and must not change when
-# the rows do.
-GOLDEN_CSV_DIGESTS = {
-    "verify-all --q-max 81":
-        "78b61872a3ff9ed5dc55d3be1d46538d2748690944c50fe6c9b31d93062148ac",
-    "sweep --q 5,9 --with-criterion --with-girth":
-        "817d97d78b5baca61e2efba27205c69d27cca771720f25b630c078808e3fcc39",
-    "sweep --q 729,1327 --which two":
-        "87accd7571a0bcc44d58615cc27aa88081c5eeb4cca4cb0c3a6da0bbaef69ecd",
-    "sweep --q 19 --with-girth":
-        "7dfe8b459abe67a8004dd18e38136273e481b70ce05f72a2e235c7a4247d75c7",
-}
-
-
-@pytest.mark.parametrize("command", GOLDEN_CSV_DIGESTS)
-def test_csv_digest_is_golden(tmp_path, command):
-    argv = command.split() + ["--jobs", "1", "--cache", str(tmp_path / "cache"),
-                              "--json", str(tmp_path / "r.json")]
-    for cached in (None, True):
-        out = tmp_path / ("%s.csv" % cached)
-        assert main(argv + ["--csv", str(out)]) == GOLDEN_EXIT.get(command, 0)
-        assert json.loads((tmp_path / "r.json").read_text())["timing"].get("cached") is cached
-        got = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert got == GOLDEN_CSV_DIGESTS[command], (command, cached, got)
-
-
 @pytest.mark.parametrize("argv", [["verify-all", "--q-max", "27"],
                                   ["sweep", "--q", "5,9", "--with-criterion",
                                    "--with-girth"]])
@@ -633,49 +580,6 @@ def test_sweep_rows_carry_only_the_flags(tmp_path, argv):
     assert all(tuple(r) == ("kind", "q", "k", "girth_ge_8") for r in girth_rows)
     flags = {(r["q"], r["k"]): r["girth_ge_8"] for r in girth_rows}
     assert {(r["q"], r["k"]): r["girth_ge_8"] for r in sweep_rows if r["q"] <= 17} == flags
-
-
-def _base_p_digits(n, p):
-    out = []
-    while n:
-        n, d = divmod(n, p)
-        out.append(d)
-    return out
-
-
-@pytest.mark.parametrize("argv", [["verify-all", "--q-max", "81"],
-                                  ["sweep", "--q", "243,729"]],
-                         ids=["verify-all-81", "sweep-243-729"])
-def test_csv_derived_columns_match_independent_computations(tmp_path, argv):
-    # At every k of every q: gcd_ok, k_prime, k_prime_binary and p_power
-    # from math.gcd, pow(k, -1, q-1) and a plain base-p loop.  verify-all
-    # covers every odd q <= 81, and its criterion column is a_pp, as every
-    # criterion verdict passes; the sweep runs no criterion stage.  Up to
-    # q = 81 a unit k has binary digits iff its inverse does, so reading k
-    # for k' shows only at q = 243 and 729.
-    code, report, rows = run_csv(tmp_path, *argv)
-    assert code == 0
-    qs = [int(q) for q in report["modulus_by_q"]]
-    assert [(int(r["q"]), int(r["k"])) for r in rows] == [
-        (q, k) for q in qs for k in range(1, q)]
-    flags = {(r["q"], r["k"]): r for r in report["rows"] if r["kind"] == "sweep"}
-    cell = {True: "true", False: "false"}
-    judged = argv[0] == "verify-all"
-    for r in rows:
-        q, k = int(r["q"]), int(r["k"])
-        p, _ = factor_prime_power(q)
-        coprime = math.gcd(k, q - 1) == 1
-        kp = pow(k, -1, q - 1) if coprime else None
-        assert r["gcd_ok"] == cell[coprime], (q, k)
-        assert r["k_prime"] == ("" if kp is None else str(kp)), (q, k)
-        assert r["k_prime_binary"] == (
-            "" if kp is None else cell[set(_base_p_digits(kp, p)) <= {0, 1}]), (q, k)
-        assert r["p_power"] == cell[k in {p**i for i in range(q.bit_length())}], (q, k)
-        assert r["a_pp"] == cell[flags[q, k]["a_pp"]], (q, k)
-        assert r["criterion"] == (r["a_pp"] if judged else ""), (q, k)
-        assert r["b_pp"] == cell[flags[q, k]["b_pp"]], (q, k)
-        assert r["girth_class"] == ("" if q > 17 or not judged else
-                                    "ge8" if flags[q, k]["girth_ge_8"] else "lt8"), (q, k)
 
 
 def test_emit_is_timed_outside_the_body(tmp_path, capsys):
@@ -817,17 +721,6 @@ def test_damaged_cache_entry_is_a_miss(tmp_path):
         assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
-def test_cache_hit_csv_matches_the_cold_run(tmp_path):
-    argv = ["verify-all", "--q-max", "27", "--jobs", "1",
-            "--cache", str(tmp_path / "cache"), "--json", str(tmp_path / "r.json")]
-    assert main(argv + ["--csv", str(tmp_path / "cold.csv")]) == 0
-    assert main(argv + ["--csv", str(tmp_path / "hit.csv")]) == 0
-    assert json.loads((tmp_path / "r.json").read_text())["timing"]["cached"] is True
-    cold = (tmp_path / "cold.csv").read_bytes()
-    assert len(cold.splitlines()) > 1  # the header and the sweep rows
-    assert (tmp_path / "hit.csv").read_bytes() == cold
-
-
 def test_cache_hit_never_decodes_the_rows(tmp_path, monkeypatch):
     argv = ["verify-all", "--q-max", "27", "--jobs", "1",
             "--cache", str(tmp_path / "cache"), "--json", str(tmp_path / "r.json")]
@@ -845,6 +738,24 @@ def test_cache_hit_never_decodes_the_rows(tmp_path, monkeypatch):
     assert real((tmp_path / "r.json").read_text())["timing"]["cached"] is True
     assert decoded
     assert not any('"rows"' in str(s) or '"kind"' in str(s) for s in decoded)
+
+
+def test_a_miss_and_a_hit_hand_the_emitter_one_report_shape(tmp_path, monkeypatch):
+    # After the cache nothing reads the rows, so a miss hands the emitter
+    # what a hit does: the command, the verdicts, overall, version and
+    # timing.
+    shapes = []
+    emit = cli._emit
+
+    def spy(report, body, args):
+        shapes.append(set(report))
+        return emit(report, body, args)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    argv = ["sweep", "--q", "9", "--jobs", "1", "--cache", str(tmp_path / "cache"),
+            "--json", str(tmp_path / "r.json")]
+    assert main(argv) == main(argv) == 0
+    assert shapes == [{"command", "verdicts", "overall", "version", "timing"}] * 2
 
 
 def test_unwritable_cache_still_emits_the_report(tmp_path, capsys):
@@ -1006,7 +917,7 @@ def test_p_above_the_field_cap_is_rejected_before_the_primality_test(tmp_path):
     assert [v["p"] for v in report["verdicts"] if "p" in v] == [3, 5, 7, 11, 13]
 
 
-@pytest.mark.parametrize("flag", ["--json", "--csv"])
+@pytest.mark.parametrize("flag", ["--json"])
 def test_unwritable_output_path_is_an_error_line(tmp_path, capsys, flag):
     # The cache entry is written before the report is emitted, so a rerun
     # with a good path is a cache hit.
@@ -1016,8 +927,7 @@ def test_unwritable_output_path_is_an_error_line(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         "[gfpp] cannot write %s: No such file or directory" % bad]
-    if flag == "--json":
-        assert captured.out == ""
+    assert captured.out == ""
     good = tmp_path / "out.json"
     assert main(argv + ["--json", str(good)]) == 0
     assert json.loads(good.read_text())["timing"]["cached"] is True
@@ -1035,6 +945,30 @@ def test_a_closed_stdout_is_an_error_line():
     err = proc.stderr.read().decode()
     assert proc.wait() == 2
     assert err.splitlines() == ["[gfpp] cannot write stdout: Broken pipe"]
+
+
+@pytest.mark.parametrize("cache", [[], ["--cache", "file"]], ids=["plain", "unwritable-cache"])
+def test_a_closed_stderr_is_exit_2(tmp_path, cache):
+    # A stderr reader that is gone before the verdict lines are written
+    # gets exit 2, not the 1 of a failed verdict, with nothing left to
+    # fail at exit, and the --json report is whole, also when stderr
+    # would first say that the cache was not written.
+    out = tmp_path / "out.json"
+    (tmp_path / "file").write_text("not a directory")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "gfpp.cli", "verify-all", "--q-max",
+                             "81", "--jobs", "1", "--json", str(out)] + cache,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            cwd=tmp_path)
+    proc.stderr.close()
+    assert proc.stdout.read() == b""
+    assert proc.wait() == 2
+    report = json.loads(out.read_text())
+    assert report["overall"] == "pass"
+    report.pop("timing")
+    body = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_DIGESTS[
+        "verify-all --q-max 81"]
 
 
 @pytest.mark.parametrize("argv", [["identities"], ["sweep", "--q", ","],
@@ -1064,15 +998,13 @@ def test_jobs_below_one_is_a_usage_error(capsys, jobs):
 
 COMMON_OPTIONS = {"--json", "--jobs", "--cache", "--field-cap"}
 
-# Each command takes only the options it reads: --csv where it makes sweep
-# rows, --girth-cap where a girth stage reads it.  No environment variable
-# sets any value.
+# Each command takes only the options it reads: --girth-cap where a girth
+# stage reads it.  No environment variable sets any value.
 COMMAND_OPTIONS = {
-    "sweep": {"--q", "--which", "--with-criterion", "--with-girth", "--csv",
-              "--girth-cap"},
+    "sweep": {"--q", "--which", "--with-criterion", "--with-girth", "--girth-cap"},
     "identities": {"--q", "--p"},
     "girth": {"--q", "--k", "--exps", "--girth-cap"},
-    "verify-all": {"--q-max", "--csv", "--girth-cap"},
+    "verify-all": {"--q-max", "--girth-cap"},
     "field-info": {"--q"},
 }
 
@@ -1085,12 +1017,14 @@ def test_each_command_takes_only_the_options_it_reads():
                for name, sp in sub.choices.items()}
     assert options == {name: opts | COMMON_OPTIONS
                        for name, opts in COMMAND_OPTIONS.items()}
-    assert sum(map(len, options.values())) == 36
+    assert sum(map(len, options.values())) == 34
 
 
 @pytest.mark.parametrize("argv", [["identities", "--q", "27", "--girth-cap", "3"],
                                   ["field-info", "--q", "9", "--csv", "F"],
-                                  ["girth", "--q", "5", "--k", "1", "--csv", "F"]])
+                                  ["girth", "--q", "5", "--k", "1", "--csv", "F"],
+                                  ["sweep", "--q", "9", "--csv", "F"],
+                                  ["verify-all", "--q-max", "9", "--csv", "F"]])
 def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
                                                               monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -1121,3 +1055,18 @@ def test_cache_entry_name_is_golden(tmp_path, monkeypatch, command):
     cache = tmp_path / "cache"
     main(command.split() + ["--cache", str(cache), "--json", str(tmp_path / "r.json")])
     assert [p.name for p in cache.iterdir()] == [GOLDEN_ENTRY_NAMES[command]]
+
+
+def _readme_commands():
+    """The `gfpp ...` lines of the README's command block, each without
+    `gfpp` and its trailing comment."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("gfpp ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_examples_run(tmp_path, argv):
+    # The docs name only options that exist, and every example passes.
+    assert main(argv + ["--jobs", "1", "--json", str(tmp_path / "out.json")]) == 0

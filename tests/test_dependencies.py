@@ -1,8 +1,9 @@
 """The package imports nothing outside the standard library and itself,
 `import gfpp` loads only the field arithmetic, `import gfpp.cli` and a
 cache hit load no stage module (and the cli no pathlib), a plain sweep
-loads neither criterion nor graphs, no stage clock times an import, and
-the benchmark's tracer finds the functions it wraps."""
+loads neither criterion nor graphs, a skipped stage loads nothing, no
+stage clock times an import, and the benchmark's tracer finds the
+functions it wraps."""
 
 import ast
 import json
@@ -112,6 +113,16 @@ def test_sweep_alone_loads_neither_criterion_nor_graphs(tmp_path):
     loaded = _loaded_after(run)
     assert "gfpp.permpoly" in loaded
     assert not {"gfpp.criterion", "gfpp.graphs"} & loaded
+
+
+def test_a_skipped_stage_loads_no_module(tmp_path):
+    # The identity grid does not serve q = 25 (e = 2), so its modules are
+    # never imported.
+    run = ("import gfpp.cli; gfpp.cli.main(['identities', '--q', '25', '--jobs', '1', "
+           "'--json', %r])" % str(tmp_path / "out.json"))
+    assert not {"gfpp.criterion", "gfpp.digits"} & _loaded_after(run)
+    (verdict,) = json.loads((tmp_path / "out.json").read_text())["verdicts"]
+    assert verdict["skipped"] == "ParamDomain: e = 2 < 3"
 
 
 def test_stage_clocks_leave_module_imports_out(tmp_path):

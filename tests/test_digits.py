@@ -172,7 +172,7 @@ def test_digits_binary():
         assert digits_binary(q, p, e)  # q reduces to 1
 
 
-def test_support_split_sums_to_digit_count():
+def test_xy_params_sum_to_the_support_size():
     # for 0/1 classes, x + y from the split always equals |supp(l)|, and y
     # is the overlap of the supports of l and of p^t * l, read off their
     # digit strings

@@ -192,7 +192,7 @@ def test_girth_at_least_8_scans_depths_0_to_2_only(q_args, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
-def test_monomial_tables_equal_pointwise_arithmetic(q):
+def test_monomial_table_equals_pointwise_arithmetic(q):
     # exponent pairs with zeros on either axis, and the family's (k, 2k)
     field = Field(*factor_prime_power(q))
     pairs = list(itertools.product(range(3), repeat=2))

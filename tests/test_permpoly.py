@@ -171,8 +171,7 @@ SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp")
 
 
 def test_sweep_record_q9_k3(f9):
-    # The row holds the flags and nothing that is a function of (q, k):
-    # the command line's CSV view rebuilds those columns.
+    # The row holds the flags and nothing that is a function of (q, k).
     assert sweep_record(f9, 3) == {"kind": "sweep", "q": 9, "k": 3, "a_pp": True,
                                    "b_pp": True}
     assert tuple(sweep_record(f9, 3)) == SWEEP_KEYS
