@@ -280,7 +280,11 @@ def _drop(stream) -> None:
     """Point `stream`'s file descriptor at os.devnull, so that what its
     buffer still holds does not fail again when the interpreter flushes it
     at exit."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(fd, stream.fileno())
+    finally:
+        os.close(fd)
 
 
 def _emit(report: dict, body: memoryview, args) -> int:

@@ -45,6 +45,31 @@ each once.  For a p-power k, k' is a p-power class, so every row takes
 the closed form above, and it is 0: top = (k'r)* is never (k'(2r)*)*, as
 r is not 2r mod q-1.  The closed forms (support_identity_rhs,
 upper_half_sum) stay integer sums reduced mod p.
+
+The first two rows pp_criterion tries have a closed form.  Take a coprime
+k, k' = k^(-1) mod m with m = q-1, and h = m/2; k and k' are odd.  The
+rows r = h-1 and r = q-2 have bottom (2r)* = q-3 (q >= 5), so their walk is
+i = q-3, q-2; as q-3 is even, i = -2 and -1 mod m, and C(q-2, q-3) = q-2
+= -2 mod p, such a row with top T is
+    C(T, -2k' mod m) + 2 C(T, -k' mod m)  mod p.
+Row r = h-1 is 0 whenever k' < h: k'h = h mod m as k' is odd, so
+T = h - k', below both lower indices m - 2k' and m - k'.
+Row r = q-2 is (2 - C(2k', k')) mod p: here T = m - k', and
+C(T, T) = 1 gives the 2.  If k' > h, then -2k' mod m = 2m - 2k' > T, so
+the row is 2, and 2k' >= q, so adding k' + k' in base p carries out of
+the top digit and p | C(2k', k') (Kummer).  If k' < h, the first term is
+C(m - k', k'), and the digits of m - k' are p-1-k'_d.  For x < p, C(y, x)
+mod p depends only on y mod p, so by Lucas
+    C(m - k', k') = prod over d of C(-1-k'_d, k'_d)
+                  = (-1)^(sum of k'_d) prod over d of C(2k'_d, k'_d)  mod p,
+and the digit sum has the parity of k', odd.  The product is C(2k', k')
+mod p: by Lucas when every digit k'_d <= (p-1)/2, so that 2k' has the
+digits 2k'_d; otherwise both are 0, as p divides C(2x, x) for
+(p-1)/2 < x < p and, by Kummer, C(2k', k').  The same value is
+    sum over x of (b_k'(x) + 2) = 2 + sum over x != 0, 1 <= i <= 2k' of
+                                  C(2k', i) x^(i-k') = 2 - C(2k', k'),
+the first power sum of b_k' + 2, since the sum of x^j over x != 0 is -1
+when q-1 divides j and 0 otherwise, and only i = k' qualifies.
 """
 
 from __future__ import annotations
@@ -108,10 +133,12 @@ def pp_criterion(field, k: int) -> bool:
 
     The rows are R(k', (k'r)*, (2r)*) for r in 1..q-2.  A walked row with
     bottom b >= 2 costs q-1-b passes, so they are tried cheapest first:
-    bottom 2s from q-3 down to 2, r = s before r = s + (q-1)/2.  The row
-    r = (q-1)/2 has bottom q-1 and so no term; it is skipped.  For a
-    p-power k every row is the kernel's closed form, so the q-3 rows the
-    criterion must sum to accept k cost O(1) each.
+    bottom 2s from q-3 down to 2, r = s + (q-1)/2 before r = s, as the
+    first such row, r = q-2, is 2 - C(2k', k') mod p and the second,
+    r = (q-1)/2 - 1, is 0 for every k' < (q-1)/2 (see the module
+    docstring).  The row r = (q-1)/2 has bottom q-1 and so no term; it is
+    skipped.  For a p-power k every row is the kernel's closed form, so the
+    q-3 rows the criterion must sum to accept k cost O(1) each.
     """
     q = field.q
     if gcd(k, q - 1) != 1:
@@ -119,7 +146,7 @@ def pp_criterion(field, k: int) -> bool:
     kp = mod_inverse(k, q - 1)
     h = (q - 1) // 2
     for s in range(h - 1, 0, -1):
-        for r in (s, s + h):
+        for r in (s + h, s):
             if _row_sum(field, kp, star_reduce(kp * r, q), 2 * s) != 0:
                 return False
     return True

@@ -7,7 +7,8 @@ An element is identified by its index in the canonical enumeration: the
 element with coefficient vector (c0, ..., c_{e-1}) over Z_p (low degree
 first) has index sum(c_i * p^i).  Index 0 is the zero element and index 1
 is the one element, so plain ints double as element handles.  This base-p
-codec, `to_digits`/`from_digits`, also reads exponents for `gfpp.digits`.
+codec, `to_digits`/`from_digits`, is the one way between an index and its
+coefficients, and it also reads exponents for `gfpp.digits`.
 
 Besides the pointwise arithmetic, a field can build discrete-log and
 Zech-log tables for a fixed primitive element (Lidl-Niederreiter, Finite
@@ -17,8 +18,9 @@ binomial coefficient C(m, n) mod p with m, n < q into three lookups (Lucas
 and Kummer).  These builders, and the difference table of `gfpp.graphs`,
 build each entry from an earlier one and one digit, in O(1), not O(e).
 
-The pointwise arithmetic builds those tables and is the oracle of the code
-that reads them.  Its one polynomial reduction, `_poly_mod`, is long
+The pointwise arithmetic, `add`/`sub`/`mul`/`pow`, builds those tables and
+is the oracle of the code that reads them; -a is sub(0, a) and a^(-1) is
+pow(a, q-2).  Its one polynomial reduction, `_poly_mod`, is long
 division by a monic polynomial over Z_p: `mul` reduces a product by the
 modulus with it, and the modulus search tests divisibility with it.  The
 modulus is always the lexicographically smallest monic irreducible
@@ -184,32 +186,15 @@ class Field:
     def __repr__(self) -> str:
         return "Field(p=%d, e=%d, modulus=%s)" % (self.p, self.e, poly_str(self.modulus))
 
-    # -- representation ------------------------------------------------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of element a, low degree first, length e."""
-        return to_digits(a, self.p, self.e)
-
-    def element(self, coeffs) -> int:
-        """Element index for a coefficient vector (entries reduced mod p)."""
-        if len(coeffs) != self.e:
-            raise ValueError("expected %d coefficients, got %d" % (self.e, len(coeffs)))
-        return from_digits(coeffs, self.p)
-
-    def elements(self) -> range:
-        """All q elements in canonical order: zero first, one second."""
-        return range(self.q)
-
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return from_digits([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))], self.p)
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        p, e = self.p, self.e
+        return from_digits([x + y for x, y in zip(to_digits(a, p, e), to_digits(b, p, e))], p)
 
     def sub(self, a: int, b: int) -> int:
-        return from_digits([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))], self.p)
+        p, e = self.p, self.e
+        return from_digits([x - y for x, y in zip(to_digits(a, p, e), to_digits(b, p, e))], p)
 
     def mul(self, a: int, b: int) -> int:
         """a * b: the product of the coefficient vectors, reduced by the
@@ -226,11 +211,6 @@ class Field:
                     if y:
                         acc[i + j] += x * y
         return _poly_mod(acc, self.modulus, p)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of the zero element")
-        return self.pow(a, self.q - 2)
 
     def pow(self, x: int, n: int) -> int:
         """x**n by square-and-multiply; x**0 == 1 for every x, including 0."""

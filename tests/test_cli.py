@@ -938,13 +938,24 @@ def test_a_closed_stdout_is_an_error_line():
     # may be, gets the rule of an unwritable --json path: one stderr line
     # and exit 2, with no traceback and nothing left to fail at exit.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "gfpp.cli", "sweep", "--q", "9",
-                             "--jobs", "1"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 2
+    with subprocess.Popen([sys.executable, "-m", "gfpp.cli", "sweep", "--q", "9",
+                           "--jobs", "1"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
     assert err.splitlines() == ["[gfpp] cannot write stdout: Broken pipe"]
+
+
+def test_dropping_a_stream_leaves_no_descriptor_open(tmp_path):
+    # _drop points the stream at os.devnull and closes the descriptor it
+    # opened for that
+    with open(tmp_path / "stream", "w") as stream:
+        before = len(os.listdir("/dev/fd"))
+        cli._drop(stream)
+        assert len(os.listdir("/dev/fd")) == before
+        stream.write("gone")
+    assert (tmp_path / "stream").read_text() == ""
 
 
 @pytest.mark.parametrize("cache", [[], ["--cache", "file"]], ids=["plain", "unwritable-cache"])
@@ -956,13 +967,13 @@ def test_a_closed_stderr_is_exit_2(tmp_path, cache):
     out = tmp_path / "out.json"
     (tmp_path / "file").write_text("not a directory")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "gfpp.cli", "verify-all", "--q-max",
-                             "81", "--jobs", "1", "--json", str(out)] + cache,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-                            cwd=tmp_path)
-    proc.stderr.close()
-    assert proc.stdout.read() == b""
-    assert proc.wait() == 2
+    with subprocess.Popen([sys.executable, "-m", "gfpp.cli", "verify-all", "--q-max",
+                           "81", "--jobs", "1", "--json", str(out)] + cache,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                          cwd=tmp_path) as proc:
+        proc.stderr.close()
+        assert proc.stdout.read() == b""
+    assert proc.returncode == 2
     report = json.loads(out.read_text())
     assert report["overall"] == "pass"
     report.pop("timing")

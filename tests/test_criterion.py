@@ -20,8 +20,8 @@ from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
                             upper_half_sum, xy_params)
 from gfpp.digits import mod_inverse, star_reduce
 from gfpp.errors import NotCoprimeError, NotPrimeError, ParamDomainError
-from gfpp.field import Field, factor_prime_power, is_prime
-from gfpp.permpoly import eval_a, p_powers, sweep
+from gfpp.field import Field, factor_prime_power, is_prime, odd_prime_powers
+from gfpp.permpoly import eval_a, eval_b, p_powers, sweep
 from lucas import lucas_binom
 
 
@@ -312,7 +312,7 @@ def _direct_pp_flags(fld):
     # [a_k permutes GF(q) for k = 1..q-1]: eval_a's x^k ((x+1)^k - x^k) at
     # every x by field arithmetic, with x^k and (x+1)^k carried from k to
     # k+1 by one multiplication each instead of two square-and-multiplies
-    xs = list(fld.elements())
+    xs = list(range(fld.q))
     ys = [fld.add(x, 1) for x in xs]
     xk, yk = xs, ys
     flags = []
@@ -326,7 +326,7 @@ def _direct_pp_flags(fld):
 
 def test_direct_pp_flags_equal_eval_a(f9):
     assert _direct_pp_flags(f9) == [
-        len({eval_a(f9, k, x) for x in f9.elements()}) == 9 for k in range(1, 9)]
+        len({eval_a(f9, k, x) for x in range(9)}) == 9 for k in range(1, 9)]
 
 
 # (241, 1): k = 1 in a prime field; (3, 5): the five p-powers of q = 243.
@@ -402,8 +402,8 @@ def test_inverse_sums_detect_non_pp(f27):
 
 def test_inverse_criterion_tries_every_row_cheapest_first(f27, monkeypatch):
     # with every row patched to vanish, every nonempty row is tried once,
-    # through k': bottom 2s from q-3 down to 2, the row r = s before
-    # r = s + (q-1)/2; the row r = (q-1)/2, bottom q-1, has no term
+    # through k': bottom 2s from q-3 down to 2, the row r = s + (q-1)/2
+    # before r = s; the row r = (q-1)/2, bottom q-1, has no term
     tried = []
 
     def row(fld, mult, top, bottom):
@@ -414,7 +414,44 @@ def test_inverse_criterion_tries_every_row_cheapest_first(f27, monkeypatch):
     assert pp_criterion(f27, 7)
     kp = mod_inverse(7, 26)
     assert tried == [(kp, star_reduce(kp * r, 27), 2 * s)
-                     for s in range(12, 0, -1) for r in (s, s + 13)]
+                     for s in range(12, 0, -1) for r in (s + 13, s)]
+
+
+def _decisive_row(p, kp):
+    # the lemma's value of row q-2 at k' = k^(-1) mod q-1
+    return (2 - comb(2 * kp, kp)) % p
+
+
+def _inverse_row(fld, kp, r):
+    # row r of the criterion through k', as pp_criterion forms it
+    q = fld.q
+    return criterion._row_sum(fld, kp, star_reduce(kp * r, q), star_reduce(2 * r, q))
+
+
+def test_first_two_rows_have_the_lemmas_closed_form():
+    # row q-2 is 2 - C(2k', k') mod p at every coprime k, and row
+    # (q-1)/2 - 1 is 0 at every k' < (q-1)/2
+    for q in odd_prime_powers(729):
+        fld = Field(*factor_prime_power(q))
+        h = (q - 1) // 2
+        for k in _coprime_exponents(q):
+            kp = mod_inverse(k, q - 1)
+            assert _inverse_row(fld, kp, q - 2) == _decisive_row(fld.p, kp), (q, k)
+            if kp < h:
+                assert _inverse_row(fld, kp, h - 1) == 0, (q, k)
+
+
+def test_decisive_row_is_the_first_power_sum_of_b():
+    # sum over x of b_k'(x) + 2, by pointwise Field arithmetic, is the
+    # lemma's 2 - C(2k', k'), an element of the prime field
+    for q in odd_prime_powers(81):
+        fld = Field(*factor_prime_power(q))
+        for k in _coprime_exponents(q):
+            kp = mod_inverse(k, q - 1)
+            total = 0
+            for x in range(q):
+                total = fld.add(total, fld.add(eval_b(fld, kp, x), 2))
+            assert total == _decisive_row(fld.p, kp), (q, k)
 
 
 def test_inverse_criterion_agrees_with_forward_on_q27(f27):

@@ -2,8 +2,9 @@
 `import gfpp` loads only the field arithmetic, `import gfpp.cli` and a
 cache hit load no stage module (and the cli no pathlib), a plain sweep
 loads neither criterion nor graphs, a skipped stage loads nothing, no
-stage clock times an import, and the benchmark's tracer finds the
-functions it wraps."""
+stage clock times an import, and the benchmark finds what it runs: the
+functions its tracer wraps, the options of its workloads and the
+`Field(p, e, cap=...)` its setup child builds."""
 
 import ast
 import json
@@ -14,8 +15,10 @@ import types
 from pathlib import Path
 
 import gfpp
+from gfpp import cli
 
 SRC = Path(gfpp.__file__).parent
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def test_runtime_imports_are_stdlib_or_gfpp():
@@ -151,7 +154,7 @@ def test_tracer_targets_resolve():
     # The benchmark's tracer wraps library functions by name, and a name
     # that no longer resolves is silently recorded as absent.  The tracer
     # is compiled from its source, so no bytecode is written next to it.
-    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    path = PERFBENCH / "tracer.py"
     tracer = types.ModuleType("tracer")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
     names = [(module, attr, name) for module, attr, name, _ in tracer.TARGETS]
@@ -164,3 +167,24 @@ def test_tracer_targets_resolve():
                           "permpoly.is_permutation", "digits.lucas_binom",
                           "graphs.monomial_tables",
                           "criterion.inverse_pp_criterion"}
+
+
+def test_benchmark_workloads_parse(tmp_path):
+    # Every workload's argv, with the --cache and --json that the runner
+    # adds, is a command line that gfpp accepts.
+    spec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
+    parser = cli.build_parser()
+    runner_args = ["--cache", str(tmp_path / "cache"), "--json", str(tmp_path / "out.json")]
+    for name, workload in spec["workloads"].items():
+        args = parser.parse_args(workload["argv"] + runner_args)
+        assert args.command == workload["argv"][0], name
+
+
+def test_benchmark_setup_child_builds_fields():
+    # The benchmark's setup_s times this call: import gfpp, then
+    # Field(p, e, cap=...) for each pair, in a fresh interpreter.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "setup", "1000000",
+                          "3:6,1327:1"], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) > 0

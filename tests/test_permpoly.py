@@ -23,7 +23,7 @@ def f27():
 
 def test_a_family_k1_is_identity(f9, f27):
     for fld in (f9, f27, Field(5, 1)):
-        assert [eval_a(fld, 1, x) for x in fld.elements()] == list(fld.elements())
+        assert [eval_a(fld, 1, x) for x in range(fld.q)] == list(range(fld.q))
         assert a_collision(fld, 1) is None
 
 
@@ -40,7 +40,7 @@ def test_a_family_k2_not_injective_on_f3():
 
 def test_b_family_k1_is_identity(f9, f27):
     for fld in (f9, f27):
-        assert [eval_b(fld, 1, x) for x in fld.elements()] == list(fld.elements())
+        assert [eval_b(fld, 1, x) for x in range(fld.q)] == list(range(fld.q))
         assert b_collision(fld, 1) is None
 
 
@@ -111,7 +111,7 @@ def test_b_scan_pairs_zero_with_minus_one_at_p3_even_k():
     # even k: x = 0 and x = -1 are the first two inputs and collide at once.
     for q in (3, 9, 27):
         fld = Field(*factor_prime_power(q))
-        minus_one = fld.neg(1)
+        minus_one = fld.sub(0, 1)
         for k in range(1, q):
             if k % 2 == 0:
                 assert b_collision(fld, k) == (0, minus_one), (q, k)
@@ -154,7 +154,7 @@ def test_a_b_collision_stop_reading_at_the_collision(monkeypatch):
     for kernel in (a_collision, b_collision):
         for k in (2, 7, 13, 14):
             pair = kernel(fld, k)
-            assert pair is not None and pair[1] not in (0, fld.neg(1))
+            assert pair is not None and pair[1] not in (0, fld.sub(0, 1))
             assert counting.read == log[pair[1]] + 1, (kernel.__name__, k, pair)
         assert kernel(fld, 5) is None and counting.read == 24
 
@@ -299,7 +299,7 @@ def test_built_pairs_collide_pointwise():
         for k in range(1, q):
             for pair, pointwise, built, first in (
                     (permpoly._a_pair, eval_a, gcd(k, q - 1) > 1, 0),
-                    (permpoly._b_pair, eval_b, gcd(2 * k, q - 1) > 2, fld.neg(2))):
+                    (permpoly._b_pair, eval_b, gcd(2 * k, q - 1) > 2, fld.sub(0, 2))):
                 xy = pair(fld, k)
                 assert (xy is not None) == built, (q, k, pointwise.__name__)
                 if xy is not None:
