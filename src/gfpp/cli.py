@@ -49,8 +49,9 @@ from .errors import GfppError
 from .field import (DEFAULT_FIELD_CAP, Field, cap_error, factor_prime_power,
                     odd_prime_powers, poly_str)
 
-# The largest q whose girth the girth stage checks by default: a BFS per k
-# costs up to about q^3 steps.
+# The largest q whose girth the girth stage checks by default: the scan runs
+# one BFS per Frobenius orbit of k, and only the p-powers' BFS, which finds
+# no cycle below 8, scans about q^3 edges.
 DEFAULT_GIRTH_CAP = 17
 
 UPPER_HALF_PRIMES = (3, 5, 7, 11, 13)

@@ -7,7 +7,7 @@ Every binomial-sum row is one kernel, _row_sum:
     R(mult, top, b) = sum over 2 <= i <= q-2 of (-1)^i C(top, mult*i % (q-1)) C(i, b)
 mod p, with each binomial reduced through the field's Lucas tables.
 Starred quantities are exponent classes mod q-1 reduced into 1..q-1
-(digits.star_reduce).  The lower index mult*i % (q-1) is the one exponent
+(star_reduce).  The lower index mult*i % (q-1) is the one exponent
 of its class in 0..top: only the class of 0 could have two there, 0 and
 q-1, and only in the support identity (the criterion's mult is coprime
 to q-1), where top <= q-2 on every walked row (see identity_grid).
@@ -31,16 +31,16 @@ such a row.
 
 The Hermite-type criterion for a_k (Dmytrenko-Lazebnik-Williford, Finite
 Fields Appl. 13, 2007): a_k permutes GF(q) iff gcd(k, q-1) = 1 and every
-    criterion_sum(k, s) = sum over 1 <= j <= q-2 of (-1)^j C(s, j) C((kj)*, (2ks)*)
+    S(k, s) = sum over 1 <= j <= q-2 of (-1)^j C(s, j) C((kj)*, (2ks)*)
 mod p, s in 1..q-2, vanishes.  For such k, with k' = k^(-1) mod q-1,
-    criterion_sum(k, s) = R(k', s, (2ks)*).
+    S(k, s) = R(k', s, (2ks)*).
 Proof: j -> i = (kj)* is a bijection of 1..q-2 with inverse i -> (k'i)*;
 i = kj mod q-1 has the parity of j, as q-1 is even and k odd; and the
 i = 1 term C(1, (2ks)*) is 0, as (2ks)* is even and at least 2.  Hou's
 proof of Conjecture A (arXiv 1701.05214) writes the rows through k':
-row r in 1..q-2 is R(k', (k'r)*, (2r)*), which is criterion_sum(k, (k'r)*)
-since (2k(k'r)*)* = (2r)*.  As r -> (k'r)* is a bijection of 1..q-2, the
-two forms are the same q-2 rows in another order; pp_criterion evaluates
+row r in 1..q-2 is R(k', (k'r)*, (2r)*), which is S(k, (k'r)*) since
+(2k(k'r)*)* = (2r)*.  As r -> (k'r)* is a bijection of 1..q-2, the two
+forms are the same q-2 rows in another order; pp_criterion evaluates
 each once.  For a p-power k, k' is a p-power class, so every row takes
 the closed form above, and it is 0: top = (k'r)* is never (k'(2r)*)*, as
 r is not 2r mod q-1.  The closed forms (support_identity_rhs,
@@ -78,9 +78,8 @@ import itertools
 from functools import lru_cache
 from math import comb, gcd
 
-from .digits import digit_vector, mod_inverse, per_orbit, star_reduce
 from .errors import NotPrimeError, ParamDomainError
-from .field import from_digits, is_prime
+from .field import from_digits, is_prime, per_orbit, star_reduce, to_digits
 
 UPPER_HALF_X_RANGE = range(0, 5)
 UPPER_HALF_Y_RANGE = range(1, 5)
@@ -121,13 +120,6 @@ def _row_sum(field, mult: int, top: int, bottom: int) -> int:
     return total * F[top] * G[bottom] % p
 
 
-def criterion_sum(field, k: int, s: int) -> int:
-    """The criterion row s in 1..q-2 of a coprime k, as the kernel row
-    R(k', s, (2ks)*); any other k raises NotCoprimeError."""
-    q = field.q
-    return _row_sum(field, mod_inverse(k, q - 1), s, star_reduce(2 * k * s, q))
-
-
 def pp_criterion(field, k: int) -> bool:
     """a_k is a PP iff gcd(k, q-1) = 1 and every criterion row vanishes.
 
@@ -143,7 +135,7 @@ def pp_criterion(field, k: int) -> bool:
     q = field.q
     if gcd(k, q - 1) != 1:
         return False
-    kp = mod_inverse(k, q - 1)
+    kp = pow(k, -1, q - 1)
     h = (q - 1) // 2
     for s in range(h - 1, 0, -1):
         for r in (s + h, s):
@@ -158,9 +150,9 @@ def cross_check(field, records) -> tuple[list[dict], dict]:
     criterion's is its negation), and the field's verdict.
 
     The criterion runs once per Frobenius orbit k -> p*k mod q-1, through
-    digits.per_orbit and this module's attribute: k -> p*k rotates the
-    base-p digits of every exponent class in a row, so by Lucas' theorem it
-    only permutes the digitwise binomials.
+    per_orbit and this module's attribute: k -> p*k rotates the base-p
+    digits of every exponent class in a row, so by Lucas' theorem it only
+    permutes the digitwise binomials.
     """
     q = field.q
     flags = per_orbit(field.p, field.e, lambda k: pp_criterion(field, k))
@@ -173,10 +165,10 @@ def cross_check(field, records) -> tuple[list[dict], dict]:
 
 def xy_params(l: int, t: int, p: int, e: int) -> tuple[int, int]:
     """Support split (x, y) of the class l against its rotation by t: with
-    d = digit_vector(l), y counts the positions i where both d_i and
+    d the digits of l*, y counts the positions i where both d_i and
     d_((i-t) mod e) are nonzero, that is where both l and p^t*l have a
     nonzero digit, and x is the digit sum of l minus y."""
-    d = digit_vector(l, p, e)
+    d = to_digits(star_reduce(l, p**e), p, e)
     y = sum(1 for i in range(e) if d[i] and d[(i - t) % e])
     return sum(d) - y, y
 
@@ -199,7 +191,7 @@ def support_identity_lhs(field, l: int, t: int, u: int, v: int) -> int:
         raise ParamDomainError("u, v must be in 0..%d, got (%d, %d)" % (h, u, v))
     if l < 1:
         raise ParamDomainError("l must be >= 1, got %d" % l)
-    digs = digit_vector(l, p, e)
+    digs = to_digits(star_reduce(l, q), p, e)
     if any(d > 1 for d in digs):
         raise ParamDomainError("l = %d has a base-%d digit above 1" % (l, p))
     if all(d == 1 for d in digs):

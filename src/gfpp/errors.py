@@ -17,10 +17,6 @@ class CapExceededError(GfppError):
     """A size guard (field cap, girth cap) was exceeded."""
 
 
-class NotCoprimeError(GfppError):
-    """A modular inverse was requested for non-coprime arguments."""
-
-
 class ParamDomainError(GfppError):
     """A parameter bundle violates the domain of an identity verifier."""
 

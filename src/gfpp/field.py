@@ -1,14 +1,15 @@
 """Arithmetic in GF(p^e) for odd primes p, and the integer helpers that
 name a field: `least_factor` (the one trial division), `is_prime`,
-`factor_prime_power` (q to (p, e)) and `odd_prime_powers` (the odd prime
-powers up to a limit).
+`factor_prime_power` (q to (p, e)), `odd_prime_powers` (the odd prime
+powers up to a limit), and on exponent classes mod q-1 `star_reduce`,
+`per_orbit` (a check once per Frobenius orbit) and `p_powers`.
 
 An element is identified by its index in the canonical enumeration: the
 element with coefficient vector (c0, ..., c_{e-1}) over Z_p (low degree
 first) has index sum(c_i * p^i).  Index 0 is the zero element and index 1
 is the one element, so plain ints double as element handles.  This base-p
 codec, `to_digits`/`from_digits`, is the one way between an index and its
-coefficients, and it also reads exponents for `gfpp.digits`.
+coefficients, and it also reads exponents.
 
 Besides the pointwise arithmetic, a field can build discrete-log and
 Zech-log tables for a fixed primitive element (Lidl-Niederreiter, Finite
@@ -120,6 +121,37 @@ def from_digits(digits, p: int) -> int:
     for d in reversed(digits):
         n = n * p + d % p
     return n
+
+
+def star_reduce(a: int, q: int) -> int:
+    """Reduce a >= 0 into {0, 1, ..., q-1}: 0 maps to 0, positive a to its
+    representative mod q-1 in {1, ..., q-1}, never 0, so x^a = x^(a*) for
+    every x, 0 included, the all-(p-1) digit string is exactly the class of
+    q-1 and the all-zero string is only 0.  Multiplying a class by p^t
+    rotates its digits, position i to i+t mod e."""
+    if a == 0:
+        return 0
+    return (a - 1) % (q - 1) + 1
+
+
+def per_orbit(p: int, e: int, decide) -> list:
+    """[decide(k) for k in 1..p**e - 1] for a decide constant on the orbits
+    of the Frobenius map k -> (p*k)*: decide runs once per orbit, at its
+    least member, and every member gets that value.  As p^e = 1 mod q-1,
+    the orbit of k is {(k*p^i)* : i < e}; in a prime field it is {k}."""
+    q, m = p**e, p**e - 1
+    values = {}
+    for k in range(1, q):
+        if k not in values:  # no smaller member has claimed it: k is the least
+            value = decide(k)
+            for i in range(e):
+                values[k * p**i % m or m] = value  # (k*p^i)*, as k >= 1
+    return [values[k] for k in range(1, q)]
+
+
+def p_powers(p: int, e: int) -> list[int]:
+    """The exponents p^0, ..., p^(e-1), ascending: the Frobenius orbit of 1."""
+    return [p**i for i in range(e)]
 
 
 def _poly_mod(coeffs, monic, p: int) -> int:

@@ -42,8 +42,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from . import permpoly
-from .digits import per_orbit
+from .field import p_powers, per_orbit
 
 
 def _monomial_table(field, a, b):
@@ -149,8 +148,8 @@ def girth_at_least(field, f_exps, g_exps, bound: int) -> bool:
 
 def girth_scan(field, records) -> tuple[list[dict], dict]:
     """For every 1 <= k <= q-1, test girth(G_q(XY, X^k Y^2k)) >= 8, once per
-    Frobenius orbit through digits.per_orbit (see the module docstring), so
-    the e p-powers, the orbit of 1, share one full-depth BFS.
+    Frobenius orbit through per_orbit (see the module docstring), so the
+    e p-powers, the orbit of 1, share one full-depth BFS.
 
     Returns one girth row per k, in order, and the field's verdict.  The
     verdict asserts the passing set (its witnesses) equals the p-powers,
@@ -161,7 +160,7 @@ def girth_scan(field, records) -> tuple[list[dict], dict]:
     ge8 = per_orbit(field.p, field.e,
                     lambda k: girth_at_least(field, (1, 1), (k, 2 * k), 8))
     passing = [k for k, ok in enumerate(ge8, 1) if ok]
-    expected = permpoly.p_powers(field)
+    expected = p_powers(field.p, field.e)
     implication_ok = all(r["a_pp"] and r["b_pp"] for r in records if ge8[r["k"] - 1])
     rows = [{"kind": "girth", "q": q, "k": k, "girth_ge_8": ok}
             for k, ok in enumerate(ge8, 1)]

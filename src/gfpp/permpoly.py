@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import digits
+from .field import p_powers, per_orbit
 
 
 def eval_a(field, k: int, x: int) -> int:
@@ -157,11 +157,6 @@ def _b_pair(field, k: int) -> tuple[int, int] | None:
     return (exp[(log[2] + h) % m], exp[n]) if 2 * k * zech[n] % m == 0 else None
 
 
-def p_powers(field) -> list[int]:
-    """The exponents p^0, ..., p^(e-1), ascending."""
-    return [field.p**i for i in range(field.e)]
-
-
 def sweep_record(field, k: int) -> dict:
     """The sweep row of one exponent: its direct PP flags.
 
@@ -181,10 +176,10 @@ def sweep(field) -> list[dict]:
     """Rows for every exponent 1 <= k <= q-1, in order.
 
     sweep_record runs once per Frobenius orbit, at its least member, through
-    digits.per_orbit; the other members take its row with their own k, as
-    the flags are constant on the orbit (see the module docstring).
+    per_orbit; the other members take its row with their own k, as the
+    flags are constant on the orbit (see the module docstring).
     """
-    leaders = digits.per_orbit(field.p, field.e, lambda k: sweep_record(field, k))
+    leaders = per_orbit(field.p, field.e, lambda k: sweep_record(field, k))
     return [r if r["k"] == k else dict(r, k=k) for k, r in enumerate(leaders, 1)]
 
 
@@ -204,7 +199,7 @@ def conjecture_verdict(field, which: str, records: list[dict]) -> dict:
         witnesses = [r["k"] for r in records if r["b_pp"]]
     else:
         witnesses = [r["k"] for r in records if r["a_pp"] and r["b_pp"]]
-    expected = p_powers(field)
+    expected = p_powers(field.p, field.e)
     if which == "two":
         passed = set(witnesses) <= set(expected)
     else:

@@ -14,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfpp import criterion
-from gfpp.criterion import (criterion_sum, cross_check, identity_grid,
-                            pp_criterion, support_identity_lhs,
-                            support_identity_rhs, upper_half_grid,
-                            upper_half_sum, xy_params)
-from gfpp.digits import mod_inverse, star_reduce
-from gfpp.errors import NotCoprimeError, NotPrimeError, ParamDomainError
-from gfpp.field import Field, factor_prime_power, is_prime, odd_prime_powers
-from gfpp.permpoly import eval_a, eval_b, p_powers, sweep
+from gfpp.criterion import (cross_check, identity_grid, pp_criterion,
+                            support_identity_lhs, support_identity_rhs,
+                            upper_half_grid, upper_half_sum, xy_params)
+from gfpp.errors import NotPrimeError, ParamDomainError
+from gfpp.field import (Field, factor_prime_power, is_prime, odd_prime_powers,
+                        p_powers, star_reduce)
+from gfpp.permpoly import eval_a, eval_b, sweep
 from lucas import lucas_binom
 
 
@@ -32,8 +31,15 @@ ORACLE_QS = (3, 5, 7, 9, 11, 13, 25, 27, 49, 81)
 SAMPLED_QS = (125, 243, 343, 625, 729, 1327)
 
 
+def _criterion_row(fld, k, s):
+    # the criterion row s in 1..q-2 of a coprime k, as the kernel row
+    # R(k', s, (2ks)*) (see the criterion module docstring)
+    q = fld.q
+    return criterion._row_sum(fld, pow(k, -1, q - 1), s, star_reduce(2 * k * s, q))
+
+
 def _exact_criterion_sum(fld, k, s):
-    # criterion_sum term by term, with exact integer binomials
+    # the criterion row S(k, s) term by term, with exact integer binomials
     q, p = fld.q, fld.p
     bottom = star_reduce(2 * k * s, q)
     total = 0
@@ -71,15 +77,15 @@ def f27():
 
 def test_sums_vanish_for_identity_exponent(f9):
     for s in range(1, 8):
-        assert criterion_sum(f9, 1, s) == 0
+        assert _criterion_row(f9, 1, s) == 0
 
 
 def test_sums_vanish_for_frobenius_exponents(f9, f27):
     for s in range(1, 8):
-        assert criterion_sum(f9, 3, s) == 0
-    for k in p_powers(f27):
+        assert _criterion_row(f9, 3, s) == 0
+    for k in p_powers(3, 3):
         for s in range(1, 26):
-            assert criterion_sum(f27, k, s) == 0
+            assert _criterion_row(f27, k, s) == 0
 
 
 def test_terms_above_s_contribute_nothing(f9):
@@ -95,7 +101,7 @@ def test_terms_above_s_contribute_nothing(f9):
 
     for k in _coprime_exponents(9):
         for s in range(1, 8):
-            assert criterion_sum(f9, k, s) == truncated(f9, k, s)
+            assert _criterion_row(f9, k, s) == truncated(f9, k, s)
 
 
 def _coprime_exponents(q):
@@ -109,15 +115,16 @@ def _p_power_classes(q):
 
 
 def _kernel_calls(q):
-    # (function, args) of every call the oracle test checks: criterion_sum
-    # at every coprime k and s; _row_sum at every mult in range(q), 0 and
-    # the non-coprime ones included, on the rows r = 1..q-1 of the
-    # inverse-exponent form, top (mult*r)* and bottom (2r)*; and _row_sum
-    # at every p-power mult and every top and bottom in 0..q-1, inside the
-    # closed form's guard (bottom >= 2, top <= q-2) and outside it
+    # (function, args) of every call the oracle test checks: the criterion
+    # row s of every coprime k, through the kernel; _row_sum at every mult
+    # in range(q), 0 and the non-coprime ones included, on the rows
+    # r = 1..q-1 of the inverse-exponent form, top (mult*r)* and bottom
+    # (2r)*; and _row_sum at every p-power mult and every top and bottom
+    # in 0..q-1, inside the closed form's guard (bottom >= 2, top <= q-2)
+    # and outside it
     for k in _coprime_exponents(q):
         for s in range(1, q - 1):
-            yield criterion_sum, _exact_criterion_sum, (k, s)
+            yield _criterion_row, _exact_criterion_sum, (k, s)
     for mult in range(q):
         for r in range(1, q):
             args = (mult, star_reduce(mult * r, q), star_reduce(2 * r, q))
@@ -134,7 +141,7 @@ def test_sums_equal_the_exact_oracle(q):
     # The identity, between the exact oracles alone: for gcd(k, q-1) = 1,
     # row r of the criterion through k' is the criterion row s = (k'r)*.
     for k in _coprime_exponents(q):
-        kp = mod_inverse(k, q - 1)
+        kp = pow(k, -1, q - 1)
         for r in range(1, q - 1):
             s = star_reduce(kp * r, q)
             assert (_exact_row_sum(fld, kp, s, star_reduce(2 * r, q))
@@ -142,12 +149,6 @@ def test_sums_equal_the_exact_oracle(q):
     # Each table-driven sum against its exact oracle.
     for func, oracle, args in _kernel_calls(q):
         assert func(fld, *args) == oracle(fld, *args), (func.__name__, args)
-
-
-def test_criterion_sum_needs_a_coprime_exponent(f9):
-    for k in (0, 2, 4, 6):
-        with pytest.raises(NotCoprimeError):
-            criterion_sum(f9, k, 1)
 
 
 @functools.cache
@@ -163,8 +164,8 @@ def test_sums_equal_the_exact_oracle_beyond_q81(data):
     k = data.draw(st.sampled_from(_coprime_exponents(q)), label="k")
     s = data.draw(st.integers(1, q - 2), label="s")
     mult = data.draw(st.integers(0, q - 1), label="mult")
-    assert criterion_sum(fld, k, s) == _exact_criterion_sum(fld, k, s)
-    for m in (mod_inverse(k, q - 1), mult):
+    assert _criterion_row(fld, k, s) == _exact_criterion_sum(fld, k, s)
+    for m in (pow(k, -1, q - 1), mult):
         args = (m, star_reduce(m * s, q), star_reduce(2 * s, q))
         assert criterion._row_sum(fld, *args) == _exact_row_sum(fld, *args), args
     # a p-power mult at a free (top, bottom), and at the one top,
@@ -269,9 +270,9 @@ def test_rows_walk_only_their_nonempty_index_range(q):
     # nothing.  The row with bottom q-1 costs nothing.
     fld = Field(*factor_prime_power(q))
     for func, _, args in _kernel_calls(q):
-        if func is criterion_sum:
+        if func is _criterion_row:
             k, s = args
-            args = (mod_inverse(k, q - 1), s, star_reduce(2 * k * s, q))
+            args = (pow(k, -1, q - 1), s, star_reduce(2 * k * s, q))
         passes = _loop_passes(criterion._row_sum,
                               lambda: criterion._row_sum(fld, *args))
         assert passes == _walk_length(q, *args), args
@@ -373,7 +374,7 @@ def test_criteria_are_constant_on_frobenius_orbits(q):
     fld = Field(*factor_prime_power(q))
     data = {}
     for k in range(1, q):
-        data[k] = ([criterion_sum(fld, k, s) for s in range(1, q - 1)]
+        data[k] = ([_criterion_row(fld, k, s) for s in range(1, q - 1)]
                    if gcd(k, q - 1) == 1 else None,
                    [criterion._row_sum(fld, k, star_reduce(k * r, q),
                                        star_reduce(2 * r, q))
@@ -388,13 +389,13 @@ def test_inverse_sums_vanish_for_pp_exponents(f9):
     for s in range(1, 5):
         assert criterion._row_sum(f9, 1, s, 2 * s) == 0
     # k = 3 (k' = 3): the row r = 1 + 4, R(3, (3*5)*, 2)
-    assert mod_inverse(3, 8) == 3
+    assert pow(3, -1, 8) == 3
     assert criterion._row_sum(f9, 3, star_reduce(3 * 5, 9), 2) == 0
 
 
 def test_inverse_sums_detect_non_pp(f27):
     # k = 7 is coprime to 26 but not a power of 3, so some row must fail
-    kp = mod_inverse(7, 26)
+    kp = pow(7, -1, 26)
     rows = [criterion._row_sum(f27, kp, star_reduce(kp * r, 27),
                                star_reduce(2 * r, 27)) for r in range(1, 26)]
     assert any(r != 0 for r in rows)
@@ -412,7 +413,7 @@ def test_inverse_criterion_tries_every_row_cheapest_first(f27, monkeypatch):
 
     monkeypatch.setattr(criterion, "_row_sum", row)
     assert pp_criterion(f27, 7)
-    kp = mod_inverse(7, 26)
+    kp = pow(7, -1, 26)
     assert tried == [(kp, star_reduce(kp * r, 27), 2 * s)
                      for s in range(12, 0, -1) for r in (s + 13, s)]
 
@@ -435,7 +436,7 @@ def test_first_two_rows_have_the_lemmas_closed_form():
         fld = Field(*factor_prime_power(q))
         h = (q - 1) // 2
         for k in _coprime_exponents(q):
-            kp = mod_inverse(k, q - 1)
+            kp = pow(k, -1, q - 1)
             assert _inverse_row(fld, kp, q - 2) == _decisive_row(fld.p, kp), (q, k)
             if kp < h:
                 assert _inverse_row(fld, kp, h - 1) == 0, (q, k)
@@ -447,7 +448,7 @@ def test_decisive_row_is_the_first_power_sum_of_b():
     for q in odd_prime_powers(81):
         fld = Field(*factor_prime_power(q))
         for k in _coprime_exponents(q):
-            kp = mod_inverse(k, q - 1)
+            kp = pow(k, -1, q - 1)
             total = 0
             for x in range(q):
                 total = fld.add(total, fld.add(eval_b(fld, kp, x), 2))

@@ -1,4 +1,5 @@
 """The package imports nothing outside the standard library and itself,
+each stage module imports only `gfpp.field` and `gfpp.errors` from it,
 `import gfpp` loads only the field arithmetic, `import gfpp.cli` and a
 cache hit load no stage module (and the cli no pathlib), a plain sweep
 loads neither criterion nor graphs, a skipped stage loads nothing, no
@@ -9,6 +10,7 @@ functions its tracer wraps, the options of its workloads and the
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -18,26 +20,60 @@ import gfpp
 from gfpp import cli
 
 SRC = Path(gfpp.__file__).parent
-PERFBENCH = Path(__file__).parents[1] / "perfbench"
+TESTS = Path(__file__).parent
+ROOT = TESTS.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _top_level_imports(path):
+    """The top-level package of every absolute import in the source at
+    `path`, at any depth of its code."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def _foreign_imports(paths, allowed):
+    return [(path.name, top) for path in sorted(paths)
+            for top in sorted(_top_level_imports(path))
+            if top not in allowed and top not in sys.stdlib_module_names]
 
 
 def test_runtime_imports_are_stdlib_or_gfpp():
     # sympy, networkx and hypothesis may serve the tests as oracles only
-    foreign = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                if top != "gfpp" and top not in sys.stdlib_module_names:
-                    foreign.append((path.name, name))
     assert len(list(SRC.glob("*.py"))) > 1
-    assert foreign == []
+    assert _foreign_imports(SRC.glob("*.py"), {"gfpp"}) == []
+
+
+def _test_extra():
+    """The requirement names of pyproject.toml's `test` extra, read without
+    tomllib, which Python 3.10 lacks."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extras = text.split("[project.optional-dependencies]\n", 1)[1].split("\n[", 1)[0]
+    (listed,) = re.findall(r"^test\s*=\s*\[([^\]]*)\]", extras, re.M)
+    return {re.match(r"[\w.-]+", req).group().lower()
+            for req in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_test_imports_are_in_the_test_extra():
+    # pip install -e ".[test]" brings everything the tests import: each
+    # package the extra names is imported under that name, and lucas is
+    # the tests' own helper module.
+    extra = _test_extra()
+    assert "pytest" in extra
+    assert _foreign_imports(TESTS.glob("*.py"), extra | {"gfpp", "lucas"}) == []
+
+
+def test_readme_layout_has_one_row_per_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("\n## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(gfpp\.\w+)`", table, re.M)
+    modules = ["gfpp." + path.stem for path in SRC.glob("*.py") if path.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
 
 
 def _imported_gfpp_modules(path):
@@ -59,15 +95,17 @@ def _imported_gfpp_modules(path):
     return out
 
 
-def test_permpoly_imports_neither_criterion_nor_graphs():
-    # The sweep knows nothing of the checks that judge its rows: the
-    # command line runs the criterion and the girth scan as stages.
-    imported = _imported_gfpp_modules(SRC / "permpoly.py")
-    assert "gfpp.digits" in imported
-    assert not {"gfpp.criterion", "gfpp.graphs"} & imported
+def test_stage_modules_import_only_the_field_and_errors():
+    # Each stage module stands on the base modules alone: the sweep knows
+    # nothing of the checks that judge its rows, and no check imports
+    # another stage; the command line runs them as stages.
+    imported = {name: _imported_gfpp_modules(SRC / (name + ".py"))
+                for name in ("permpoly", "criterion", "graphs")}
+    assert all("gfpp.field" in mods for mods in imported.values())
+    assert all(mods <= {"gfpp.field", "gfpp.errors"} for mods in imported.values()), imported
 
 
-STAGE_MODULES = {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs", "gfpp.digits"}
+STAGE_MODULES = {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs"}
 
 
 def _loaded_after(code):
@@ -123,7 +161,7 @@ def test_a_skipped_stage_loads_no_module(tmp_path):
     # never imported.
     run = ("import gfpp.cli; gfpp.cli.main(['identities', '--q', '25', '--jobs', '1', "
            "'--json', %r])" % str(tmp_path / "out.json"))
-    assert not {"gfpp.criterion", "gfpp.digits"} & _loaded_after(run)
+    assert "gfpp.criterion" not in _loaded_after(run)
     (verdict,) = json.loads((tmp_path / "out.json").read_text())["verdicts"]
     assert verdict["skipped"] == "ParamDomain: e = 2 < 3"
 

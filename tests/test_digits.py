@@ -1,15 +1,12 @@
-"""Star reduction, digit strings, Frobenius orbits, inverse exponents, and
-the tests' own digitwise Lucas binomials."""
+"""The exponent helpers of gfpp.field: star reduction, the digits of an
+exponent class, Frobenius orbits and the p-powers; and the tests' own
+digitwise Lucas binomials."""
 
 from math import comb
 
 import pytest
 
-from gfpp.digits import (digit_vector, digits_binary, mod_inverse, per_orbit,
-                         star_reduce)
-from gfpp.errors import NotCoprimeError
-from gfpp.field import Field
-from gfpp.permpoly import p_powers
+from gfpp.field import Field, p_powers, per_orbit, star_reduce, to_digits
 from lucas import lucas_binom
 
 
@@ -34,6 +31,16 @@ def test_star_reduce_range():
         assert (star_reduce(a, q) - a) % (q - 1) == 0
 
 
+def test_star_reduce_keeps_every_power():
+    # x^a = x^(a*) for every x of GF(q), 0 included: a positive a never
+    # reduces to 0, whose power 0^0 = 1 would differ from 0^a = 0
+    for p, e in ((3, 1), (3, 2), (5, 1)):
+        fld = Field(p, e)
+        for a in range(0, 3 * fld.q):
+            for x in range(fld.q):
+                assert fld.pow(x, star_reduce(a, fld.q)) == fld.pow(x, a), (fld.q, a, x)
+
+
 def test_star_respects_multiplication():
     q = 27
     for a in range(1, 2 * q + 1):
@@ -42,34 +49,35 @@ def test_star_respects_multiplication():
 
 
 def test_digit_vector_examples():
-    assert digit_vector(4, 3, 3) == (1, 1, 0)
-    assert digit_vector(26, 3, 3) == (2, 2, 2)
-    assert digit_vector(27, 3, 3) == (1, 0, 0)  # star reduction first
-    assert digit_vector(0, 3, 3) == (0, 0, 0)
+    assert to_digits(star_reduce(4, 27), 3, 3) == (1, 1, 0)
+    assert to_digits(star_reduce(26, 27), 3, 3) == (2, 2, 2)
+    assert to_digits(star_reduce(27, 27), 3, 3) == (1, 0, 0)  # star reduction first
+    assert to_digits(star_reduce(0, 27), 3, 3) == (0, 0, 0)
     # Below q-1 an exponent and an element index are one base-p string.
     for p, e in ((3, 3), (5, 3)):
         for a in range(p**e - 1):
-            assert digit_vector(a, p, e) == tuple(a // p**i % p for i in range(e)), (p, e, a)
+            assert (to_digits(star_reduce(a, p**e), p, e)
+                    == tuple(a // p**i % p for i in range(e))), (p, e, a)
 
 
 def test_digit_vector_shift_examples():
     # the shift class of l by t is the class of p^t * l
-    assert digit_vector(4 * 3, 3, 3) == (0, 1, 1)
-    assert digit_vector(26 * 3, 3, 3) == (2, 2, 2)  # all-(p-1) fixed point
-    assert digit_vector(26 * 9, 3, 3) == (2, 2, 2)
-    assert digit_vector(0 * 3, 3, 3) == (0, 0, 0)
+    assert to_digits(star_reduce(4 * 3, 27), 3, 3) == (0, 1, 1)
+    assert to_digits(star_reduce(26 * 3, 27), 3, 3) == (2, 2, 2)  # all-(p-1) fixed point
+    assert to_digits(star_reduce(26 * 9, 27), 3, 3) == (2, 2, 2)
+    assert to_digits(star_reduce(0 * 3, 27), 3, 3) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (5, 3)])
 def test_digit_vector_is_rotation(p, e):
-    # digit_vector(l * p^t) rotates digit_vector(l), position i to i+t mod
-    # e, for every class l, the all-(p-1) class q-1 and 0 included
+    # the digits of the class l * p^t rotate those of l, position i to i+t
+    # mod e, for every class l, the all-(p-1) class q-1 and 0 included
     q = p**e
     for l in range(0, 3 * q):
-        digs = digit_vector(l, p, e)
+        digs = to_digits(star_reduce(l, q), p, e)
         for t in range(0, e + 1):
             rotated = tuple(digs[(i - t) % e] for i in range(e))
-            assert digit_vector(l * p**t, p, e) == rotated, (l, t)
+            assert to_digits(star_reduce(l * p**t, q), p, e) == rotated, (l, t)
 
 
 ORBIT_CASES = [(3, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3),
@@ -134,41 +142,13 @@ def test_lucas_binom_against_exact(p):
         assert lucas_binom(m, m + 17, p) == 0
 
 
-def test_mod_inverse():
-    assert mod_inverse(5, 8) == 5
-    assert mod_inverse(1, 8) == 1
-    assert mod_inverse(3, 26) == 9
-    for m in (8, 26, 124):
-        for k in range(1, m):
-            try:
-                kp = mod_inverse(k, m)
-            except NotCoprimeError:
-                from math import gcd
-                assert gcd(k, m) != 1
-                continue
-            assert 1 <= kp <= m - 1
-            assert kp * k % m == 1
-    with pytest.raises(NotCoprimeError):
-        mod_inverse(2, 8)
-
-
 def test_p_powers():
-    assert p_powers(Field(3, 2)) == [1, 3]
-    f27 = Field(3, 3)
-    assert [k for k in range(1, 27) if k in p_powers(f27)] == [1, 3, 9]
-
-
-def test_digits_binary():
-    assert digits_binary(4, 3, 3)
-    assert not digits_binary(2, 3, 3)
-    assert digits_binary(13, 3, 3)
-    assert digits_binary(1 + 5 + 25, 5, 3)
-    assert not digits_binary(2 + 5, 5, 3)
-    for p, e in ((3, 1), (3, 3), (5, 3), (7, 2)):
-        q = p**e
-        assert digits_binary(0, p, e)
-        assert not digits_binary(q - 1, p, e)  # every digit is p-1 >= 2
-        assert digits_binary(q, p, e)  # q reduces to 1
+    assert p_powers(3, 2) == [1, 3]
+    assert [k for k in range(1, 27) if k in p_powers(3, 3)] == [1, 3, 9]
+    # the Frobenius orbit of 1
+    for p, e in ORBIT_CASES:
+        assert p_powers(p, e) == [k for k, leader in enumerate(per_orbit(p, e, lambda k: k), 1)
+                                  if leader == 1], (p, e)
 
 
 def test_xy_params_sum_to_the_support_size():
@@ -185,5 +165,5 @@ def test_xy_params_sum_to_the_support_size():
         for t in range(1, e):
             x, y = xy_params(l, t, p, e)
             assert x + y == sum(bits)
-            shifted = digit_vector(l * p**t, p, e)
+            shifted = to_digits(star_reduce(l * p**t, p**e), p, e)
             assert y == sum(1 for a, b in zip(bits, shifted) if a and b)
