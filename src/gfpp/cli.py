@@ -32,8 +32,6 @@ where the stage serves a field, so a cache hit loads none.  A job
 imports them before the stage clocks start.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import hashlib
@@ -45,8 +43,7 @@ import time
 from importlib import import_module
 
 from . import __version__
-from .errors import GfppError
-from .field import (DEFAULT_FIELD_CAP, Field, cap_error, factor_prime_power,
+from .field import (DEFAULT_FIELD_CAP, Field, GfppError, cap_error, factor_prime_power,
                     odd_prime_powers, poly_str)
 
 # The largest q whose girth the girth stage checks by default: the scan runs

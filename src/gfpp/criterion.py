@@ -72,14 +72,12 @@ the first power sum of b_k' + 2, since the sum of x^j over x != 0 is -1
 when q-1 divides j and 0 otherwise, and only i = k' qualifies.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import NotPrimeError, ParamDomainError
-from .field import from_digits, is_prime, per_orbit, star_reduce, to_digits
+from .field import (NotPrimeError, ParamDomainError, from_digits, is_prime, per_orbit,
+                    star_reduce, to_digits)
 
 UPPER_HALF_X_RANGE = range(0, 5)
 UPPER_HALF_Y_RANGE = range(1, 5)

@@ -1,8 +1,10 @@
-"""Arithmetic in GF(p^e) for odd primes p, and the integer helpers that
-name a field: `least_factor` (the one trial division), `is_prime`,
-`factor_prime_power` (q to (p, e)), `odd_prime_powers` (the odd prime
-powers up to a limit), and on exponent classes mod q-1 `star_reduce`,
-`per_orbit` (a check once per Frobenius orbit) and `p_powers`.
+"""Arithmetic in GF(p^e) for odd primes p, the package's errors (`GfppError`
+and its subclasses `NotPrimeError`, `EvenPrimeError`, `CapExceededError` and
+`ParamDomainError`), and the integer helpers that name a field:
+`least_factor` (the one trial division), `is_prime`, `factor_prime_power`
+(q to (p, e)), `odd_prime_powers` (the odd prime powers up to a limit), and
+on exponent classes mod q-1 `star_reduce`, `per_orbit` (a check once per
+Frobenius orbit) and `p_powers`.
 
 An element is identified by its index in the canonical enumeration: the
 element with coefficient vector (c0, ..., c_{e-1}) over Z_p (low degree
@@ -16,8 +18,9 @@ Zech-log tables for a fixed primitive element (Lidl-Niederreiter, Finite
 Fields, ch. 2), which turn products and powers into sums of exponents mod
 q-1 and sums into one table lookup, and base-p digit tables that turn a
 binomial coefficient C(m, n) mod p with m, n < q into three lookups (Lucas
-and Kummer).  These builders, and the difference table of `gfpp.graphs`,
-build each entry from an earlier one and one digit, in O(1), not O(e).
+and Kummer).  Only the Zech table's x + 1, `binom_tables` and the girth
+difference table of `gfpp.graphs` build each entry from an earlier one and
+one digit, in O(1), not O(e).
 
 The pointwise arithmetic, `add`/`sub`/`mul`/`pow`, builds those tables and
 is the oracle of the code that reads them; -a is sub(0, a) and a^(-1) is
@@ -29,12 +32,8 @@ polynomial of degree e (coefficients compared low-degree-first), which
 makes every element-dependent value reproducible across runs and machines.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-
-from .errors import CapExceededError, EvenPrimeError, NotPrimeError
 
 DEFAULT_FIELD_CAP = 10**6
 
@@ -169,6 +168,26 @@ def _poly_mod(coeffs, monic, p: int) -> int:
                 if m:
                     rem[j] -= c * m
     return from_digits(rem[:d], p)
+
+
+class GfppError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class NotPrimeError(GfppError):
+    """A value required to be prime (or a prime power) is not."""
+
+
+class EvenPrimeError(GfppError):
+    """Characteristic 2 was requested; only odd characteristic is supported."""
+
+
+class CapExceededError(GfppError):
+    """A size guard (field cap, girth cap) was exceeded."""
+
+
+class ParamDomainError(GfppError):
+    """A parameter bundle violates the domain of an identity verifier."""
 
 
 def cap_error(key: str, n: int, name: str, cap: int) -> CapExceededError:

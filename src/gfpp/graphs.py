@@ -37,8 +37,6 @@ G_q(XY, X^(pk)* Y^(2pk)*), whose starred exponents are positive and so
 give the same values, 0 at 0 included.
 """
 
-from __future__ import annotations
-
 import math
 from collections import deque
 

@@ -38,8 +38,6 @@ a sweep decides each Frobenius orbit k -> p*k mod q-1 once, at its least
 member.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .field import p_powers, per_orbit

@@ -15,8 +15,7 @@ import pytest
 
 from gfpp import cli, criterion, graphs
 from gfpp.cli import main
-from gfpp.errors import GfppError
-from gfpp.field import factor_prime_power
+from gfpp.field import GfppError, factor_prime_power
 
 
 def run(tmp_path, *argv, name="out.json"):

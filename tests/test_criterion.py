@@ -17,9 +17,8 @@ from gfpp import criterion
 from gfpp.criterion import (cross_check, identity_grid, pp_criterion,
                             support_identity_lhs, support_identity_rhs,
                             upper_half_grid, upper_half_sum, xy_params)
-from gfpp.errors import NotPrimeError, ParamDomainError
-from gfpp.field import (Field, factor_prime_power, is_prime, odd_prime_powers,
-                        p_powers, star_reduce)
+from gfpp.field import (Field, NotPrimeError, ParamDomainError, factor_prime_power,
+                        is_prime, odd_prime_powers, p_powers, star_reduce)
 from gfpp.permpoly import eval_a, eval_b, sweep
 from lucas import lucas_binom
 

@@ -1,11 +1,12 @@
 """The package imports nothing outside the standard library and itself,
-each stage module imports only `gfpp.field` and `gfpp.errors` from it,
-`import gfpp` loads only the field arithmetic, `import gfpp.cli` and a
-cache hit load no stage module (and the cli no pathlib), a plain sweep
-loads neither criterion nor graphs, a skipped stage loads nothing, no
-stage clock times an import, and the benchmark finds what it runs: the
-functions its tracer wraps, the options of its workloads and the
-`Field(p, e, cap=...)` its setup child builds."""
+each stage module imports only `gfpp.field` from it, `import gfpp` loads
+only the field, `import gfpp.cli` and a cache hit load no stage module (and
+the cli no pathlib), a plain sweep loads neither criterion nor graphs, a
+skipped stage loads nothing, no stage clock times an import, CI installs
+exactly the test extra, pyproject.toml's version is `gfpp.__version__`,
+and the benchmark finds what it runs: the functions its tracer wraps, the
+options of its workloads and the `Field(p, e, cap=...)` its setup child
+builds."""
 
 import ast
 import json
@@ -68,6 +69,26 @@ def test_test_imports_are_in_the_test_extra():
     assert _foreign_imports(TESTS.glob("*.py"), extra | {"gfpp", "lucas"}) == []
 
 
+def test_ci_installs_exactly_the_test_extra():
+    # CI names the packages rather than running pip install -e ".[test]",
+    # which would install gfpp itself and so let the plain-checkout step
+    # pass even if pyproject.toml's pythonpath = ["src"] broke.
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"- name: Install the test-only dependencies\n"
+                           r"\s+run: python -m pip install (.+)", text)
+    assert set(listed.split()) == _test_extra()
+
+
+def test_version_is_the_pyproject_version():
+    # pip's metadata reads pyproject.toml's version, while the report and
+    # every cache key read gfpp.__version__; if only the former were bumped,
+    # stale cache entries would still be served.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', project, re.M)
+    assert version == gfpp.__version__
+
+
 def test_readme_layout_has_one_row_per_module():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     table = text.split("\n## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
@@ -95,14 +116,13 @@ def _imported_gfpp_modules(path):
     return out
 
 
-def test_stage_modules_import_only_the_field_and_errors():
+def test_stage_modules_import_only_the_field():
     # Each stage module stands on the base modules alone: the sweep knows
     # nothing of the checks that judge its rows, and no check imports
     # another stage; the command line runs them as stages.
     imported = {name: _imported_gfpp_modules(SRC / (name + ".py"))
                 for name in ("permpoly", "criterion", "graphs")}
-    assert all("gfpp.field" in mods for mods in imported.values())
-    assert all(mods <= {"gfpp.field", "gfpp.errors"} for mods in imported.values()), imported
+    assert all(mods == {"gfpp.field"} for mods in imported.values()), imported
 
 
 STAGE_MODULES = {"gfpp.permpoly", "gfpp.criterion", "gfpp.graphs"}
@@ -119,9 +139,7 @@ def _loaded_after(code):
 
 
 def test_import_gfpp_loads_only_the_field():
-    out = _loaded_after("import gfpp")
-    assert "gfpp.field" in out
-    assert not (STAGE_MODULES | {"gfpp.cli"}) & out
+    assert _loaded_after("import gfpp") == {"gfpp", "gfpp.field"}
 
 
 def test_import_cli_loads_no_stage_module():

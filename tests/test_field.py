@@ -9,10 +9,9 @@ from math import comb
 import pytest
 from sympy import Poly, symbols
 
-from gfpp.errors import CapExceededError, EvenPrimeError, NotPrimeError
-from gfpp.field import (Field, factor_prime_power, from_digits, is_prime,
-                        least_factor, odd_prime_powers, poly_str,
-                        smallest_irreducible, to_digits)
+from gfpp.field import (CapExceededError, EvenPrimeError, Field, NotPrimeError,
+                        factor_prime_power, from_digits, is_prime, least_factor,
+                        odd_prime_powers, poly_str, smallest_irreducible, to_digits)
 from lucas import lucas_binom
 
 
