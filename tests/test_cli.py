@@ -486,6 +486,8 @@ def test_verify_all_deterministic(tmp_path):
 GOLDEN_DIGESTS = {
     "sweep --q 729,1327 --which two":
         "2e9a61438beac1c484cb86a56606bb94901c6f4a2cfcda48848b4757f7d1b183",
+    "verify-all --q-max 243":
+        "52d3a48fd34e205f85e6b0637caa28ea88be3cc8b1a8c0a33c5cc8d2911f5fc2",
     "verify-all --q-max 27":
         "ab4951cbff55f035439c79d994cbcb2a65e7d0d1a6a5c34f22174bfff03186e9",
     "girth --q 9 --k 3":
@@ -516,6 +518,8 @@ GOLDEN_DIGESTS = {
 GOLDEN_TEXT_DIGESTS = {
     "sweep --q 729,1327 --which two":
         "96ff9eee49cd37cef8dcd2a0babeddb51a2531c33f64542d1cae0273caacbddf",
+    "verify-all --q-max 243":
+        "f80e5bf24cdebcc09207a472de85f13b1bab4680f4716c2dcbe13b547fe64bca",
     "verify-all --q-max 27":
         "85576681c846dfd41e2340bd2327bcf3e95afb5cabf37c829d5739acd006716f",
     "girth --q 9 --k 3":

@@ -70,10 +70,31 @@ def pointwise_first_collision(fld, k, pointwise):
     return None
 
 
+def a_scanned(fld, k):
+    """a_k is scanned when k is a unit mod q-1; otherwise its pair is built."""
+    return gcd(k, fld.q - 1) == 1
+
+
+def b_scanned(fld, k):
+    """b_k is scanned when gcd(2k, q-1) = 2; otherwise its pair is built."""
+    return gcd(2 * k, fld.q - 1) == 2
+
+
+DECIDERS = ((a_collision, eval_a, a_scanned), (b_collision, eval_b, b_scanned))
+
+
 def assert_kernels_match_pointwise_scan(fld, k):
-    for kernel, pointwise in ((a_collision, eval_a), (b_collision, eval_b)):
-        assert kernel(fld, k) == pointwise_first_collision(fld, k, pointwise), (
-            fld.q, k, kernel.__name__)
+    # At a scanned k the decider returns the pointwise scan's first
+    # collision; at any other k, some pair that collides pointwise.
+    for kernel, pointwise, scanned in DECIDERS:
+        pair = kernel(fld, k)
+        if scanned(fld, k):
+            assert pair == pointwise_first_collision(fld, k, pointwise), (
+                fld.q, k, kernel.__name__)
+        else:
+            x, y = pair
+            assert x != y and pointwise(fld, k, x) == pointwise(fld, k, y), (
+                fld.q, k, kernel.__name__, pair)
 
 
 def test_scan_value_formulas_match_pointwise_eval(f9):
@@ -109,10 +130,13 @@ def test_collisions_match_pointwise_scan_at_sampled_k(p, e):
 def test_b_scan_pairs_zero_with_minus_one_at_p3_even_k():
     # In characteristic 3, 2 = -1, so b_k(-1) = -(-1)^k - 2 = 0 = b_k(0) for
     # even k: x = 0 and x = -1 are the first two inputs and collide at once.
-    for q in (3, 9, 27):
+    # Only the scanned k are read, and at q = 9 no even k is scanned.
+    for q in (3, 9, 27, 243):
         fld = Field(*factor_prime_power(q))
         minus_one = fld.sub(0, 1)
         for k in range(1, q):
+            if not b_scanned(fld, k):
+                continue
             if k % 2 == 0:
                 assert b_collision(fld, k) == (0, minus_one), (q, k)
             else:
@@ -134,9 +158,12 @@ def test_a_b_collision_hand_worked_pairs():
 
 
 class CountingList(list):
-    """A list that counts the items its iterator hands out."""
+    """A list that counts the loops over it and the items the last one read."""
+
+    loops = 0
 
     def __iter__(self):
+        self.loops += 1
         self.read = 0
         for item in list.__iter__(self):
             self.read += 1
@@ -146,17 +173,20 @@ class CountingList(list):
 def test_a_b_collision_stop_reading_at_the_collision(monkeypatch):
     # A scan reads zech in log order up to its second colliding input and
     # no further: x2 = g^n is the (n+1)-th item read.  A PP (k = 5 at
-    # q = 25) reads all q-1 items.
+    # q = 25) reads all q-1 items.  k = 7, 11, 13 and 19 are scanned for
+    # both maps; the built pairs of k = 2 and 14 loop over zech not at all.
     fld = Field(5, 2)
     exp, log, zech = fld.log_tables()
     counting = CountingList(zech)
     monkeypatch.setattr(fld, "log_tables", lambda: (exp, log, counting))
     for kernel in (a_collision, b_collision):
-        for k in (2, 7, 13, 14):
+        for k in (7, 11, 13, 19):
             pair = kernel(fld, k)
             assert pair is not None and pair[1] not in (0, fld.sub(0, 1))
             assert counting.read == log[pair[1]] + 1, (kernel.__name__, k, pair)
         assert kernel(fld, 5) is None and counting.read == 24
+        loops = counting.loops
+        assert kernel(fld, 2) and kernel(fld, 14) and counting.loops == loops
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)],
@@ -290,23 +320,38 @@ def _is_minus_one(fld, x):
 
 
 def test_built_pairs_collide_pointwise():
-    # Every odd q <= 243 and every k: an a_k pair exists exactly when
-    # gcd(k, q-1) > 1 and starts at 0, a b_k pair exactly when
-    # gcd(2k, q-1) > 2 and starts at -2, and each collides under the
-    # pointwise maps.
-    for q in odd_prime_powers(243):
+    # Every odd q <= 243, 729 and 1327, and every k whose pair is built,
+    # gcd(k, q-1) > 1 for a_k and gcd(2k, q-1) > 2 for b_k: the a_k pair
+    # starts at 0, the b_k pair at -2, neither input is -1, and the two
+    # collide under the pointwise maps.
+    for q in list(odd_prime_powers(243)) + [729, 1327]:
         fld = Field(*factor_prime_power(q))
         for k in range(1, q):
-            for pair, pointwise, built, first in (
-                    (permpoly._a_pair, eval_a, gcd(k, q - 1) > 1, 0),
-                    (permpoly._b_pair, eval_b, gcd(2 * k, q - 1) > 2, fld.sub(0, 2))):
-                xy = pair(fld, k)
-                assert (xy is not None) == built, (q, k, pointwise.__name__)
-                if xy is not None:
-                    x, y = xy
-                    assert x == first and x != y and y != 0, (q, k, xy)
-                    assert not _is_minus_one(fld, x) and not _is_minus_one(fld, y)
-                    assert pointwise(fld, k, x) == pointwise(fld, k, y), (q, k, xy)
+            for kernel, pointwise, scanned, first in (
+                    (a_collision, eval_a, a_scanned, 0),
+                    (b_collision, eval_b, b_scanned, fld.sub(0, 2))):
+                if scanned(fld, k):
+                    continue
+                x, y = xy = kernel(fld, k)
+                assert x == first and x != y and y != 0, (q, k, xy)
+                assert not _is_minus_one(fld, x) and not _is_minus_one(fld, y)
+                assert pointwise(fld, k, x) == pointwise(fld, k, y), (q, k, xy)
+
+
+@pytest.mark.parametrize("kernel,k", [(a_collision, 4), (b_collision, 4),
+                                      (a_collision, 9), (b_collision, 10)],
+                         ids=["a4", "b4", "a9", "b10"])
+def test_built_pair_check_rejects_a_damaged_zech_table(kernel, k, monkeypatch):
+    # A built pair is returned only once the log tables confirm it: with
+    # x + 1 moved off its true log, the decider raises instead.
+    fld = Field(5, 2)
+    exp, log, zech = fld.log_tables()
+    n = log[kernel(fld, k)[1]]
+    damaged = list(zech)
+    damaged[n] = (zech[n] + 1) % 24
+    monkeypatch.setattr(fld, "log_tables", lambda: (exp, log, damaged))
+    with pytest.raises(AssertionError, match="q = 25, k = %d" % k):
+        kernel(fld, k)
 
 
 @pytest.mark.parametrize("qs", [tuple(odd_prime_powers(243)), (729,)],
@@ -322,13 +367,21 @@ def test_sweep_flags_equal_the_full_scan(qs):
 
 @pytest.mark.parametrize("q", [3, 5, 25, 27, 61, 81, 121, 125])
 def test_sweep_scans_only_orbit_leaders_with_gcd_at_most_2(q, monkeypatch):
+    # A scan is a loop over zech; a built pair reads zech without one, and
+    # so does b_k at p = 3 and even k, whose (0, -1) collide before the loop.
     fld = Field(*factor_prime_power(q))
+    exp, log, zech = fld.log_tables()
+    counting_zech = CountingList(zech)
+    monkeypatch.setattr(fld, "log_tables", lambda: (exp, log, counting_zech))
     scanned = {"a": [], "b": []}
 
     def counting(name, kernel):
         def scan(field, k):
-            scanned[name].append(k)
-            return kernel(field, k)
+            loops = counting_zech.loops
+            pair = kernel(field, k)
+            if counting_zech.loops > loops:
+                scanned[name].append(k)
+            return pair
         return scan
 
     monkeypatch.setattr(permpoly, "a_collision", counting("a", a_collision))
@@ -336,4 +389,5 @@ def test_sweep_scans_only_orbit_leaders_with_gcd_at_most_2(q, monkeypatch):
     sweep(fld)
     leaders = _orbit_leaders(fld)
     assert scanned["a"] == [k for k in leaders if gcd(k, q - 1) == 1]
-    assert scanned["b"] == [k for k in leaders if gcd(2 * k, q - 1) == 2]
+    assert scanned["b"] == [k for k in leaders if gcd(2 * k, q - 1) == 2
+                            and not (fld.p == 3 and k % 2 == 0)]
