@@ -462,8 +462,9 @@ def _run_command(args) -> tuple[dict, memoryview]:
             t = time.perf_counter()
             try:
                 if p > p_cap:
-                    # The grid first tests p for primality by trial
-                    # division, which takes long for a huge p.
+                    # The grid tests p for primality by trial division
+                    # and builds GF(p)'s O(p) Lucas tables, both long
+                    # for a huge p.
                     raise cap_error("p", p, "field", p_cap)
                 uh_rows, uh_verdict = criterion.upper_half_grid(p)
             except _JOB_ERRORS as exc:

@@ -43,8 +43,8 @@ row r in 1..q-2 is R(k', (k'r)*, (2r)*), which is S(k, (k'r)*) since
 forms are the same q-2 rows in another order; pp_criterion evaluates
 each once.  For a p-power k, k' is a p-power class, so every row takes
 the closed form above, and it is 0: top = (k'r)* is never (k'(2r)*)*, as
-r is not 2r mod q-1.  The closed forms (support_identity_rhs,
-upper_half_sum) stay integer sums reduced mod p.
+r is not 2r mod q-1.  The closed form support_identity_rhs stays an
+integer sum reduced mod p; upper_half_sum reads GF(p)'s Lucas tables.
 
 The first two rows pp_criterion tries have a closed form.  Take a coprime
 k, k' = k^(-1) mod m with m = q-1, and h = m/2; k and k' are odd.  The
@@ -73,11 +73,10 @@ when q-1 divides j and 0 otherwise, and only i = k' qualifies.
 """
 
 import itertools
-from functools import lru_cache
 from math import comb, gcd
 
-from .field import (NotPrimeError, ParamDomainError, from_digits, is_prime, per_orbit,
-                    star_reduce, to_digits)
+from .field import (Field, NotPrimeError, ParamDomainError, from_digits, is_prime,
+                    per_orbit, star_reduce, to_digits)
 
 UPPER_HALF_X_RANGE = range(0, 5)
 UPPER_HALF_Y_RANGE = range(1, 5)
@@ -90,10 +89,10 @@ def _row_sum(field, mult: int, top: int, bottom: int) -> int:
     the row is (-1)^bottom [top = (mult*bottom)*], with no walk (see the
     module docstring).  Otherwise C(i, bottom) vanishes below bottom, so
     the loop walks i over max(2, bottom)..q-2 and a row costs exactly
-    q-1-max(2, bottom) passes.  This is the only place that forms a
-    binomial from field.binom_tables(): C(m, n) is F[m] G[n] G[m-n] when
-    the digit sums show no borrow in m - n, and 0 otherwise; F[top] and
-    G[bottom] are applied once.
+    q-1-max(2, bottom) passes.  Each binomial comes from
+    field.binom_tables(): C(m, n) is F[m] G[n] G[m-n] when the digit sums
+    show no borrow in m - n, and 0 otherwise; F[top] and G[bottom] are
+    applied once.
     """
     q, p = field.q, field.p
     F, G, S = field.binom_tables()
@@ -264,35 +263,28 @@ def identity_grid(field) -> tuple[list[dict], dict]:
     return rows, verdict
 
 
-@lru_cache(maxsize=1)  # upper_half_grid asks for one p at a time
-def _upper_half_binoms(p: int) -> tuple[tuple[int, ...], ...]:
-    """C(a, (p-1)/2) and C(p-1, a) for a < p, and C(n, p-1) for n < 2p-1,
-    each mod p: the factors of upper_half_sum."""
-    h = (p - 1) // 2
-    return (tuple(comb(a, h) % p for a in range(p)),
-            tuple(comb(p - 1, a) % p for a in range(p)),
-            tuple(comb(n, p - 1) % p for n in range(2 * p - 1)))
-
-
-def upper_half_sum(p: int, x: int, y: int) -> int:
+def upper_half_sum(field, x: int, y: int) -> int:
     """sum over (p-1)/2 <= a, b <= p-1 of
     (-1)^(a+b) C(a,(p-1)/2)^x C(b,(p-1)/2)^x C(a+b,p-1)^y C(p-1,a) C(p-1,b)
-    mod p.  For y >= 1 only the a = b = (p-1)/2 term survives mod p and the
-    value is 1.
+    mod p, with 0^0 = 1, for the prime field `field` = GF(p), in O(p).
 
-    Each factor is reduced mod p before pow(c, x, p), which keeps 0^0 = 1,
-    so no term grows; the double loop still costs about p^2/4 products.
+    With h = (p-1)/2: C(p-1, a) = (-1)^a mod p, so each term is
+    C(a,h)^x C(b,h)^x C(a+b,p-1)^y.  By Lucas, C(n, p-1) = 0 mod p for
+    p <= n <= 2p-2, as the low digit n-p of n is below p-1; so for y >= 1
+    only a + b = p-1, that is a = b = h, survives, and the value is 1.  For
+    y = 0 every C(a+b, p-1)^0 is 1, and the sum is the square of the sum
+    over a of C(a,h)^x.  Every binomial here is of one-digit numbers, so
+    the field's Lucas tables give it as F[m] G[n] G[m-n].
     """
-    h = (p - 1) // 2
-    half, row, col = _upper_half_binoms(p)
-    # (-1)^a C(a, h)^x C(p-1, a) for a = h..p-1; the b factor is the same
-    side = [(-1) ** a * pow(half[a], x, p) * row[a] for a in range(h, p)]
-    col_y = [pow(c, y, p) for c in col]
-    total = 0
-    for a, ca in enumerate(side, h):
-        if ca:
-            total += ca * sum(cb * col_y[a + b] for b, cb in enumerate(side, h))
-    return total % p
+    p, h = field.p, (field.p - 1) // 2
+    F, G, _ = field.binom_tables()
+
+    def binom(m, n):
+        return F[m] * G[n] * G[m - n] % p
+
+    if y:
+        return pow(binom(h, h), 2 * x, p) * pow(binom(p - 1, p - 1), y, p) % p
+    return sum(pow(binom(a, h), x, p) for a in range(h, p)) ** 2 % p
 
 
 def upper_half_grid(p: int) -> tuple[list[dict], dict]:
@@ -300,8 +292,9 @@ def upper_half_grid(p: int) -> tuple[list[dict], dict]:
     raises NotPrimeError when p is not an odd prime."""
     if not is_prime(p) or p == 2:
         raise NotPrimeError("p = %d is not an odd prime" % p)
+    field = Field(p, 1, cap=p)
     rows = [{"kind": "upper_half", "p": p, "x": x, "y": y,
-             "value": upper_half_sum(p, x, y)}
+             "value": upper_half_sum(field, x, y)}
             for x in UPPER_HALF_X_RANGE for y in UPPER_HALF_Y_RANGE]
     mismatches = sum(r["value"] != 1 for r in rows)
     verdict = {"section": "upper_half", "p": p, "points": len(rows),

@@ -139,7 +139,7 @@ def test_05_support_identity_grid(field_for):
 
 def test_06_upper_half_sums_are_one():
     bad = [(p, x, y) for p in UPPER_HALF_PS for x in range(5) for y in range(1, 5)
-           if criterion.upper_half_sum(p, x, y) != 1]
+           if criterion.upper_half_sum(Field(p, 1), x, y) != 1]
     report(6, "upper-half sums equal 1", not bad, repr(bad))
 
 

@@ -589,7 +589,8 @@ def test_support_identity_rhs_central_case_is_one():
         h = (p - 1) // 2
         for x in range(1, 4):
             for y in range(1, 4):
-                assert support_identity_rhs(p, x, y, h, h) == upper_half_sum(p, x, y) == 1
+                assert (support_identity_rhs(p, x, y, h, h)
+                        == upper_half_sum(Field(p, 1), x, y) == 1)
 
 
 def test_support_identity_rhs_central_case_x0_boundary():
@@ -600,25 +601,7 @@ def test_support_identity_rhs_central_case_x0_boundary():
         h = (p - 1) // 2
         for y in range(1, 4):
             assert support_identity_rhs(p, 0, y, h, h) == 0
-            assert upper_half_sum(p, 0, y) == 1
-
-
-def test_upper_half_sum_direct_oracle():
-    def oracle(p, x, y):
-        h = (p - 1) // 2
-        total = 0
-        for a in range(h, p):
-            for b in range(h, p):
-                total += ((-1) ** (a + b) * comb(a, h) ** x * comb(b, h) ** x
-                          * comb(a + b, p - 1) ** y * comb(p - 1, a) * comb(p - 1, b))
-        return total % p
-
-    assert upper_half_sum(3, 1, 1) == oracle(3, 1, 1) == 1
-    assert upper_half_sum(5, 3, 2) == oracle(5, 3, 2) == 1
-    for p in (3, 5, 7):
-        for x in range(3):
-            for y in range(1, 3):
-                assert upper_half_sum(p, x, y) == oracle(p, x, y) == 1
+            assert upper_half_sum(Field(p, 1), 0, y) == 1
 
 
 def _exact_upper_half_sum(p, x, y):
@@ -632,19 +615,29 @@ def _exact_upper_half_sum(p, x, y):
     return total % p
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_upper_half_sum_direct_oracle():
+    assert upper_half_sum(Field(3, 1), 1, 1) == _exact_upper_half_sum(3, 1, 1) == 1
+    assert upper_half_sum(Field(5, 1), 3, 2) == _exact_upper_half_sum(5, 3, 2) == 1
+    for p in (3, 5, 7):
+        for x in range(3):
+            for y in range(1, 3):
+                exact = _exact_upper_half_sum(p, x, y)
+                assert upper_half_sum(Field(p, 1), x, y) == exact == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 61, 101])
 def test_upper_half_sum_equals_the_exact_sum(p):
     # every grid point, and y = 0, where 0^0 = 1 must hold for C(a+b, p-1)
+    fld = Field(p, 1)
     for x in range(5):
         for y in range(5):
-            assert upper_half_sum(p, x, y) == _exact_upper_half_sum(p, x, y), (x, y)
+            assert upper_half_sum(fld, x, y) == _exact_upper_half_sum(p, x, y), (x, y)
 
 
-def test_upper_half_grid_p211_takes_under_a_second():
-    # the exact big-integer sums took about 3 s here
-    criterion._upper_half_binoms.cache_clear()
+def test_upper_half_grid_p4001_takes_under_a_second():
+    # the p^2/4-term double loop took about 10 s on a 2-core box
     start = time.perf_counter()
-    _, verdict = upper_half_grid(211)
+    _, verdict = upper_half_grid(4001)
     assert time.perf_counter() - start < 1.0
     assert verdict["passed"] and verdict["points"] == 20
 
