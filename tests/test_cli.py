@@ -258,6 +258,27 @@ def test_a_skipped_stage_builds_no_table(tmp_path, monkeypatch):
         "5": {"field"}, "25": {"field"}}
 
 
+@pytest.mark.parametrize("argv,target", [
+    (("girth", "--q", "9", "--k", "3"), "girth"),
+    (("girth", "--q", "9", "--exps", "1,1,1,2"), "girth"),
+    (("sweep", "--q", "9", "--with-girth"), "girth_at_least"),
+])
+def test_girth_stages_find_the_log_tables_built(tmp_path, monkeypatch, argv, target):
+    # A stage declares the tables it reads, and the runner builds them
+    # under "field" before it times the stage.
+    built = []
+    real = getattr(graphs, target)
+
+    def spy(fld, *args, **kwargs):
+        built.append(fld._logs is not None)
+        return real(fld, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, target, spy)
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    assert built and all(built)
+
+
 # Each Field table method and the attribute that caches its tables.
 TABLES = {"log_tables": "_logs", "binom_tables": "_binoms"}
 
