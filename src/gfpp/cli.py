@@ -6,30 +6,30 @@ named in report order and read from those options, and the stages it
 runs, in order, on the field of every q.  Every value comes from a flag
 or its default; no environment variable sets one.  A stage calls the
 library modules it names (permpoly, criterion, graphs), or none, and
-returns report rows and verdicts as dicts, so the runner only
-concatenates them; the girth-scan stage also adds its girth_ge_8 flags
-to the sweep rows.  Every row is a flat dict of scalars, with no list
-that the params or modulus_by_q hold and no key that its other keys
-determine but an identity row's wrap.  A stage's check says, before any
-table is built, whether the stage serves a field; the runner alone
-decides what a skip reports.  One of _JOB_ERRORS raised by a stage ends
-its field's job with an error row and a failing verdict in its own
-section, as it ends the upper-half grid of a p.  The report itself is a
-dict of BODY_KEYS plus "timing"; the runner records the seconds of
-building the field and its tables, and of each stage that runs, in the
-report's timing.stages, keyed by q, and the seconds of each upper-half
-grid in timing.upper_half, keyed by p.  Commands emit a single JSON
-report on the data stream (stdout, or --json PATH) and verdict lines on
-stderr.  Reports are deterministic apart from the top-level "timing"
-entry; the exit status is 0 iff every verdict passes.
+returns rows and verdicts as dicts.  Stages share the sweep's PP flags,
+not rows: each job builds its sweep rows from them and encodes all its
+rows, so only row text leaves a job.  Every row is a flat dict of
+scalars, with no list that the params or modulus_by_q hold and no key
+that its other keys determine but an identity row's wrap.  A stage's
+check says, before any table is built, whether the stage serves a field;
+the runner alone decides what a skip reports.  One of _JOB_ERRORS raised
+by a stage ends its field's job with an error row and a failing verdict
+in its own section, as it ends the upper-half grid of a p.  The report
+itself is a dict of BODY_KEYS plus "timing"; the runner records the
+seconds of building the field and its tables, of each stage that runs
+and of encoding the rows in timing.stages, keyed by q, and the seconds
+of each upper-half grid in timing.upper_half, keyed by p.  Commands emit
+a single JSON report on the data stream (stdout, or --json PATH) and
+verdict lines on stderr.  Reports are deterministic apart from the
+top-level "timing" entry; the exit status is 0 iff every verdict passes.
 
-A report body is encoded once: the bytes the cache stores, or would store,
-are the bytes emitted, with "timing" spliced in as its last key.  A cache
-hit checks its entry's digest and parses only the verdicts and what
-follows them, and no path decodes a body's rows.  The process pool is
-imported only when more than one worker runs, and a stage's modules only
-where the stage serves a field, so a cache hit loads none.  A job
-imports them before the stage clocks start.
+A report body is assembled once, from the row text: the bytes the cache
+stores, or would store, are the bytes emitted, with "timing" spliced in
+as its last key.  A cache hit checks its entry's digest and parses only
+the verdicts and what follows them, and no path decodes a body's rows.
+The process pool is imported only when more than one worker runs, and a
+stage's modules only where the stage serves a field, so a cache hit
+loads none.  A job imports them before the stage clocks start.
 """
 
 import argparse
@@ -66,16 +66,17 @@ BODY_KEYS = ("command", "params", "modulus_by_q", "rows", "verdicts", "overall",
 
 # -- per-field stages --------------------------------------------------------
 #
-# A stage is (name, run, modules, tables, check).  run(fld, args, rows)
-# makes the stage's library call on one field, given the rows of the stages
-# before it, and returns the rows and verdicts it adds; `modules` names the
-# gfpp modules it imports and `tables` the Field methods that build the
-# tables it reads, both of which the runner loads first, the modules
-# outside every clock.  check(fld, args), or None, runs before either: it
-# raises for arguments the stage cannot take, and returns why the stage
-# does not serve this field, or None when it does.  A command is the list
-# of stages it runs on each field.  Stage functions are top-level so that
-# they pickle for the process pool.
+# A stage is (name, run, modules, tables, check).  run(fld, args, facts)
+# makes the stage's library call on one field and returns the rows and
+# verdicts it adds; `facts` is the job's dict where the sweep stores its
+# flags and the girth scan its ge8 flags, for the stages after them and
+# the job's sweep rows.  `modules` names the gfpp modules it imports and
+# `tables` the Field methods that build the tables it reads, both of which
+# the runner loads first, the modules outside every clock.  check(fld,
+# args), or None, runs before either: it raises for arguments the stage
+# cannot take, and returns why the stage does not serve this field, or
+# None when it does.  Stage functions are top-level so that they pickle
+# for the process pool.
 
 # What ends a unit of work, a field's job or a p's upper-half grid, with an
 # error row and a failing verdict instead of a traceback.
@@ -90,25 +91,21 @@ def _failure(section: str, key: str, n: int, exc: Exception) -> tuple[dict, dict
             {"section": section, key: n, "error": err, "passed": False})
 
 
-def _sweep_rows(rows: list) -> list:
-    return [r for r in rows if r["kind"] == "sweep"]
-
-
-def _sweep(fld: Field, args, rows: list) -> tuple[list, list]:
-    """Every exponent's sweep row, judged for each of args.families."""
+def _sweep(fld: Field, args, facts: dict) -> tuple[list, list]:
+    """Every exponent's PP flags, as facts["sweep"], judged for each of
+    args.families; the job builds their rows."""
     from . import permpoly
 
-    records = permpoly.sweep(fld)
-    return records, [permpoly.conjecture_verdict(fld, w, records=records)
-                     for w in args.families]
+    flags = facts["sweep"] = permpoly.sweep(fld)
+    return [], [permpoly.conjecture_verdict(fld, w, flags) for w in args.families]
 
 
-def _criterion(fld: Field, args, rows: list) -> tuple[list, list]:
+def _criterion(fld: Field, args, facts: dict) -> tuple[list, list]:
     """The criterion against the sweep's a_pp flags: a row per k where the
     two disagree, and the verdict."""
     from . import criterion
 
-    cc_rows, verdict = criterion.cross_check(fld, _sweep_rows(rows))
+    cc_rows, verdict = criterion.cross_check(fld, facts["sweep"])
     return cc_rows, [verdict]
 
 
@@ -117,7 +114,7 @@ def _identities_check(fld: Field, args) -> str | None:
     return "ParamDomain: e = %d < 3" % fld.e if fld.e < 3 else None
 
 
-def _identities(fld: Field, args, rows: list) -> tuple[list, list]:
+def _identities(fld: Field, args, facts: dict) -> tuple[list, list]:
     """The support-identity grid and its verdict."""
     from . import criterion
 
@@ -131,16 +128,15 @@ def _girth_scan_check(fld: Field, args) -> str | None:
         return "CapExceeded: %s" % cap_error("q", fld.q, "girth", args.girth_cap)
 
 
-def _girth_scan(fld: Field, args, rows: list) -> tuple[list, list]:
-    """The girth of G_q(XY, X^kY^2k) for every k against the sweep rows,
-    to each of which it adds its girth_ge_8 flag as the last key."""
+def _girth_scan(fld: Field, args, facts: dict) -> tuple[list, list]:
+    """Whether G_q(XY, X^kY^2k) has girth >= 8, stored as facts["girth"],
+    and the verdict against the sweep's flags; a row per k."""
     from . import graphs
 
-    records = _sweep_rows(rows)
-    girth_rows, verdict = graphs.girth_scan(fld, records)
-    for r, g in zip(records, girth_rows):
-        r["girth_ge_8"] = g["girth_ge_8"]
-    return girth_rows, [verdict]
+    ge8, verdict = graphs.girth_scan(fld, facts["sweep"])
+    facts["girth"] = ge8
+    return ([{"kind": "girth", "q": fld.q, "k": k, "girth_ge_8": ok}
+             for k, ok in enumerate(ge8, 1)], [verdict])
 
 
 def _girth_check(fld: Field, args) -> None:
@@ -153,7 +149,7 @@ def _girth_check(fld: Field, args) -> None:
         raise cap_error("q", q, "girth", args.girth_cap)
 
 
-def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
+def _girth(fld: Field, args, facts: dict) -> tuple[list, list]:
     """The exact girth of one graph; for G_q(XY, X^kY^2k), also whether
     girth >= 8 implies that a_k and b_k are PPs."""
     from . import graphs, permpoly
@@ -164,14 +160,14 @@ def _girth(fld: Field, args, rows: list) -> tuple[list, list]:
     row = {"kind": "girth", "q": q, "k": k, "girth": girth}
     if k is None:
         return [row], [{"section": "girth", "q": q, "girth": girth, "passed": True}]
-    rec = permpoly.sweep_record(fld, k)
-    row.update(a_pp=rec["a_pp"], b_pp=rec["b_pp"])
-    implication_ok = value < 8 or (rec["a_pp"] and rec["b_pp"])
+    a_pp, b_pp = permpoly.sweep_record(fld, k)
+    row.update(a_pp=a_pp, b_pp=b_pp)
+    implication_ok = value < 8 or (a_pp and b_pp)
     return [row], [{"section": "girth", "q": q, "k": k, "girth": girth,
                     "implication_ok": implication_ok, "passed": implication_ok}]
 
 
-def _field(fld: Field, args, rows: list) -> tuple[list, list]:
+def _field(fld: Field, args, facts: dict) -> tuple[list, list]:
     return ([{"kind": "field", "q": fld.q, "p": fld.p, "e": fld.e,
               "modulus_str": poly_str(fld.modulus)}],
             [{"section": "field", "q": fld.q, "passed": True}])
@@ -186,25 +182,41 @@ _GIRTH = ("girth", _girth, ("graphs", "permpoly"), ("log_tables",), _girth_check
 _FIELD = ("field", _field, (), (), None)
 
 
-def _run_job(spec):
-    """Build GF(q) and run the stages on it, in order.
+def _row_text(rows: list) -> bytes:
+    """`rows`, flat dicts of scalars as every command's are, as
+    json.dumps(body, indent=2) writes them inside the body's "rows" list,
+    brackets excluded; b"" for none.  An indent makes json.dumps use its
+    pure-Python encoder, so they take one call of the C encoder, with the
+    indented layout's separators: JSON text holds no raw newline inside a
+    string, so "},\n      {" can only be the seam between two rows."""
+    if not rows:
+        return b""
+    flat = json.dumps(rows, separators=(",\n      ", ": ")).encode()
+    flat = flat.replace(b"},\n      {", b"\n    },\n    {\n      ")
+    return b"    {\n      %s\n    }" % memoryview(flat)[2:-2]
 
-    Returns (modulus, rows, verdicts, seconds).  The modulus is recorded
+
+def _run_job(spec):
+    """Build GF(q), run the stages on it, in order, and encode its rows.
+
+    Returns (modulus, row_text, verdicts, seconds).  The modulus is recorded
     as soon as the field exists, and every stage's check runs before any
     module is imported or table built.  Building the field and the tables
     of the stages that serve it is timed as stage "field", and each stage
     that runs under its name; the modules of the stages that serve it are
-    imported between the two, untimed.  A skipped
-    stage adds nothing under verify-all, which covers every q, and a
-    passing verdict that says why under a command that names q.  One of
-    _JOB_ERRORS ends the job with one error row and one failing verdict, in
-    the section of the stage that raised it, or of the first stage while
-    the field is built or checked; the stages that finished keep their
-    rows, verdicts and times.
+    imported between the two, untimed.  A skipped stage adds nothing under
+    verify-all, which covers every q, and a passing verdict that says why
+    under a command that names q.  One of _JOB_ERRORS ends the job with one
+    error row and one failing verdict, in the section of the stage that
+    raised it, or of the first stage while the field is built or checked;
+    the stages that finished keep their rows, verdicts, facts and times.
+    Last, the sweep's flags become one row per k, ahead of the stages'
+    rows, with girth_ge_8 last where the girth scan ran, and every row is
+    encoded by _row_text, timed as stage "encode".
     """
     stages, q, args = spec
     section = stages[0][0]
-    modulus, rows, verdicts, seconds = None, [], [], {}
+    modulus, rows, verdicts, seconds, facts = None, [], [], {}, {}
     try:
         # Factoring a large q by trial division takes long: a q above the
         # field cap is rejected first, as Field would reject it.
@@ -231,7 +243,7 @@ def _run_job(spec):
                                      "passed": True})
                 continue
             t = time.perf_counter()
-            stage_rows, stage_verdicts = run(fld, args, rows)
+            stage_rows, stage_verdicts = run(fld, args, facts)
             rows += stage_rows
             verdicts += stage_verdicts
             seconds[section] = round(time.perf_counter() - t, 4)
@@ -239,17 +251,22 @@ def _run_job(spec):
         row, verdict = _failure(section, "q", q, exc)
         rows.append(row)
         verdicts.append(verdict)
-    return modulus, rows, verdicts, seconds
+    t = time.perf_counter()
+    sweep_rows = [{"kind": "sweep", "q": q, "k": k, "a_pp": a_pp, "b_pp": b_pp}
+                  for k, (a_pp, b_pp) in enumerate(facts.get("sweep", ()), 1)]
+    for row, ok in zip(sweep_rows, facts.get("girth", ())):
+        row["girth_ge_8"] = ok
+    text = _row_text(sweep_rows + rows)
+    seconds["encode"] = round(time.perf_counter() - t, 4)
+    return modulus, text, verdicts, seconds
 
 
 def _run_jobs(stages, qs, args) -> tuple[dict, list, list, dict]:
     """Run `stages` on the field of every q in qs, fanned out to a process
-    pool.
-
-    Results merge in input order, so the report is deterministic regardless
-    of completion order.  Returns (modulus_by_q, rows, verdicts,
-    seconds_by_q), the last keyed by str(q) for the timing entry.
-    """
+    pool.  Results merge in input order, so the report is deterministic
+    regardless of completion order.  Returns (modulus_by_q, row_texts,
+    verdicts, seconds_by_q): each job's row text, so that the pool returns
+    bytes, and the seconds keyed by str(q) for the timing entry."""
     specs = [(stages, q, args) for q in qs]
     # The pool starts every worker up front, so never ask for more than the
     # machine has cores, whatever --jobs says.
@@ -262,14 +279,14 @@ def _run_jobs(stages, qs, args) -> tuple[dict, list, list, dict]:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, specs))
-    modulus_by_q, rows, verdicts, seconds_by_q = {}, [], [], {}
-    for q, (modulus, job_rows, job_verdicts, seconds) in zip(qs, results):
+    modulus_by_q, row_texts, verdicts, seconds_by_q = {}, [], [], {}
+    for q, (modulus, text, job_verdicts, seconds) in zip(qs, results):
         if modulus is not None:
             modulus_by_q[str(q)] = modulus
-        rows.extend(job_rows)
+        row_texts.append(text)
         verdicts.extend(job_verdicts)
         seconds_by_q[str(q)] = seconds
-    return modulus_by_q, rows, verdicts, seconds_by_q
+    return modulus_by_q, row_texts, verdicts, seconds_by_q
 
 
 # -- output ---------------------------------------------------------------
@@ -331,24 +348,22 @@ def _emit(report: dict, body: memoryview, args) -> int:
 
 # -- result cache ----------------------------------------------------------
 
-def _body_text(body: dict) -> str:
-    """json.dumps(body, indent=2) plus a newline, for a body whose rows are
-    flat dicts of scalars, as every command's are.
-
-    An indent makes json.dumps use its pure-Python encoder, so the rows are
-    encoded in one call of the C encoder instead, with the separators of
-    the indented layout between keys and between rows, and spliced into
-    the indented dump of the rest of the body.  JSON text holds no raw
-    newline inside a string, so "},\n      {" can only be the seam between
-    two rows.
-    """
-    text = json.dumps(dict(body, rows=[]), indent=2)
-    if body["rows"]:
-        flat = json.dumps(body["rows"], separators=(",\n      ", ": "))
-        flat = flat[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        text = text.replace('\n  "rows": []',
-                            '\n  "rows": [\n    {\n      %s\n    }\n  ]' % flat, 1)
-    return text + "\n"
+def _body_text(body: dict) -> bytes:
+    """json.dumps(body, indent=2) plus a newline, as bytes, for a body whose
+    "rows" is a list of _row_text fragments: the rest of the body's dump
+    with the fragments that are not empty spliced in, joined by the seam
+    between two rows, in one join, so no str of the whole body is made."""
+    rest = json.dumps(dict(body, rows=[]), indent=2).encode()
+    fragments = [f for f in body["rows"] if f]
+    if not fragments:
+        return rest + b"\n"
+    head, tail = rest.split(b'\n  "rows": []', 1)
+    parts = [head, b'\n  "rows": [\n']
+    for fragment in fragments:
+        parts += (fragment, b",\n")
+    parts[-1] = b"\n  ]"
+    parts += (tail, b"\n")
+    return b"".join(parts)
 
 
 # The top-level key after "rows" as _body_text lays it out.  A string holds
@@ -402,7 +417,7 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
     cache directory and renamed into place, so it is never seen
     half-written; when it cannot be written, the temp file is removed, the
     report is still returned and stderr says why.  A miss records the
-    seconds of encoding the body in timing.encode.
+    seconds of assembling the body from the row text in timing.encode.
     """
     path = None
     if args.cache:
@@ -415,7 +430,7 @@ def _with_cache(args, command, params, compute) -> tuple[dict, memoryview]:
             return hit
     report = compute()
     t = time.perf_counter()
-    body = _body_text({k: report[k] for k in BODY_KEYS}).encode()
+    body = _body_text({k: report[k] for k in BODY_KEYS})
     report["timing"]["encode"] = round(time.perf_counter() - t, 4)
     report = {k: report[k] for k in _TAIL_KEYS + ("command", "timing")}
     if path is not None:
@@ -454,7 +469,7 @@ def _run_command(args) -> tuple[dict, memoryview]:
         else:
             qs = [args.q] if command == "girth" else args.q
             ps, p_cap = getattr(args, "p", ()), args.field_cap
-        modulus_by_q, rows, verdicts, seconds = _run_jobs(stages, qs, args)
+        modulus_by_q, row_texts, verdicts, seconds = _run_jobs(stages, qs, args)
         uh_seconds = {}
         for p in ps:
             from . import criterion  # before the grid's clock starts
@@ -470,12 +485,12 @@ def _run_command(args) -> tuple[dict, memoryview]:
             except _JOB_ERRORS as exc:
                 row, uh_verdict = _failure("upper_half", "p", p, exc)
                 uh_rows = [row]
-            rows.extend(uh_rows)
+            row_texts.append(_row_text(uh_rows))
             verdicts.append(uh_verdict)
             uh_seconds[str(p)] = round(time.perf_counter() - t, 4)
         overall = "pass" if all(v.get("passed") for v in verdicts) else "fail"
         return {"command": command, "params": params,
-                "modulus_by_q": modulus_by_q, "rows": rows, "verdicts": verdicts,
+                "modulus_by_q": modulus_by_q, "rows": row_texts, "verdicts": verdicts,
                 "overall": overall, "version": __version__,
                 "timing": {"stages": seconds, "upper_half": uh_seconds}}
 

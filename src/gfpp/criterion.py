@@ -141,10 +141,11 @@ def pp_criterion(field, k: int) -> bool:
     return True
 
 
-def cross_check(field, records) -> tuple[list[dict], dict]:
-    """The criterion against the direct a_pp flag of every sweep row: one
-    row per k where the two disagree, which carries the direct flag (the
-    criterion's is its negation), and the field's verdict.
+def cross_check(field, flags) -> tuple[list[dict], dict]:
+    """The criterion against the a_pp flag of every k in `flags`, the
+    field's permpoly.sweep: one row per k where the two disagree, which
+    carries the direct flag (the criterion's is its negation), and the
+    field's verdict.
 
     The criterion runs once per Frobenius orbit k -> p*k mod q-1, through
     per_orbit and this module's attribute: k -> p*k rotates the base-p
@@ -152,9 +153,9 @@ def cross_check(field, records) -> tuple[list[dict], dict]:
     permutes the digitwise binomials.
     """
     q = field.q
-    flags = per_orbit(field.p, field.e, lambda k: pp_criterion(field, k))
-    rows = [{"kind": "criterion_mismatch", "q": q, "k": r["k"], "direct": r["a_pp"]}
-            for r in records if r["a_pp"] != flags[r["k"] - 1]]
+    criterion = per_orbit(field.p, field.e, lambda k: pp_criterion(field, k))
+    rows = [{"kind": "criterion_mismatch", "q": q, "k": k, "direct": a_pp}
+            for k, ((a_pp, _), pp) in enumerate(zip(flags, criterion), 1) if a_pp != pp]
     mismatch_ks = [row["k"] for row in rows]
     return rows, {"section": "criterion", "q": q, "checked": q - 1,
                   "mismatch_ks": mismatch_ks, "passed": not mismatch_ks}

@@ -144,25 +144,21 @@ def girth_at_least(field, f_exps, g_exps, bound: int) -> bool:
     return girth(field, f_exps, g_exps, bound=bound) >= bound
 
 
-def girth_scan(field, records) -> tuple[list[dict], dict]:
+def girth_scan(field, flags) -> tuple[list[bool], dict]:
     """For every 1 <= k <= q-1, test girth(G_q(XY, X^k Y^2k)) >= 8, once per
     Frobenius orbit through per_orbit (see the module docstring), so the
     e p-powers, the orbit of 1, share one full-depth BFS.
 
-    Returns one girth row per k, in order, and the field's verdict.  The
-    verdict asserts the passing set (its witnesses) equals the p-powers,
-    and that every passing k has both polynomial families PP in `records`,
-    the field's permpoly.sweep (implication cross-check).
+    Returns the ge8 flag of every k, in order, and the field's verdict: the
+    passing set (its witnesses) equals the p-powers, and every passing k
+    has both families PP in `flags`, the field's permpoly.sweep.
     """
-    q = field.q
     ge8 = per_orbit(field.p, field.e,
                     lambda k: girth_at_least(field, (1, 1), (k, 2 * k), 8))
     passing = [k for k, ok in enumerate(ge8, 1) if ok]
     expected = p_powers(field.p, field.e)
-    implication_ok = all(r["a_pp"] and r["b_pp"] for r in records if ge8[r["k"] - 1])
-    rows = [{"kind": "girth", "q": q, "k": k, "girth_ge_8": ok}
-            for k, ok in enumerate(ge8, 1)]
-    verdict = {"section": "girth", "q": q, "witnesses": passing,
+    implication_ok = all(a_pp and b_pp for (a_pp, b_pp), ok in zip(flags, ge8) if ok)
+    verdict = {"section": "girth", "q": field.q, "witnesses": passing,
                "expected": expected, "implication_ok": implication_ok,
                "passed": passing == expected and implication_ok}
-    return rows, verdict
+    return ge8, verdict

@@ -7,9 +7,8 @@ For an exponent 1 <= k <= q-1 the two maps of interest are
 
 with the convention x^0 = 1 (so b_{q-1}(0) = 0).  One decider per family,
 a_collision or b_collision, returns two inputs with one value, or None
-when the map permutes GF(q).  A sweep row is a flat report dict,
-{kind, q, k, a_pp, b_pp}: the two flags of one k and nothing that is a
-function of (q, k) alone.
+when the map permutes GF(q).  A sweep is the flag pair (a_pp, b_pp) of
+every k, and the conjecture verdicts judge those flags.
 
 Most exponents need no scan (Dmytrenko-Lazebnik-Williford).  When k
 shares a root of unity w != 1 with q-1, that is gcd(k, q-1) > 1, the pair
@@ -130,48 +129,34 @@ def b_collision(field, k: int) -> tuple[int, int] | None:
     return None
 
 
-def sweep_record(field, k: int) -> dict:
-    """The sweep row of one exponent: its direct PP flags."""
-    return {
-        "kind": "sweep",
-        "q": field.q,
-        "k": k,
-        "a_pp": a_collision(field, k) is None,
-        "b_pp": b_collision(field, k) is None,
-    }
+def sweep_record(field, k: int) -> tuple[bool, bool]:
+    """The PP flags (a_pp, b_pp) of one exponent."""
+    return a_collision(field, k) is None, b_collision(field, k) is None
 
 
-def sweep(field) -> list[dict]:
-    """Rows for every exponent 1 <= k <= q-1, in order.
-
-    sweep_record runs once per Frobenius orbit, at its least member, through
-    per_orbit; the other members take its row with their own k, as the
-    flags are constant on the orbit (see the module docstring).
-    """
-    leaders = per_orbit(field.p, field.e, lambda k: sweep_record(field, k))
-    return [r if r["k"] == k else dict(r, k=k) for k, r in enumerate(leaders, 1)]
+def sweep(field) -> list[tuple[bool, bool]]:
+    """sweep_record of every 1 <= k <= q-1, in order, run once per Frobenius
+    orbit, at its least member (see the module docstring)."""
+    return per_orbit(field.p, field.e, lambda k: sweep_record(field, k))
 
 
-def conjecture_verdict(field, which: str, records: list[dict]) -> dict:
-    """Exhaustive per-q check of a PP-exponent conjecture over the sweep
-    rows `records`, the field's sweep, as the sweep section's verdict: the
-    witness set of PP exponents against the p-powers.
+def conjecture_verdict(field, which: str, flags: list) -> dict:
+    """Exhaustive per-q check of a PP-exponent conjecture over `flags`, the
+    field's sweep, as the sweep section's verdict: the witness set of PP
+    exponents against the p-powers.
 
     which = "A" or "B" asserts the witness set equals the p-powers exactly;
     which = "two" asserts every exponent with both maps PP is a p-power.
     """
     if which not in ("A", "B", "two"):
         raise ValueError("which must be 'A', 'B' or 'two', got %r" % (which,))
-    if which == "A":
-        witnesses = [r["k"] for r in records if r["a_pp"]]
-    elif which == "B":
-        witnesses = [r["k"] for r in records if r["b_pp"]]
-    else:
-        witnesses = [r["k"] for r in records if r["a_pp"] and r["b_pp"]]
     expected = p_powers(field.p, field.e)
     if which == "two":
+        witnesses = [k for k, (a_pp, b_pp) in enumerate(flags, 1) if a_pp and b_pp]
         passed = set(witnesses) <= set(expected)
     else:
+        column = "AB".index(which)  # a_pp, then b_pp
+        witnesses = [k for k, pair in enumerate(flags, 1) if pair[column]]
         passed = witnesses == expected
     return {"section": "sweep", "q": field.q, "which": which,
             "witnesses": witnesses, "expected": expected, "passed": passed}

@@ -167,9 +167,8 @@ def test_09_pp_exponents_have_binary_inverse_digits(field_for):
     bad = []
     for q in FILTER_QS:
         fld = field_for(q)
-        for rec in permpoly.sweep(fld):
-            k = rec["k"]
-            if rec["a_pp"] and not (gcd(k, q - 1) == 1 and max(to_digits(
+        for k, (a_pp, _) in enumerate(permpoly.sweep(fld), 1):
+            if a_pp and not (gcd(k, q - 1) == 1 and max(to_digits(
                     star_reduce(pow(k, -1, q - 1), q), fld.p, fld.e)) <= 1):
                 bad.append((q, k))
     report(9, "binary digits of k'", not bad, repr(bad))

@@ -133,7 +133,7 @@ def test_sweep_with_criterion_fails_on_a_criterion_disagreement(tmp_path, monkey
 def test_sweep_with_criterion_times_the_criterion_stage(tmp_path):
     code, report = run(tmp_path, "sweep", "--q", "9", "--with-criterion")
     assert code == 0
-    assert set(report["timing"]["stages"]["9"]) == {"field", "sweep", "criterion"}
+    assert set(report["timing"]["stages"]["9"]) == {"field", "sweep", "criterion", "encode"}
     assert report["verdicts"][-1]["section"] == "criterion"
 
 
@@ -152,7 +152,7 @@ def test_sweep_above_the_girth_cap_skips_the_girth_scan(tmp_path):
                              "CapExceeded: q = 19 exceeds the girth cap 17",
                              "passed": True}
     assert report["modulus_by_q"] == {"19": [0, 1]}
-    assert set(report["timing"]["stages"]["19"]) == {"field", "sweep"}
+    assert set(report["timing"]["stages"]["19"]) == {"field", "sweep", "encode"}
 
 
 def test_identities_q27(tmp_path):
@@ -255,7 +255,7 @@ def test_a_skipped_stage_builds_no_table(tmp_path, monkeypatch):
         {"section": "identities", "q": q, "skipped": "ParamDomain: e = %d < 3" % e,
          "passed": True} for q, e in ((5, 1), (25, 2))]
     assert {q: set(secs) for q, secs in report["timing"]["stages"].items()} == {
-        "5": {"field"}, "25": {"field"}}
+        "5": {"field", "encode"}, "25": {"field", "encode"}}
 
 
 @pytest.mark.parametrize("argv,target", [
@@ -469,7 +469,7 @@ def test_verify_all_job_error_is_an_error_row(tmp_path, monkeypatch):
     assert not any("mismatch_ks" in v for v in report["verdicts"])
     assert set(report["modulus_by_q"]) == {"3", "5", "7", "9"}
     for q in qs:
-        assert set(report["timing"]["stages"][str(q)]) == {"field", "sweep"}
+        assert set(report["timing"]["stages"][str(q)]) == {"field", "sweep", "encode"}
 
 
 def test_verify_all_deterministic(tmp_path):
@@ -624,16 +624,37 @@ def test_verify_all_times_each_stage_per_q(tmp_path):
     code, report = run(tmp_path, "verify-all", "--q-max", "27")
     assert code == 0
     # A stage that does not serve q, the identity grid for e < 3 or the
-    # girth scan above the girth cap of 17, is not timed.
+    # girth scan above the girth cap of 17, is not timed; every job times
+    # the encoding of its rows.
     stages = report["timing"]["stages"]
     assert set(stages) == set(report["modulus_by_q"])
     for q, secs in stages.items():
         e = factor_prime_power(int(q))[1]
-        assert set(secs) == {"field", "sweep", "criterion"} | (
+        assert set(secs) == {"field", "sweep", "criterion", "encode"} | (
             {"identities"} if e >= 3 else set()) | (
             {"girth"} if int(q) <= 17 else set()), q
         assert all(isinstance(v, float) and v >= 0 for v in secs.values()), q
-    assert set(stages["27"]) == {"field", "sweep", "criterion", "identities"}
+    assert set(stages["27"]) == {"field", "sweep", "criterion", "identities", "encode"}
+
+
+def test_no_report_wide_row_list_is_encoded(tmp_path, monkeypatch):
+    # Each job encodes its own rows: no json.dumps call sees rows of two
+    # fields, and every field's rows are encoded.
+    seen = []
+    real = cli.json.dumps
+
+    def spy(obj, *args, **kwargs):
+        if isinstance(obj, list):
+            qs = {r["q"] for r in obj if isinstance(r, dict) and "kind" in r and "q" in r}
+            if qs:
+                seen.append(qs)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    code, report = run(tmp_path, "verify-all", "--q-max", "27")
+    assert code == 0
+    assert all(len(qs) == 1 for qs in seen), seen
+    assert set().union(*seen) == {int(q) for q in report["modulus_by_q"]}
 
 
 def test_cache_round_trip(tmp_path):
@@ -834,18 +855,40 @@ ERROR_TEXT = 'say "hi" \\ back\nslash},\n      {"q": 1} \u00e9\u2264 },'
     [{"kind": "sweep", "k": 1, "flag": False}, {"kind": "sweep", "k": None}],
 ], ids=["empty", "one-row", "error-strings", "none-and-bool"])
 def test_body_text_is_the_indented_dump(rows):
+    # The rows split across fragments at every cut, with an empty fragment
+    # between the two halves; no rows make every fragment empty.
     body = _body(rows)
-    assert cli._body_text(body) == json.dumps(body, indent=2) + "\n"
+    dump = (json.dumps(body, indent=2) + "\n").encode()
+    for cut in range(len(rows) + 1):
+        fragments = [cli._row_text(rows[:cut]), b"", cli._row_text(rows[cut:])]
+        assert cli._body_text(dict(body, rows=fragments)) == dump, cut
+    assert cli._body_text(dict(body, rows=[cli._row_text([r]) for r in rows])) == dump
 
 
-def test_jobs_parallel_matches_serial(tmp_path):
-    code1, serial = run(tmp_path, "sweep", "--q", "3,5,9", name="serial.json")
+def _serial_and_parallel(tmp_path, argv):
+    """The reports of `argv` with --jobs 1 and --jobs 2, timing removed."""
+    code1, serial = run(tmp_path, *argv, name="serial.json")
     out = tmp_path / "parallel.json"
-    code2 = main(["sweep", "--q", "3,5,9", "--jobs", "2", "--json", str(out)])
+    code2 = main(list(argv) + ["--jobs", "2", "--json", str(out)])
     parallel = json.loads(out.read_text())
     assert code1 == code2 == 0
     serial.pop("timing")
     parallel.pop("timing")
+    return serial, parallel
+
+
+def test_jobs_parallel_matches_serial(tmp_path):
+    serial, parallel = _serial_and_parallel(tmp_path, ["sweep", "--q", "3,5,9"])
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("argv", [["verify-all", "--q-max", "81"],
+                                  ["identities", "--q", "9,27", "--p", "3"]],
+                         ids=["verify-all", "identities"])
+def test_jobs_parallel_matches_serial_per_command(tmp_path, argv):
+    # The identities job of q = 9, e = 2, writes no rows: its fragment is
+    # empty and comes first, before q = 27's and the upper-half grid's.
+    serial, parallel = _serial_and_parallel(tmp_path, argv)
     assert serial == parallel
 
 

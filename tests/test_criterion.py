@@ -339,15 +339,15 @@ def test_criterion_equals_direct_oracle(p, e):
 
 
 def test_cross_check_reports_each_disagreeing_k(f9, monkeypatch):
-    records = sweep(f9)
-    assert cross_check(f9, records) == ([], {
+    flags = sweep(f9)
+    assert cross_check(f9, flags) == ([], {
         "section": "criterion", "q": 9, "checked": 8, "mismatch_ks": [],
         "passed": True})
     # Patched at the module attribute, where a tracer would wrap it.  The
     # cross-check runs the criterion at the least member of each Frobenius
     # orbit, so this fake holds on the whole orbit {2, 6} of k = 2.
     monkeypatch.setattr(criterion, "pp_criterion", lambda fld, k: k == 2)
-    rows, verdict = cross_check(f9, records)
+    rows, verdict = cross_check(f9, flags)
     assert rows == [
         {"kind": "criterion_mismatch", "q": 9, "k": k, "direct": k in (1, 3)}
         for k in (1, 2, 3, 6)]

@@ -202,7 +202,7 @@ def test_stage_clocks_leave_module_imports_out(tmp_path):
     stages = json.loads((tmp_path / "out.json").read_text())["timing"]["stages"]
     assert set(stages) == {"3", "5"}
     # The identity grid does not serve e = 1, so it is neither run nor timed.
-    assert set(stages["3"]) == {"field", "sweep", "criterion", "girth"}
+    assert set(stages["3"]) == {"field", "sweep", "criterion", "girth", "encode"}
     assert max(t for secs in stages.values() for t in secs.values()) < 0.1, stages
 
 

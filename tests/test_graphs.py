@@ -229,11 +229,15 @@ def test_girth_at_least_consistent_with_exact(f3, f5):
 @pytest.mark.parametrize("q_args,expected", [((3, 1), [1]), ((5, 1), [1]), ((3, 2), [1, 3])])
 def test_girth_scan(q_args, expected):
     field = Field(*q_args)
-    _, verdict = girth_scan(field, permpoly.sweep(field))
+    ge8, verdict = girth_scan(field, permpoly.sweep(field))
+    assert [k for k, ok in enumerate(ge8, 1) if ok] == expected
     assert verdict["witnesses"] == expected
     assert verdict["expected"] == expected
     assert verdict["implication_ok"]
     assert verdict["passed"]
+    # The implication is judged on the flags passed in.
+    _, verdict = girth_scan(field, [(True, False)] * (field.q - 1))
+    assert not verdict["implication_ok"] and not verdict["passed"]
 
 
 @pytest.mark.parametrize("q,orbits", [(9, 5), (25, 14), (27, 10)])
@@ -251,9 +255,11 @@ def test_girth_scan_runs_one_bfs_per_frobenius_orbit(q, orbits, monkeypatch):
 @pytest.mark.parametrize("q", [9, 25, 27])
 def test_girth_scan_witnesses_equal_a_bfs_at_every_k(q):
     field = Field(*factor_prime_power(q))
-    _, verdict = girth_scan(field, permpoly.sweep(field))
-    per_k = [k for k in range(1, q) if girth_at_least(field, (1, 1), (k, 2 * k), 8)]
-    assert verdict["witnesses"] == per_k == p_powers(field.p, field.e)
+    ge8, verdict = girth_scan(field, permpoly.sweep(field))
+    per_k = [girth_at_least(field, (1, 1), (k, 2 * k), 8) for k in range(1, q)]
+    assert ge8 == per_k
+    assert verdict["witnesses"] == [k for k, ok in enumerate(per_k, 1) if ok] == p_powers(
+        field.p, field.e)
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 125])

@@ -197,54 +197,48 @@ def test_a_b_collision_match_pointwise_scan_at_every_k(p, e):
         assert_kernels_match_pointwise_scan(fld, k)
 
 
-SWEEP_KEYS = ("kind", "q", "k", "a_pp", "b_pp")
-
-
 def test_sweep_record_q9_k3(f9):
-    # The row holds the flags and nothing that is a function of (q, k).
-    assert sweep_record(f9, 3) == {"kind": "sweep", "q": 9, "k": 3, "a_pp": True,
-                                   "b_pp": True}
-    assert tuple(sweep_record(f9, 3)) == SWEEP_KEYS
+    # The record is the pair of flags (a_pp, b_pp) and nothing else.
+    assert sweep_record(f9, 3) == (True, True)
 
 
 def test_sweep_record_q9_k2(f9):
-    r = sweep_record(f9, 2)
-    assert tuple(r) == SWEEP_KEYS
-    assert not r["a_pp"]
+    a_pp, b_pp = sweep_record(f9, 2)
+    assert a_pp is False and b_pp is False
 
 
 def test_sweep_record_q27_k5(f27):
-    assert not sweep_record(f27, 5)["a_pp"]
+    a_pp, _ = sweep_record(f27, 5)
+    assert a_pp is False
 
 
 def test_frobenius_exponents_always_pp():
     for p, e in ((3, 2), (3, 3), (5, 2), (7, 2)):
         fld = Field(p, e)
         for k in p_powers(p, e):
-            r = sweep_record(fld, k)
-            assert r["a_pp"] and r["b_pp"], (p, e, k)
+            assert sweep_record(fld, k) == (True, True), (p, e, k)
 
 
 def test_p_power_implies_both_pp(f27):
-    for r in sweep(f27):
-        if 27 % r["k"] == 0:
-            assert r["a_pp"] and r["b_pp"]
+    for k, (a_pp, b_pp) in enumerate(sweep(f27), 1):
+        if 27 % k == 0:
+            assert a_pp and b_pp
 
 
 def test_pp_implies_coprime():
     for q_args in ((3, 1), (5, 1), (3, 2), (3, 3)):
         fld = Field(*q_args)
-        for r in sweep(fld):
-            if r["a_pp"]:
-                assert gcd(r["k"], fld.q - 1) == 1
-            if r["b_pp"]:
-                assert gcd(r["k"], fld.q - 1) == 1
+        for k, (a_pp, b_pp) in enumerate(sweep(fld), 1):
+            if a_pp:
+                assert gcd(k, fld.q - 1) == 1
+            if b_pp:
+                assert gcd(k, fld.q - 1) == 1
 
 
 def test_pp_implies_binary_inverse_digits(f27):
-    for r in sweep(f27):
-        if r["a_pp"]:
-            assert max(to_digits(star_reduce(pow(r["k"], -1, 26), 27), 3, 3)) <= 1
+    for k, (a_pp, _) in enumerate(sweep(f27), 1):
+        if a_pp:
+            assert max(to_digits(star_reduce(pow(k, -1, 26), 27), 3, 3)) <= 1
 
 
 def verdict_of(fld, which):
@@ -263,10 +257,12 @@ def test_conjecture_verdicts():
 
 
 def test_conjecture_verdict_judges_the_records_it_is_given(f9):
-    # The verdict reads the rows it is passed and runs no sweep of its own.
-    records = sweep(f9)
-    v = conjecture_verdict(f9, "A", [dict(r, a_pp=True) for r in records])
+    # The verdict reads the flags it is passed and runs no sweep of its own.
+    flags = sweep(f9)
+    v = conjecture_verdict(f9, "A", [(True, b_pp) for _, b_pp in flags])
     assert v["witnesses"] == list(range(1, 9)) and not v["passed"]
+    v = conjecture_verdict(f9, "B", [(a_pp, False) for a_pp, _ in flags])
+    assert v["witnesses"] == [] and not v["passed"]
     assert conjecture_verdict(f9, "B", [])["witnesses"] == []
 
 
@@ -359,11 +355,12 @@ def test_sweep_flags_equal_the_full_scan():
     # every k of every odd q <= 81, orbit copies included.
     for q in odd_prime_powers(81):
         fld = Field(*factor_prime_power(q))
-        for r in sweep(fld):
-            k = r["k"]
-            for flag, pointwise in (("a_pp", eval_a), ("b_pp", eval_b)):
+        flags = sweep(fld)
+        assert len(flags) == q - 1
+        for k, pair in enumerate(flags, 1):
+            for flag, pointwise in zip(pair, (eval_a, eval_b)):
                 values = {pointwise(fld, k, x) for x in range(q)}
-                assert r[flag] == (len(values) == q), (q, k, flag)
+                assert flag == (len(values) == q), (q, k, pointwise.__name__)
 
 
 @pytest.mark.parametrize("q", [3, 5, 25, 27, 61, 81, 121, 125])
